@@ -1,29 +1,40 @@
 """The natural bijection between patterns and tableaux.
 
 A pattern maps to the tableau obtained by filling, for each letter i, the
-skew cells between the shapes of rows i-1 and i with the letter i.  The
+cells row i of the pattern adds over row i-1 with the letter i.  The
 inverse records the shape left after deleting letters larger than i, padded
 with zeros to i entries.
 """
 
 from __future__ import annotations
 
-from .core import skew_cells
+from .core import ShapeError
 from .gtpattern import GTPattern, validate_pattern
 from .ssyt import Tableau, validate_tableau
 
 
 def pattern_to_tableau(pattern: GTPattern) -> Tableau:
-    """Fill skew layers bottom-up: letter i occupies the cells row i adds over row i-1."""
+    """Fill layers bottom-up: letter i gets entry(i, r) - entry(i-1, r) cells in tableau row r.
+
+    A negative layer length means row i-1 of the pattern is not contained in
+    row i and raises ShapeError.
+    """
     n = pattern.n
-    grid: list[list[int]] = []
+    grid: list[list[int]] = [[] for _ in range(n)]
+    inner: tuple[int, ...] = ()
     for i in range(1, n + 1):
-        outer = tuple(pattern.entry(i, k) for k in range(1, i + 1))
-        inner = tuple(pattern.entry(i - 1, k) for k in range(1, i))
-        for r, _c in skew_cells(outer, inner).cells:
-            while len(grid) < r:
-                grid.append([])
-            grid[r - 1].append(i)
+        outer = pattern.rows[n - i]
+        for r in range(i):
+            count = outer[r] - (inner[r] if r < i - 1 else 0)
+            if count < 0:
+                raise ShapeError(
+                    f"pattern row {i - 1} is not contained in row {i}: "
+                    f"letter {i} has {count} cells in tableau row {r + 1}"
+                )
+            grid[r].extend([i] * count)
+        inner = outer
+    while grid and not grid[-1]:
+        grid.pop()
     try:
         return validate_tableau(n, tuple(len(row) for row in grid), grid)
     except ValueError as exc:

@@ -5,6 +5,9 @@ row i has i entries and consecutive rows interleave.  The crystal data
 (weight, string lengths, raising and lowering operators) are computed from
 max-plus expressions in the pattern entries: signed sums around diamonds of
 four adjacent entries, partial sums of those, and maxima of the partial sums.
+The operators evaluate those maxima in one scan over three adjacent rows;
+``diamond_a``, ``diamond_b``, ``sum_a`` and ``sum_b`` keep the literal
+entry-by-entry forms as the reference.
 
 Indexing convention used everywhere in this package: ``entry(i, j)`` is the
 j-th entry of the row with i entries, both 1-based, and reads 0 whenever
@@ -214,40 +217,99 @@ def weight_expressions(pattern: GTPattern) -> tuple[Weight, Weight, Weight]:
     return first, a_form, b_form
 
 
+def _lower_scan(pattern: GTPattern, i: int) -> tuple[int, int]:
+    """(max, largest maximizer) of A_1 .. A_i at level i.
+
+    One pass over rows i+1, i and i-1 from j = i down to 1, accumulating
+    A_j = A_{j+1} + a_j; a strict comparison keeps the first (largest) index
+    at which the maximum is reached.  A negative maximum contradicts
+    interleaving and raises RuntimeError.
+    """
+    k = pattern.n - i
+    up, mid = pattern.rows[k - 1], pattern.rows[k]
+    low = pattern.rows[k + 1] if i > 1 else ()
+    total = mid[i - 1] - up[i]
+    best, ell = total, i
+    for j in range(i - 1, 0, -1):
+        total += mid[j - 1] - low[j - 1] + mid[j] - up[j]
+        if total > best:
+            best, ell = total, j
+    if best < 0:
+        raise RuntimeError(f"negative lowering string length {best} at level {i} indicates a bug")
+    return best, ell
+
+
+def _raise_scan(pattern: GTPattern, i: int) -> tuple[int, int]:
+    """(max, smallest maximizer) of B_1 .. B_i at level i.
+
+    Mirror of ``_lower_scan``: one pass from j = 1 up to i accumulating
+    B_j = B_{j-1} + b_j, keeping the first (smallest) maximizing index.
+    """
+    k = pattern.n - i
+    up, mid = pattern.rows[k - 1], pattern.rows[k]
+    low = pattern.rows[k + 1] if i > 1 else ()
+    total = up[0] - mid[0]
+    best, ell = total, 1
+    for j in range(2, i + 1):
+        total += up[j - 1] - mid[j - 1] + low[j - 2] - mid[j - 2]
+        if total > best:
+            best, ell = total, j
+    if best < 0:
+        raise RuntimeError(f"negative raising string length {best} at level {i} indicates a bug")
+    return best, ell
+
+
 def phi_gtp(pattern: GTPattern, i: int) -> int:
     """Lowering string length: max of A_1 .. A_i at level i."""
     _check_label(pattern, i)
-    value = max(sum_a(pattern, i, j) for j in range(1, i + 1))
-    assert value >= 0, f"negative lowering string length {value} indicates a bug"
-    return value
+    return _lower_scan(pattern, i)[0]
 
 
 def epsilon_gtp(pattern: GTPattern, i: int) -> int:
     """Raising string length: max of B_1 .. B_i at level i (the range ends at i)."""
     _check_label(pattern, i)
-    value = max(sum_b(pattern, i, j) for j in range(1, i + 1))
-    assert value >= 0, f"negative raising string length {value} indicates a bug"
-    return value
+    return _raise_scan(pattern, i)[0]
 
 
 def _with_entry_changed(pattern: GTPattern, i: int, j: int, delta: int) -> GTPattern:
-    rows = [list(row) for row in pattern.rows]
-    rows[pattern.n - i][j - 1] += delta
-    try:
-        return validate_pattern(pattern.n, rows)
-    except (NonNegativityError, InterleaveError) as exc:
-        raise RuntimeError(f"crystal operator produced an invalid pattern at ({i},{j}): {exc}") from exc
+    """The pattern with entry (i, j) moved by ``delta``, for 1 <= i <= n-1.
+
+    Only the inequalities that contain entry (i, j) are rechecked: it stays
+    non-negative, between entries (i+1, j+1) and (i+1, j) of the row above,
+    and between entries (i-1, j) and (i-1, j-1) of the row below where those
+    exist.  The unchanged rows are shared with ``pattern``.
+    """
+    k = pattern.n - i
+    up, row = pattern.rows[k - 1], pattern.rows[k]
+    value = row[j - 1] + delta
+    problem = None
+    if value < 0:
+        problem = f"entry ({i},{j}) = {value} is negative"
+    elif value > up[j - 1]:
+        problem = f"entry ({i},{j}) = {value} exceeds entry ({i + 1},{j}) = {up[j - 1]}"
+    elif value < up[j]:
+        problem = f"entry ({i},{j}) = {value} is below entry ({i + 1},{j + 1}) = {up[j]}"
+    elif i > 1:
+        low = pattern.rows[k + 1]
+        if j > 1 and value > low[j - 2]:
+            problem = f"entry ({i},{j}) = {value} exceeds entry ({i - 1},{j - 1}) = {low[j - 2]}"
+        elif j < i and value < low[j - 1]:
+            problem = f"entry ({i},{j}) = {value} is below entry ({i - 1},{j}) = {low[j - 1]}"
+    if problem is not None:
+        raise RuntimeError(f"crystal operator produced an invalid pattern at ({i},{j}): {problem}")
+    rows = pattern.rows
+    return GTPattern(pattern.n, rows[:k] + (row[: j - 1] + (value,) + row[j:],) + rows[k + 1 :])
 
 
 def lower_gtp(pattern: GTPattern, i: int) -> Optional[GTPattern]:
     """Lowering operator: decrement entry (i, l) where l is the largest
     index in 1..i at which A_l attains the maximum; None when the string
-    length is 0.  The result always interleaves, so revalidation failing is
+    length is 0.  The result always interleaves, so a failed local check is
     an internal error."""
-    phi = phi_gtp(pattern, i)
+    _check_label(pattern, i)
+    phi, ell = _lower_scan(pattern, i)
     if phi == 0:
         return None
-    ell = max(j for j in range(1, i + 1) if sum_a(pattern, i, j) == phi)
     return _with_entry_changed(pattern, i, ell, -1)
 
 
@@ -255,10 +317,10 @@ def raise_gtp(pattern: GTPattern, i: int) -> Optional[GTPattern]:
     """Raising operator: increment entry (i, l) where l is the smallest
     index in 1..i at which B_l attains the maximum; None when the string
     length is 0."""
-    eps = epsilon_gtp(pattern, i)
+    _check_label(pattern, i)
+    eps, ell = _raise_scan(pattern, i)
     if eps == 0:
         return None
-    ell = min(j for j in range(1, i + 1) if sum_b(pattern, i, j) == eps)
     return _with_entry_changed(pattern, i, ell, +1)
 
 

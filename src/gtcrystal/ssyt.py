@@ -2,9 +2,12 @@
 
 The crystal data come from the far-eastern reading (columns right to left,
 each column top to bottom) followed by pair cancellation between the letters
-i and i+1.  A second, column-scanning implementation of the cancellation is
-provided and must induce identical data; the verification suite checks the
-two against each other exhaustively at desk scale.
+i and i+1.  The operators match the letters in a single stack pass over the
+reading word; ``bracket_word`` and ``match_positions`` keep the literal
+crossed-position form as the reference.  A second, column-scanning
+implementation of the cancellation is provided and must induce identical
+data; the verification suite checks the two against each other exhaustively
+at desk scale.
 
 Cells are addressed by 1-based (row, column) pairs throughout.
 """
@@ -116,14 +119,14 @@ class ReadingWord:
 
 def far_east_reading(tableau: Tableau) -> ReadingWord:
     """Read columns right to left, each column top to bottom."""
-    shape = tableau.shape
+    rows = tableau.rows
     letters: list[int] = []
     origin: list[tuple[int, int]] = []
-    width = shape[0] if shape else 0
+    width = len(rows[0]) if rows else 0
     for c in range(width, 0, -1):
-        for r in range(1, len(shape) + 1):
-            if shape[r - 1] >= c:
-                letters.append(tableau.cell(r, c))
+        for r, row in enumerate(rows, start=1):
+            if len(row) >= c:
+                letters.append(row[c - 1])
                 origin.append((r, c))
     return ReadingWord(tuple(letters), tuple(origin))
 
@@ -194,36 +197,75 @@ def _check_label(tableau: Tableau, i: int) -> None:
         raise IndexError(f"label {i} out of range 1..{tableau.n - 1}")
 
 
+def _cancel(word: ReadingWord, i: int) -> tuple[list[tuple[int, int]], int, Optional[tuple[int, int]]]:
+    """One stack pass of the i-cancellation over the letters and their cells.
+
+    Returns the cells of the uncrossed letters i in word order, the number
+    of uncrossed letters i+1 and the cell of the rightmost one (None when
+    there is none).  A letter i+1 stays uncrossed exactly when no unmatched
+    i precedes it; the openers left on the stack are the uncrossed i.
+    """
+    opened: list[tuple[int, int]] = []
+    closers = 0
+    last = None
+    upper = i + 1
+    for letter, cell in zip(word.letters, word.origin):
+        if letter == i:
+            opened.append(cell)
+        elif letter == upper:
+            if opened:
+                opened.pop()
+            else:
+                closers += 1
+                last = cell
+    return opened, closers, last
+
+
 def phi_ssyt(tableau: Tableau, i: int) -> int:
     """Number of uncrossed letters i after the i-cancellation."""
     _check_label(tableau, i)
-    return len(bracket_word(far_east_reading(tableau), i).uncrossed(i))
+    return len(_cancel(far_east_reading(tableau), i)[0])
 
 
 def epsilon_ssyt(tableau: Tableau, i: int) -> int:
     """Number of uncrossed letters i+1 after the i-cancellation."""
     _check_label(tableau, i)
-    return len(bracket_word(far_east_reading(tableau), i).uncrossed(i + 1))
+    return _cancel(far_east_reading(tableau), i)[1]
 
 
 def _with_cell_changed(tableau: Tableau, r: int, c: int, letter: int) -> Tableau:
-    rows = [list(row) for row in tableau.rows]
-    rows[r - 1][c - 1] = letter
-    try:
-        return validate_tableau(tableau.n, tableau.shape, rows)
-    except TableauError as exc:
-        raise RuntimeError(f"crystal operator produced an invalid tableau at ({r},{c}): {exc}") from exc
+    """The tableau with cell (r, c) set to ``letter``.
+
+    Only the conditions that involve the cell are rechecked: the alphabet
+    bound, its left and right neighbours in the row, and the cells above and
+    below it in the column.  The unchanged rows are shared with ``tableau``.
+    """
+    rows = tableau.rows
+    row = rows[r - 1]
+    problem = None
+    if not 1 <= letter <= tableau.n:
+        problem = f"letter {letter} outside 1..{tableau.n}"
+    elif c > 1 and row[c - 2] > letter:
+        problem = f"left neighbour {row[c - 2]} > {letter}"
+    elif c < len(row) and letter > row[c]:
+        problem = f"right neighbour {row[c]} < {letter}"
+    elif r > 1 and rows[r - 2][c - 1] >= letter:
+        problem = f"cell above holds {rows[r - 2][c - 1]} >= {letter}"
+    elif r < len(rows) and len(rows[r]) >= c and letter >= rows[r][c - 1]:
+        problem = f"cell below holds {rows[r][c - 1]} <= {letter}"
+    if problem is not None:
+        raise RuntimeError(f"crystal operator produced an invalid tableau at ({r},{c}): {problem}")
+    return Tableau(tableau.n, rows[: r - 1] + (row[: c - 1] + (letter,) + row[c:],) + rows[r:])
 
 
 def lower_ssyt(tableau: Tableau, i: int) -> Optional[Tableau]:
     """Lowering operator: change the leftmost uncrossed i in the reading word
     to i+1; None when no uncrossed i exists."""
     _check_label(tableau, i)
-    word = far_east_reading(tableau)
-    spots = bracket_word(word, i).uncrossed(i)
-    if not spots:
+    opened = _cancel(far_east_reading(tableau), i)[0]
+    if not opened:
         return None
-    r, c = word.origin[spots[0] - 1]
+    r, c = opened[0]
     return _with_cell_changed(tableau, r, c, i + 1)
 
 
@@ -231,11 +273,10 @@ def raise_ssyt(tableau: Tableau, i: int) -> Optional[Tableau]:
     """Raising operator: change the rightmost uncrossed i+1 in the reading
     word to i; None when no uncrossed i+1 exists."""
     _check_label(tableau, i)
-    word = far_east_reading(tableau)
-    spots = bracket_word(word, i).uncrossed(i + 1)
-    if not spots:
+    last = _cancel(far_east_reading(tableau), i)[2]
+    if last is None:
         return None
-    r, c = word.origin[spots[-1] - 1]
+    r, c = last
     return _with_cell_changed(tableau, r, c, i)
 
 
