@@ -93,11 +93,12 @@ def cmd_biject(args: argparse.Namespace) -> int:
     return 0
 
 
-def _graph_to_dot(graph: crystal.CrystalGraph, labels: dict[str, str]) -> str:
+def _graph_to_dot(graph: crystal.CrystalGraph, labels: Sequence[str]) -> str:
+    """DOT document of ``graph``; ``labels`` names the vertices in graph order."""
     ids = {key: f"v{k}" for k, (key, _element) in enumerate(graph.vertices)}
     lines = ["digraph crystal {", "  rankdir=TB;", '  node [shape=box, fontname="monospace"];']
-    for key, _element in graph.vertices:
-        lines.append(f'  {ids[key]} [label="{labels[key]}"];')
+    for (key, _element), label in zip(graph.vertices, labels):
+        lines.append(f'  {ids[key]} [label="{label}"];')
     for u, i, v in graph.edges:
         color = _PALETTE[(i - 1) % len(_PALETTE)]
         lines.append(f'  {ids[u]} -> {ids[v]} [label="{i}", color="{color}"];')
@@ -118,8 +119,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(json.dumps(graph.to_dict(), indent=2, sort_keys=True))
     else:
-        labels = {model.canonical_key(e): e.compact() for e in elements}
-        print(_graph_to_dot(graph, labels))
+        print(_graph_to_dot(graph, [e.compact() for e in elements]))
     return 0
 
 

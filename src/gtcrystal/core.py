@@ -1,4 +1,4 @@
-"""Foundational value types: partitions, weights, skew cells, dimension oracle.
+"""Foundational value types: partitions, weights, dimension oracle.
 
 Partitions and weights are plain integer tuples.  A partition is stored in
 canonical form with no trailing zeros; padding to a declared length is always
@@ -7,7 +7,6 @@ an explicit operation.  All arithmetic is exact integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 Partition = tuple[int, ...]
@@ -48,33 +47,6 @@ def pad(parts: Partition, n: int) -> tuple[int, ...]:
     if len(parts) > n:
         raise LengthError(f"partition has {len(parts)} parts, more than n={n}")
     return parts + (0,) * (n - len(parts))
-
-
-@dataclass(frozen=True)
-class SkewCells:
-    """The cell set of a skew diagram outer/inner, cells in row-major order.
-
-    Cells are 1-based (row, column) pairs: inner.parts[r] < c <= outer.parts[r].
-    """
-
-    outer: Partition
-    inner: Partition
-    cells: tuple[tuple[int, int], ...]
-
-
-def skew_cells(outer: Partition, inner: Partition) -> SkewCells:
-    """Cells of the diagram of ``outer`` not in ``inner``, row-major."""
-    outer = as_partition(outer)
-    inner = as_partition(inner)
-    if len(inner) > len(outer) or any(inner[k] > outer[k] for k in range(len(inner))):
-        raise ShapeError(f"inner shape {inner} is not contained in outer shape {outer}")
-    padded_inner = inner + (0,) * (len(outer) - len(inner))
-    cells = tuple(
-        (r + 1, c)
-        for r in range(len(outer))
-        for c in range(padded_inner[r] + 1, outer[r] + 1)
-    )
-    return SkewCells(outer, inner, cells)
 
 
 def weyl_dimension(n: int, lam: Partition) -> int:

@@ -1,8 +1,10 @@
 """Model-agnostic crystal contract, graph construction and verification.
 
 A model bundles the crystal data callables for one element type at a fixed
-rank.  Elements are identified by a canonical key (their JSON serialization
-with sorted fields), which is stable across models, runs and processes.
+rank.  Elements are frozen, hashable values and are compared, indexed and
+deduplicated by value.  The canonical key (the JSON serialization with sorted
+fields) is only the output form: it names graph vertices and the elements a
+violation reports, and it is stable across models, runs and processes.
 """
 
 from __future__ import annotations
@@ -21,6 +23,11 @@ class ClosureError(ValueError):
     """An operator image escapes the supplied element set."""
 
 
+def _render_key(data: dict) -> str:
+    """The canonical key of a serialized element: compact JSON with sorted fields."""
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
 @dataclass(frozen=True)
 class CrystalModel:
     """Crystal data callables over one element type at rank n."""
@@ -32,14 +39,13 @@ class CrystalModel:
     epsilon: Callable[[Any, int], int]
     lower: Callable[[Any, int], Optional[Any]]
     raise_: Callable[[Any, int], Optional[Any]]
-    serialize: Callable[[Any], dict]
 
     @property
     def labels(self) -> range:
         return range(1, self.n)
 
     def canonical_key(self, element: Any) -> str:
-        return json.dumps(self.serialize(element), sort_keys=True, separators=(",", ":"))
+        return _render_key(element.to_dict())
 
 
 def pattern_model(n: int) -> CrystalModel:
@@ -52,7 +58,6 @@ def pattern_model(n: int) -> CrystalModel:
         epsilon=gtp.epsilon_gtp,
         lower=gtp.lower_gtp,
         raise_=gtp.raise_gtp,
-        serialize=gtp.GTPattern.to_dict,
     )
 
 
@@ -66,7 +71,6 @@ def tableau_model(n: int) -> CrystalModel:
         epsilon=ssyt.epsilon_ssyt,
         lower=ssyt.lower_ssyt,
         raise_=ssyt.raise_ssyt,
-        serialize=ssyt.Tableau.to_dict,
     )
 
 
@@ -98,51 +102,39 @@ class CrystalGraph:
 def build_graph(model: CrystalModel, elements: Sequence[Any]) -> CrystalGraph:
     """Materialize the lowering relation over a closed element set.
 
-    The elements must be distinct under the canonical key and closed under
-    the lowering operators; an escaping image raises ClosureError naming the
-    escaping element.
+    The elements must be distinct and closed under the lowering operators;
+    an escaping image raises ClosureError naming the escaping element.
     """
-    keyed = [(model.canonical_key(e), e) for e in elements]
-    keys = {key for key, _ in keyed}
-    if len(keys) != len(keyed):
-        raise ValueError("elements are not distinct under the canonical key")
+    data = [e.to_dict() for e in elements]
+    keys = {e: _render_key(d) for e, d in zip(elements, data)}
+    if len(keys) != len(elements):
+        raise ValueError("elements are not distinct")
     edges = []
-    for key, element in keyed:
+    for element, key in keys.items():
         for i in model.labels:
             image = model.lower(element, i)
             if image is None:
                 continue
-            image_key = model.canonical_key(image)
-            if image_key not in keys:
-                raise ClosureError(f"lowering {key} along {i} escapes the element set: {image_key}")
-            edges.append((key, i, image_key))
-    vertices = tuple((key, model.serialize(e)) for key, e in keyed)
-    return CrystalGraph(model.n, vertices, tuple(sorted(edges)))
+            if image not in keys:
+                raise ClosureError(f"lowering {key} along {i} escapes the element set: {model.canonical_key(image)}")
+            edges.append((key, i, keys[image]))
+    return CrystalGraph(model.n, tuple(zip(keys.values(), data)), tuple(sorted(edges)))
 
 
 def build_graph_from_sources(model: CrystalModel, sources: Sequence[Any]) -> CrystalGraph:
     """Cross-check constructor: breadth-first closure of ``sources`` under
     both operators, vertices sorted by key.  Must produce the same graph as
     ``build_graph`` on the full element set (after ``canonical()``)."""
-    seen: dict[str, Any] = {}
-    queue = deque()
-    for element in sources:
-        key = model.canonical_key(element)
-        if key not in seen:
-            seen[key] = element
-            queue.append(element)
+    seen = set(sources)
+    queue = deque(seen)
     while queue:
         element = queue.popleft()
         for i in model.labels:
             for image in (model.lower(element, i), model.raise_(element, i)):
-                if image is None:
-                    continue
-                key = model.canonical_key(image)
-                if key not in seen:
-                    seen[key] = image
+                if image is not None and image not in seen:
+                    seen.add(image)
                     queue.append(image)
-    ordered = [seen[key] for key in sorted(seen)]
-    return build_graph(model, ordered)
+    return build_graph(model, sorted(seen, key=model.canonical_key))
 
 
 @dataclass
@@ -193,8 +185,9 @@ class Report:
         }
 
 
-AxiomReport = Report
-IsoReport = Report
+def _image_key(model: CrystalModel, image: Optional[Any]) -> str:
+    """An operator image as a report string: its key, or ``None`` when absent."""
+    return "None" if image is None else model.canonical_key(image)
 
 
 def verify_axioms(model: CrystalModel, elements: Sequence[Any], limit: int = 100) -> Report:
@@ -210,51 +203,51 @@ def verify_axioms(model: CrystalModel, elements: Sequence[Any], limit: int = 100
     than raised, so mutated models can be diagnosed in full.
     """
     report = Report(notes=["string lengths are total integers; the unbounded case cannot occur"], limit=limit)
-    keyed = [(model.canonical_key(e), e) for e in elements]
-    by_key = dict(keyed)
-    if len(by_key) != len(keyed):
-        raise ValueError("elements are not distinct under the canonical key")
-    for key, b in keyed:
+    members = set(elements)
+    if len(members) != len(elements):
+        raise ValueError("elements are not distinct")
+
+    def keys(*involved: Any) -> tuple[str, ...]:
+        # Elements are compared by value; keys are rendered only for a violation.
+        return tuple(map(model.canonical_key, involved))
+
+    for b in elements:
         wt = model.weight(b)
         for i in model.labels:
             phi = model.phi(b, i)
             eps = model.epsilon(b, i)
             pairing = coroot_pairing(wt, i)
             if phi - eps != pairing:
-                report.add("pairing", (key,), i, f"phi - epsilon = {pairing}", f"{phi} - {eps}")
+                report.add("pairing", keys(b), i, f"phi - epsilon = {pairing}", f"{phi} - {eps}")
             down = model.lower(b, i)
             if (down is None) != (phi == 0):
-                report.add("lower-domain", (key,), i, f"image iff phi > 0 (phi = {phi})", f"{down is not None}")
+                report.add("lower-domain", keys(b), i, f"image iff phi > 0 (phi = {phi})", f"{down is not None}")
             if down is not None:
-                down_key = model.canonical_key(down)
-                if down_key not in by_key:
-                    report.add("closure", (key, down_key), i, "lowering image inside the element set", "escaped")
+                if down not in members:
+                    report.add("closure", keys(b, down), i, "lowering image inside the element set", "escaped")
                 else:
                     back = model.raise_(down, i)
-                    back_key = None if back is None else model.canonical_key(back)
-                    if back_key != key:
-                        report.add("inverse", (key, down_key), i, "raising inverts lowering", f"{back_key}")
+                    if back != b:
+                        report.add("inverse", keys(b, down), i, "raising inverts lowering", _image_key(model, back))
                     expected_wt = list(wt)
                     expected_wt[i - 1] -= 1
                     expected_wt[i] += 1
                     if list(model.weight(down)) != expected_wt:
-                        report.add("weight-step", (key, down_key), i, f"{tuple(expected_wt)}", f"{model.weight(down)}")
+                        report.add("weight-step", keys(b, down), i, f"{tuple(expected_wt)}", f"{model.weight(down)}")
                     if model.epsilon(down, i) != eps + 1:
-                        report.add("epsilon-step", (key, down_key), i, f"{eps + 1}", f"{model.epsilon(down, i)}")
+                        report.add("epsilon-step", keys(b, down), i, f"{eps + 1}", f"{model.epsilon(down, i)}")
                     if model.phi(down, i) != phi - 1:
-                        report.add("phi-step", (key, down_key), i, f"{phi - 1}", f"{model.phi(down, i)}")
+                        report.add("phi-step", keys(b, down), i, f"{phi - 1}", f"{model.phi(down, i)}")
             up = model.raise_(b, i)
             if (up is None) != (eps == 0):
-                report.add("raise-domain", (key,), i, f"image iff epsilon > 0 (epsilon = {eps})", f"{up is not None}")
+                report.add("raise-domain", keys(b), i, f"image iff epsilon > 0 (epsilon = {eps})", f"{up is not None}")
             if up is not None:
-                up_key = model.canonical_key(up)
-                if up_key not in by_key:
-                    report.add("closure", (key, up_key), i, "raising image inside the element set", "escaped")
+                if up not in members:
+                    report.add("closure", keys(b, up), i, "raising image inside the element set", "escaped")
                 else:
                     back = model.lower(up, i)
-                    back_key = None if back is None else model.canonical_key(back)
-                    if back_key != key:
-                        report.add("inverse", (key, up_key), i, "lowering inverts raising", f"{back_key}")
+                    if back != b:
+                        report.add("inverse", keys(b, up), i, "lowering inverts raising", _image_key(model, back))
     return report
 
 
@@ -274,36 +267,38 @@ def verify_isomorphism(
     absent images.
     """
     report = Report(limit=limit)
-    seen_images: set[str] = set()
+    seen_images = set()
+
+    def keys() -> tuple[str, str]:
+        # The pair (a, b) under test, rendered only for a violation.
+        return model_a.canonical_key(a), model_b.canonical_key(b)
+
     for a in elements_a:
-        a_key = model_a.canonical_key(a)
         b = mapping(a)
-        b_key = model_b.canonical_key(b)
-        if b_key in seen_images:
-            report.add("injective", (a_key, b_key), None, "distinct images", "duplicate image")
-        seen_images.add(b_key)
+        if b in seen_images:
+            report.add("injective", keys(), None, "distinct images", "duplicate image")
+        seen_images.add(b)
         if model_a.weight(a) != model_b.weight(b):
-            report.add("weight", (a_key, b_key), None, f"{model_a.weight(a)}", f"{model_b.weight(b)}")
+            report.add("weight", keys(), None, f"{model_a.weight(a)}", f"{model_b.weight(b)}")
         for i in model_a.labels:
             if model_a.phi(a, i) != model_b.phi(b, i):
-                report.add("phi", (a_key, b_key), i, f"{model_a.phi(a, i)}", f"{model_b.phi(b, i)}")
+                report.add("phi", keys(), i, f"{model_a.phi(a, i)}", f"{model_b.phi(b, i)}")
             if model_a.epsilon(a, i) != model_b.epsilon(b, i):
-                report.add("epsilon", (a_key, b_key), i, f"{model_a.epsilon(a, i)}", f"{model_b.epsilon(b, i)}")
+                report.add("epsilon", keys(), i, f"{model_a.epsilon(a, i)}", f"{model_b.epsilon(b, i)}")
             for rule, op_a, op_b in (
                 ("lower-intertwine", model_a.lower, model_b.lower),
                 ("raise-intertwine", model_a.raise_, model_b.raise_),
             ):
                 image_a = op_a(a, i)
-                image_b = op_b(b, i)
-                mapped = None if image_a is None else model_b.canonical_key(mapping(image_a))
-                direct = None if image_b is None else model_b.canonical_key(image_b)
+                direct = op_b(b, i)
+                mapped = None if image_a is None else mapping(image_a)
                 if mapped != direct:
-                    report.add(rule, (a_key, b_key), i, f"{mapped}", f"{direct}")
+                    report.add(rule, keys(), i, _image_key(model_b, mapped), _image_key(model_b, direct))
     if elements_b is not None:
-        target = {model_b.canonical_key(b) for b in elements_b}
-        for key in sorted(target - seen_images):
+        target = set(elements_b)
+        for key in sorted(map(model_b.canonical_key, target - seen_images)):
             report.add("surjective", (key,), None, "covered by the mapping", "not hit")
-        for key in sorted(seen_images - target):
+        for key in sorted(map(model_b.canonical_key, seen_images - target)):
             report.add("into-target", (key,), None, "image inside the target set", "outside")
     return report
 

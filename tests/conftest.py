@@ -4,11 +4,6 @@ from gtcrystal import GTPattern, Tableau, partitions_up_to
 
 
 @st.composite
-def partition_st(draw, max_size=8, max_parts=5):
-    return draw(st.sampled_from(partitions_up_to(max_size, max_parts)))
-
-
-@st.composite
 def pattern_st(draw, max_n=5, max_part=12):
     """Random valid pattern, entries beyond desk scale."""
     n = draw(st.integers(min_value=1, max_value=max_n))

@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from gtcrystal import cli
 
@@ -226,3 +229,34 @@ def test_verify_failure_exits_one(monkeypatch, capsys):
 def test_usage_error_exits_two(capsys):
     assert cli.main(["enumerate", "-n", "3"]) == 2
     assert cli.main(["no-such-command"]) == 2
+
+
+# SHA-256 of stdout for a fixed set of invocations.  The CLI promises
+# byte-exact output, so a change below it must leave every digest unchanged;
+# only an intended output change re-records them.
+GOLDEN = {
+    ("graph", "-n", "3", "-l", "3,1,0", "--model", "gtp", "--format", "json"): "230f49132a7c79858abb58d77eb5b21393ee5e571bc776a01787dcbfe9ff7279",
+    ("graph", "-n", "3", "-l", "3,1,0", "--model", "gtp", "--format", "dot"): "65428bd812c67ea1f26656a20ad4f2698c6742799ff4a616ae38db4af0b1989f",
+    ("graph", "-n", "3", "-l", "3,1,0", "--model", "ssyt", "--format", "json"): "ad1caec51cff4a33ff6a1f826a9f230d1d60a53cb88af1598c454cbdc4c2bd9e",
+    ("graph", "-n", "3", "-l", "3,1,0", "--model", "ssyt", "--format", "dot"): "55faef400dd1d29081ab328374562fa047f71bfc4949bfe797d411a69e85395d",
+    ("graph", "-n", "4", "-l", "2,1", "--model", "gtp", "--format", "json"): "717e47673f35b6fd6d1ba82197f2aebeb0efb9bd624a9c572df9a80487f4fcd1",
+    ("graph", "-n", "4", "-l", "2,1", "--model", "gtp", "--format", "dot"): "ed69d7ccff6f1412cab662e231d0decddfb8bd86fee17c7046166ffbd7127c97",
+    ("graph", "-n", "4", "-l", "2,1", "--model", "ssyt", "--format", "json"): "88a8386982b0f57be0738c1632a1f9df97beb9ffc7c33ace4812a9cf3c8710da",
+    ("graph", "-n", "4", "-l", "2,1", "--model", "ssyt", "--format", "dot"): "2e49811740c20f9e05180d0dada440961964d2809e153bceca0b36acd1498826",
+    ("verify", "-n", "3", "-l", "3,1,0", "--json"): "7839fe046caa59691a789b073373b64057f9f5bfb85590caab780b8ec1069067",
+    ("verify", "-n", "3", "--all-upto", "3", "--json"): "a0fc08a3e8a480146728523bf8aff579a98e1fded94923416fcf22ad0fb9c4c3",
+    ("enumerate", "-n", "3", "-l", "3,1,0", "--model", "gtp"): "dba60fdc5b46215e36383cab22d8449a1b0b8dd22a3c5b14237243fe6f44814d",
+    ("enumerate", "-n", "3", "-l", "3,1,0", "--model", "ssyt"): "9568399ff99866d28dcba1b6aee70ba04747bf7bc82486bbf208f958544b7886",
+    ("enumerate", "-n", "4", "-l", "2,1", "--model", "gtp"): "86029a1a0713ae66538de7b49fc3693778e04da84eb976340fe5c08c35420258",
+    ("enumerate", "-n", "4", "-l", "2,1", "--model", "ssyt"): "3d5519746449fd9f5cdfd5bf8d9766a419a56b19a54f2a52ee109b93e160e15e",
+    ("biject", "--gtp", WORKED): "8a8ab42abb273df8d3b2bad773390213e7fe0d2d717fd09aa0c40430fa48681d",
+    ("biject", "--ssyt", WORKED_TAB): "9ab9fcf76658fedd2cee9161489873d8ac31e39a2ea1fdf0f3acd3b84dec331b",
+    ("string-datum", "--gtp", WORKED): "524084c093fae24bb81351083c48291841ecdd8cd06c0affb31fd8f9a8562bf5",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN), ids=" ".join)
+def test_golden_stdout_digest(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]

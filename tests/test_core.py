@@ -1,7 +1,6 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import partition_st
 from gtcrystal import (
     LengthError,
     ShapeError,
@@ -10,7 +9,6 @@ from gtcrystal import (
     enumerate_patterns,
     pad,
     partitions_up_to,
-    skew_cells,
     weyl_dimension,
 )
 
@@ -39,30 +37,6 @@ def test_pad():
 def test_pad_rejects_long_partition():
     with pytest.raises(LengthError):
         pad((3, 2, 1), 2)
-
-
-def test_skew_cells_reference_diagram():
-    cells = skew_cells((4, 2, 2, 1), (2, 2)).cells
-    assert set(cells) == {(1, 3), (1, 4), (3, 1), (3, 2), (4, 1)}
-    assert list(cells) == sorted(cells)  # row-major order
-
-
-def test_skew_cells_degenerate():
-    assert skew_cells((3, 1), (3, 1)).cells == ()
-    assert set(skew_cells((3, 1), ()).cells) == {(1, 1), (1, 2), (1, 3), (2, 1)}
-
-
-def test_skew_cells_requires_containment():
-    with pytest.raises(ShapeError):
-        skew_cells((2, 2), (3,))
-
-
-@given(outer=partition_st(), inner=partition_st())
-def test_skew_cell_count_is_size_difference(outer, inner):
-    padded = inner + (0,) * (len(outer) - len(inner))
-    if len(inner) > len(outer) or any(padded[k] > outer[k] for k in range(len(outer))):
-        return
-    assert len(skew_cells(outer, inner).cells) == sum(outer) - sum(inner)
 
 
 def test_weyl_dimension_known_values():

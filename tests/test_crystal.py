@@ -1,3 +1,6 @@
+import json
+from dataclasses import replace
+
 import pytest
 
 from gtcrystal import (
@@ -11,11 +14,14 @@ from gtcrystal import (
     highest_weight_elements,
     pattern_model,
     pattern_to_tableau,
+    raise_gtp,
     tableau_model,
+    tableau_to_pattern,
     validate_pattern,
     verify_axioms,
     verify_isomorphism,
 )
+from sweeps import shape_sweep
 
 
 @pytest.fixture
@@ -196,13 +202,162 @@ def test_connectivity(shape310):
     assert connectivity(two_copies) == 2
 
 
-def test_canonical_key_is_injective(shape310):
-    model, elements = shape310
-    keys = {model.canonical_key(e) for e in elements}
-    assert len(keys) == len(elements)
+def test_canonical_key_is_injective():
+    # Value equality and key equality agree: a == b exactly when their keys do.
+    # Equal values are built twice, once directly and once through the
+    # bijection and back, so equal elements are distinct objects too.
+    for model, enumerate_model, rebuild in (
+        (pattern_model, enumerate_patterns, lambda p: tableau_to_pattern(pattern_to_tableau(p))),
+        (tableau_model, enumerate_tableaux, lambda t: pattern_to_tableau(tableau_to_pattern(t))),
+    ):
+        key_of_value: dict = {}
+        value_of_key: dict = {}
+        for n, lam in shape_sweep():
+            m = model(n)
+            for built in enumerate_model(n, lam):
+                for element in (built, rebuild(built)):
+                    key = m.canonical_key(element)
+                    assert key_of_value.setdefault(element, key) == key
+                    assert value_of_key.setdefault(key, element) == element
+        assert len(key_of_value) == len(value_of_key) > 100
 
 
 def test_duplicate_elements_rejected():
     p = validate_pattern(2, [[1, 0], [1]])
     with pytest.raises(ValueError):
         build_graph(pattern_model(2), [p, p])
+    # A closed set with one element repeated (as an equal, distinct object):
+    # only the distinctness check can reject it.
+    elements = enumerate_patterns(2, (1,))
+    repeated = elements + [validate_pattern(2, [list(row) for row in elements[0].rows])]
+    for check in (build_graph, verify_axioms):
+        with pytest.raises(ValueError, match="not distinct"):
+            check(pattern_model(2), repeated)
+
+
+# Violation witnesses on the n = 2, shape (2) crystal (and n = 3, shape (1)),
+# pinned byte for byte: rule, keys, label, expected and actual strings, in
+# report order.
+P0 = '{"n":2,"rows":[[2,0],[0]]}'
+P1 = '{"n":2,"rows":[[2,0],[1]]}'
+P2 = '{"n":2,"rows":[[2,0],[2]]}'
+T11 = '{"n":2,"rows":[[1,1]],"shape":[2]}'
+T12 = '{"n":2,"rows":[[1,2]],"shape":[2]}'
+T22 = '{"n":2,"rows":[[2,2]],"shape":[2]}'
+Q0 = '{"n":3,"rows":[[1,0,0],[0,0],[0]]}'
+Q1 = '{"n":3,"rows":[[1,0,0],[1,0],[0]]}'
+AXIOM_NOTES = ["string lengths are total integers; the unbounded case cannot occur"]
+
+
+def rendered_report(violations, notes=(), truncated=False):
+    """The JSON of Report.to_dict() for these (rule, keys, label, expected, actual) rows."""
+    return json.dumps(
+        {
+            "pass": not violations,
+            "violations": [
+                {"rule": rule, "keys": list(keys), "label": label, "expected": expected, "actual": actual}
+                for rule, keys, label, expected, actual in violations
+            ],
+            "notes": list(notes),
+            "truncated": truncated,
+        }
+    )
+
+
+@pytest.fixture
+def shape2():
+    patterns = enumerate_patterns(2, (2,))
+    tableaux = enumerate_tableaux(2, (2,))
+    assert [p.rows[1] for p in patterns] == [(0,), (1,), (2,)]
+    assert [t.rows for t in tableaux] == [((1, 1),), ((1, 2),), ((2, 2),)]
+    return pattern_model(2), patterns, tableau_model(2), tableaux
+
+
+def test_closure_witnesses(shape2):
+    pm, patterns, tm, tableaux = shape2
+    report = verify_axioms(pm, [patterns[0], patterns[2]])
+    assert json.dumps(report.to_dict()) == rendered_report(
+        [
+            ("closure", (P0, P1), 1, "raising image inside the element set", "escaped"),
+            ("closure", (P2, P1), 1, "lowering image inside the element set", "escaped"),
+        ],
+        AXIOM_NOTES,
+    )
+    report = verify_axioms(tm, [tableaux[0], tableaux[2]])
+    assert json.dumps(report.to_dict()) == rendered_report(
+        [
+            ("closure", (T11, T12), 1, "lowering image inside the element set", "escaped"),
+            ("closure", (T22, T12), 1, "raising image inside the element set", "escaped"),
+        ],
+        AXIOM_NOTES,
+    )
+
+
+def test_inverse_witnesses(shape2):
+    pm, patterns, _tm, _tableaux = shape2
+    lowest = patterns[0]
+
+    def raise_to_lowest(p, i):
+        return None if raise_gtp(p, i) is None else lowest
+
+    report = verify_axioms(replace(pm, raise_=raise_to_lowest), patterns)
+    assert json.dumps(report.to_dict()) == rendered_report(
+        [
+            ("inverse", (P0, P0), 1, "lowering inverts raising", "None"),
+            ("inverse", (P1, P0), 1, "raising inverts lowering", P0),
+            ("inverse", (P1, P0), 1, "lowering inverts raising", "None"),
+            ("inverse", (P2, P1), 1, "raising inverts lowering", P0),
+        ],
+        AXIOM_NOTES,
+    )
+
+
+def test_truncated_witnesses():
+    broken = replace(pattern_model(3), phi=lambda p, i: 99)
+    report = verify_axioms(broken, enumerate_patterns(3, (1,)), limit=7)
+    assert json.dumps(report.to_dict()) == rendered_report(
+        [
+            ("pairing", (Q0,), 1, "phi - epsilon = 0", "99 - 0"),
+            ("lower-domain", (Q0,), 1, "image iff phi > 0 (phi = 99)", "False"),
+            ("pairing", (Q0,), 2, "phi - epsilon = -1", "99 - 1"),
+            ("lower-domain", (Q0,), 2, "image iff phi > 0 (phi = 99)", "False"),
+            ("pairing", (Q1,), 1, "phi - epsilon = -1", "99 - 1"),
+            ("lower-domain", (Q1,), 1, "image iff phi > 0 (phi = 99)", "False"),
+            ("pairing", (Q1,), 2, "phi - epsilon = 1", "99 - 0"),
+        ],
+        AXIOM_NOTES,
+        truncated=True,
+    )
+
+
+def test_injective_and_surjective_witnesses(shape2):
+    pm, patterns, tm, tableaux = shape2
+    image = pattern_to_tableau(patterns[0])
+    report = verify_isomorphism(pm, patterns, tm, lambda p: image, elements_b=tableaux)
+    assert json.dumps(report.to_dict()) == rendered_report(
+        [
+            ("raise-intertwine", (P0, T22), 1, T22, T12),
+            ("injective", (P1, T22), None, "distinct images", "duplicate image"),
+            ("weight", (P1, T22), None, "(1, 1)", "(0, 2)"),
+            ("phi", (P1, T22), 1, "1", "0"),
+            ("epsilon", (P1, T22), 1, "1", "2"),
+            ("lower-intertwine", (P1, T22), 1, T22, "None"),
+            ("raise-intertwine", (P1, T22), 1, T22, T12),
+            ("injective", (P2, T22), None, "distinct images", "duplicate image"),
+            ("weight", (P2, T22), None, "(2, 0)", "(0, 2)"),
+            ("phi", (P2, T22), 1, "2", "0"),
+            ("epsilon", (P2, T22), 1, "0", "2"),
+            ("lower-intertwine", (P2, T22), 1, T22, "None"),
+            ("raise-intertwine", (P2, T22), 1, "None", T12),
+            ("surjective", (T11,), None, "covered by the mapping", "not hit"),
+            ("surjective", (T12,), None, "covered by the mapping", "not hit"),
+        ]
+    )
+
+
+def test_into_target_witness(shape2):
+    pm, patterns, tm, tableaux = shape2
+    report = verify_isomorphism(pm, patterns, tm, pattern_to_tableau, elements_b=tableaux[:2])
+    assert json.dumps(report.to_dict()) == rendered_report(
+        [("into-target", (T22,), None, "image inside the target set", "outside")]
+    )
