@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from . import bijection, crystal, gtpattern, ssyt
 from .core import Partition, as_partition, partitions_up_to, weyl_dimension
@@ -135,74 +135,60 @@ def cmd_string_datum(args: argparse.Namespace) -> int:
     return 0
 
 
-def _counting_check(patterns: Sequence[gtpattern.GTPattern]) -> int:
-    """Letter-count identities: diamond numbers and sums against direct counts."""
-    bad = 0
+def _letter_counts(t: ssyt.Tableau) -> list[list[int]]:
+    """c[letter][row]: multiplicity of the letter in that tableau row, read
+    from the cells alone; letters and rows 0..n, 0 off the tableau."""
+    c = [[0] * (t.n + 1) for _ in range(t.n + 1)]
+    for r, row in enumerate(t.rows, 1):
+        for x in row:
+            c[x][r] += 1
+    return c
+
+
+def _identity_checks(
+    patterns: Sequence[gtpattern.GTPattern], images: dict[gtpattern.GTPattern, ssyt.Tableau]
+) -> tuple[int, int]:
+    """(counting, algebraic) violations of the diamond data, from one literal table per level.
+
+    Each of diamond_a, diamond_b, sum_a and sum_b is evaluated once per
+    (pattern, level, index).  The counting identities compare those values
+    with letter counts of the pattern's tableau; the algebraic identities
+    compare them with each other and with the weight.
+    """
+    counting = algebraic = 0
     for p in patterns:
-        t = bijection.pattern_to_tableau(p)
         n = p.n
-
-        def count(letter: int, row: int) -> int:
-            if not 1 <= row <= len(t.rows):
-                return 0
-            return sum(1 for x in t.rows[row - 1] if x == letter)
-
+        c = _letter_counts(images[p])
         for i in range(1, n + 1):
-            for k in range(1, n + 1):
-                if bijection.letter_count_in_row(p, i, k) != count(i, k):
-                    bad += 1
+            counting += sum(bijection.letter_count_in_row(p, i, k) != c[i][k] for k in range(1, n + 1))
         for i in range(1, n):
-            for j in range(0, i + 1):
-                if gtpattern.diamond_a(p, i, j) != count(i, j) - count(i + 1, j + 1):
-                    bad += 1
-            for j in range(1, i + 2):
-                if gtpattern.diamond_b(p, i, j) != count(i + 1, j) - count(i, j - 1):
-                    bad += 1
-            for ell in range(0, i + 2):
-                low = sum(count(i, r) for r in range(ell, n + 1)) - sum(count(i + 1, r) for r in range(ell + 1, n + 1))
-                if gtpattern.sum_a(p, i, ell) != low:
-                    bad += 1
-                high = sum(count(i + 1, r) for r in range(1, ell + 1)) - sum(count(i, r) for r in range(1, ell))
-                if gtpattern.sum_b(p, i, ell) != high:
-                    bad += 1
-    return bad
-
-
-def _identity_check(patterns: Sequence[gtpattern.GTPattern]) -> int:
-    """Internal algebraic identities of the diamond data and the weight."""
-    bad = 0
-    for p in patterns:
-        n = p.n
-        for i in range(1, n):
-            for j in range(1, i + 2):
-                if gtpattern.diamond_b(p, i, j) != -gtpattern.diamond_a(p, i, j - 1):
-                    bad += 1
-            if gtpattern.diamond_a(p, i, 0) > 0 or gtpattern.diamond_b(p, i, i + 1) > 0:
-                bad += 1
-            a0 = gtpattern.sum_a(p, i, 0)
-            for j in range(0, i + 2):
-                if gtpattern.sum_a(p, i, j) - gtpattern.sum_b(p, i, j) != a0:
-                    bad += 1
-            if -gtpattern.sum_b(p, i, i + 1) != a0:
-                bad += 1
+            a = [gtpattern.diamond_a(p, i, j) for j in range(0, i + 1)]
+            b = [0] + [gtpattern.diamond_b(p, i, j) for j in range(1, i + 2)]
+            big_a = [gtpattern.sum_a(p, i, j) for j in range(0, i + 2)]
+            big_b = [gtpattern.sum_b(p, i, j) for j in range(0, i + 2)]
+            ci, cj = c[i], c[i + 1]  # letters i and i + 1
+            counting += sum(a[j] != ci[j] - cj[j + 1] for j in range(0, i + 1))
+            counting += sum(b[j] != cj[j] - ci[j - 1] for j in range(1, i + 2))
+            counting += sum(big_a[j] != sum(ci[j:]) - sum(cj[j + 1 :]) for j in range(0, i + 2))
+            counting += sum(big_b[j] != sum(cj[: j + 1]) - sum(ci[:j]) for j in range(0, i + 2))
+            algebraic += sum(b[j] != -a[j - 1] for j in range(1, i + 2))
+            algebraic += a[0] > 0 or b[i + 1] > 0
+            algebraic += sum(big_a[j] - big_b[j] != big_a[0] for j in range(0, i + 2))
+            algebraic += -big_b[i + 1] != big_a[0]
         first, a_form, b_form = gtpattern.weight_expressions(p)
-        if a_form != b_form:
-            bad += 1
+        algebraic += a_form != b_form
         shifts = {a_form[k] - first[k] for k in range(n)}
-        if len(shifts) != 1 or shifts != {sum(first)}:
-            bad += 1
-    return bad
+        algebraic += len(shifts) != 1 or shifts != {sum(first)}
+    return counting, algebraic
 
 
-def _round_trip_check(patterns: Sequence[gtpattern.GTPattern], tableaux: Sequence[ssyt.Tableau]) -> int:
-    bad = 0
-    for p in patterns:
-        if bijection.tableau_to_pattern(bijection.pattern_to_tableau(p)) != p:
-            bad += 1
-    for t in tableaux:
-        if bijection.pattern_to_tableau(bijection.tableau_to_pattern(t)) != t:
-            bad += 1
-    return bad
+def _round_trip_check(
+    patterns: Sequence[gtpattern.GTPattern],
+    tableaux: Sequence[ssyt.Tableau],
+    image: Callable[[gtpattern.GTPattern], ssyt.Tableau],
+) -> int:
+    bad = sum(bijection.tableau_to_pattern(image(p)) != p for p in patterns)
+    return bad + sum(image(bijection.tableau_to_pattern(t)) != t for t in tableaux)
 
 
 def verify_shape(n: int, lam: Partition) -> dict[str, Any]:
@@ -211,6 +197,13 @@ def verify_shape(n: int, lam: Partition) -> dict[str, Any]:
     tableaux = ssyt.enumerate_tableaux(n, lam)
     pm = crystal.pattern_model(n)
     tm = crystal.tableau_model(n)
+
+    images = {p: bijection.pattern_to_tableau(p) for p in patterns}
+
+    def image(p: gtpattern.GTPattern) -> ssyt.Tableau:
+        # One bijection image per pattern; a pattern outside the set is mapped directly.
+        t = images.get(p)
+        return bijection.pattern_to_tableau(p) if t is None else t
 
     checks: dict[str, dict[str, Any]] = {}
 
@@ -224,11 +217,12 @@ def verify_shape(n: int, lam: Partition) -> dict[str, Any]:
     record("axioms-patterns", len(axioms_p.violations), [v.to_dict() for v in axioms_p.violations])
     axioms_t = crystal.verify_axioms(tm, tableaux)
     record("axioms-tableaux", len(axioms_t.violations), [v.to_dict() for v in axioms_t.violations])
-    iso = crystal.verify_isomorphism(pm, patterns, tm, bijection.pattern_to_tableau, elements_b=tableaux)
+    iso = crystal.verify_isomorphism(pm, patterns, tm, image, elements_b=tableaux)
     record("isomorphism", len(iso.violations), [v.to_dict() for v in iso.violations])
-    record("counting-identities", _counting_check(patterns))
-    record("algebraic-identities", _identity_check(patterns))
-    record("round-trip", _round_trip_check(patterns, tableaux))
+    counting, algebraic = _identity_checks(patterns, images)
+    record("counting-identities", counting)
+    record("algebraic-identities", algebraic)
+    record("round-trip", _round_trip_check(patterns, tableaux, image))
     graph = crystal.build_graph(pm, patterns)
     connected = crystal.connectivity(graph) == 1
     unique_hw = len(crystal.highest_weight_elements(pm, patterns)) == 1

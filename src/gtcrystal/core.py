@@ -64,7 +64,8 @@ def weyl_dimension(n: int, lam: Partition) -> int:
         for j in range(i + 1, n):
             num *= padded[i] - padded[j] + j - i
             den *= j - i
-    assert num % den == 0, "Weyl quotient must be exact"
+    if num % den:
+        raise RuntimeError(f"Weyl quotient {num}/{den} is not exact")
     return num // den
 
 

@@ -417,12 +417,14 @@ def string_datum(pattern: GTPattern) -> StringDatum:
     """Closed-form string exponents: d[i,j] = sum over m = 1..j-i of
     (entry(j, m) - entry(j-1, m)).
 
-    Every value is non-negative because consecutive rows interleave.
+    Every value is non-negative because consecutive rows interleave; a
+    negative one raises RuntimeError.
     """
     entries = []
     for i in range(1, pattern.n + 1):
         for j in range(i + 1, pattern.n + 1):
             value = sum(pattern.entry(j, m) - pattern.entry(j - 1, m) for m in range(1, j - i + 1))
-            assert value >= 0, f"negative string exponent d[{i},{j}] = {value} indicates a bug"
+            if value < 0:
+                raise RuntimeError(f"negative string exponent d[{i},{j}] = {value} indicates a bug")
             entries.append((i, j, value))
     return StringDatum(pattern.n, tuple(entries))

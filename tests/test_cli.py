@@ -245,6 +245,8 @@ GOLDEN = {
     ("graph", "-n", "4", "-l", "2,1", "--model", "ssyt", "--format", "dot"): "2e49811740c20f9e05180d0dada440961964d2809e153bceca0b36acd1498826",
     ("verify", "-n", "3", "-l", "3,1,0", "--json"): "7839fe046caa59691a789b073373b64057f9f5bfb85590caab780b8ec1069067",
     ("verify", "-n", "3", "--all-upto", "3", "--json"): "a0fc08a3e8a480146728523bf8aff579a98e1fded94923416fcf22ad0fb9c4c3",
+    ("verify", "-n", "4", "-l", "3,2,1", "--json"): "e0cf0ec57ff9686b5231eaafe061e5c8d8d9f6a128e34772b8a9b2e81d804e5f",
+    ("verify", "-n", "5", "-l", "2,1,1", "--json"): "3e0ee6de2b2c78c1be9ef434b5d6f7d475b6599fba55614a386f6c06136babcd",
     ("enumerate", "-n", "3", "-l", "3,1,0", "--model", "gtp"): "dba60fdc5b46215e36383cab22d8449a1b0b8dd22a3c5b14237243fe6f44814d",
     ("enumerate", "-n", "3", "-l", "3,1,0", "--model", "ssyt"): "9568399ff99866d28dcba1b6aee70ba04747bf7bc82486bbf208f958544b7886",
     ("enumerate", "-n", "4", "-l", "2,1", "--model", "gtp"): "86029a1a0713ae66538de7b49fc3693778e04da84eb976340fe5c08c35420258",

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 
@@ -25,6 +30,8 @@ from gtcrystal import (
     weight_gtp,
 )
 from sweeps import shape_sweep
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -283,6 +290,28 @@ def test_string_datum_two_row_case():
 @given(p=pattern_st())
 def test_string_datum_non_negative(p):
     assert all(v >= 0 for _i, _j, v in string_datum(p).entries)
+
+
+def test_string_datum_rejects_non_interleaving_rows():
+    broken = GTPattern(2, ((0, 0), (1,)))  # unvalidated; d[1,2] = 0 - 1
+    with pytest.raises(RuntimeError, match=r"negative string exponent d\[1,2\] = -1"):
+        string_datum(broken)
+
+
+def test_string_datum_check_survives_optimization():
+    script = (
+        "from gtcrystal import GTPattern, string_datum\n"
+        "try:\n"
+        "    string_datum(GTPattern(2, ((0, 0), (1,))))\n"
+        "except RuntimeError as exc:\n"
+        "    print('raised', exc)\n"
+        "else:\n"
+        "    print('returned')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    command = [sys.executable, "-O", "-c", script]
+    out = subprocess.run(command, env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.startswith("raised negative string exponent d[1,2] = -1"), out.stdout + out.stderr
 
 
 def test_pattern_serialization_round_trip(worked):

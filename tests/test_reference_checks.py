@@ -1,0 +1,133 @@
+"""The reference checks of ``cli.verify_shape`` under mutants, and their call economy.
+
+Each mutant replaces one literal function (through its module attribute,
+where ``verify_shape`` reaches it) with a deterministic off-by-one on a
+subset of its inputs.  The violation count of every check is pinned over a
+fixed shape list of ranks 3 to 5, so a change to how the checks are
+computed must reproduce each count exactly, and every mutant must fire at
+least one check.
+"""
+
+import pytest
+
+from gtcrystal import bijection, cli, enumerate_patterns, gtpattern, validate_tableau
+
+SHAPES = ((3, (2, 1)), (4, (2, 1)), (4, (3, 2, 1)), (5, (2, 1, 1)))
+
+
+def _bottom(p):
+    return p.entry(1, 1)
+
+
+def _diamond_a(orig):
+    return lambda p, i, j: orig(p, i, j) + ((_bottom(p) + i + j) % 3 == 0)
+
+
+def _diamond_b(orig):
+    return lambda p, i, j: orig(p, i, j) - ((_bottom(p) + j) % 2 == 1 and i == p.n - 1)
+
+
+def _sum_a(orig):
+    return lambda p, i, j: orig(p, i, j) + (j == i and _bottom(p) % 2 == 0)
+
+
+def _sum_b(orig):
+    return lambda p, i, j: orig(p, i, j) + (j == i + 1 and _bottom(p) == 1)
+
+
+def _weight_expressions(orig):
+    def mutant(p):
+        first, a_form, b_form = orig(p)
+        if _bottom(p) == 0:
+            a_form = (a_form[0] + 1,) + a_form[1:]
+        return first, a_form, b_form
+
+    return mutant
+
+
+def _letter_count_in_row(orig):
+    return lambda p, i, k: orig(p, i, k) + (i == k and _bottom(p) % 2 == 1)
+
+
+def _pattern_to_tableau(orig):
+    # Raise the last letter of the first row by one where the result stays semistandard.
+    def mutant(p):
+        t = orig(p)
+        if _bottom(p) % 2 == 1 or not t.rows:
+            return t
+        rows = [list(row) for row in t.rows]
+        rows[0][-1] += 1
+        try:
+            return validate_tableau(t.n, t.shape, rows)
+        except ValueError:
+            return t
+
+    return mutant
+
+
+MUTANTS = {
+    "diamond_a": (gtpattern, _diamond_a),
+    "diamond_b": (gtpattern, _diamond_b),
+    "sum_a": (gtpattern, _sum_a),
+    "sum_b": (gtpattern, _sum_b),
+    "weight_expressions": (gtpattern, _weight_expressions),
+    "letter_count_in_row": (bijection, _letter_count_in_row),
+    "pattern_to_tableau": (bijection, _pattern_to_tableau),
+}
+
+# Violations per check over SHAPES (in order), for the checks that fire; every
+# other check reports 0 on every shape.
+PINNED = {
+    "diamond_a": {"counting-identities": (14, 60, 192, 210), "algebraic-identities": (18, 74, 233, 251)},
+    "diamond_b": {"counting-identities": (12, 40, 128, 111), "algebraic-identities": (12, 40, 128, 111)},
+    "sum_a": {"counting-identities": (8, 33, 96, 84), "algebraic-identities": (8, 33, 96, 84)},
+    "sum_b": {"counting-identities": (8, 27, 72, 96), "algebraic-identities": (16, 54, 144, 192)},
+    "weight_expressions": {"algebraic-identities": (4, 16, 16, 30)},
+    "letter_count_in_row": {"counting-identities": (12, 36, 128, 120)},
+    "pattern_to_tableau": {
+        "isomorphism": (31, 80, 100, 100),
+        "counting-identities": (48, 148, 428, 349),
+        "round-trip": (6, 16, 42, 34),
+    },
+}
+
+
+def violations_by_check():
+    records = [cli.verify_shape(n, lam) for n, lam in SHAPES]
+    names = records[0]["checks"]
+    table = {name: tuple(r["checks"][name]["violations"] for r in records) for name in names}
+    return {name: counts for name, counts in table.items() if any(counts)}
+
+
+@pytest.mark.parametrize("name", list(MUTANTS))
+def test_mutant_fires_pinned_checks(monkeypatch, name):
+    module, make = MUTANTS[name]
+    monkeypatch.setattr(module, name, make(getattr(module, name)))
+    fired = violations_by_check()
+    assert fired, f"mutant {name} fired no check"
+    assert fired == PINNED[name]
+
+
+def counted(monkeypatch, module, names):
+    calls = {name: 0 for name in names}
+
+    def wrap(name, fn):
+        def counting(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return counting
+
+    for name in names:
+        monkeypatch.setattr(module, name, wrap(name, getattr(module, name)))
+    return calls
+
+
+def test_each_reference_value_is_computed_once(monkeypatch):
+    n, lam = 5, (2, 1, 1)
+    patterns = enumerate_patterns(n, lam)
+    images = counted(monkeypatch, bijection, ["pattern_to_tableau"])
+    literals = counted(monkeypatch, gtpattern, ["diamond_a", "diamond_b", "sum_a", "sum_b"])
+    assert cli.verify_shape(n, lam)["pass"]
+    assert images["pattern_to_tableau"] == len(patterns)
+    assert sum(literals.values()) == len(patterns) * sum(4 * i + 6 for i in range(1, n))
