@@ -4,7 +4,8 @@ Subcommands: enumerate, apply, biject, graph, verify, dim, string-datum.
 Streams are line-delimited JSON; graphs and reports are single JSON or DOT
 documents.  Exit codes: 0 for success (including an absent operator image,
 printed as the literal ``none``), 1 for a verification failure, 2 for an
-input error.  Set NO_COLOR to suppress colored pass/fail lines.
+input error or input too large to process.  Set NO_COLOR to suppress
+colored pass/fail lines.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from . import bijection, crystal, gtpattern, ssyt
 from .core import Partition, as_partition, partitions_up_to, weyl_dimension
@@ -135,108 +136,6 @@ def cmd_string_datum(args: argparse.Namespace) -> int:
     return 0
 
 
-def _letter_counts(t: ssyt.Tableau) -> list[list[int]]:
-    """c[letter][row]: multiplicity of the letter in that tableau row, read
-    from the cells alone; letters and rows 0..n, 0 off the tableau."""
-    c = [[0] * (t.n + 1) for _ in range(t.n + 1)]
-    for r, row in enumerate(t.rows, 1):
-        for x in row:
-            c[x][r] += 1
-    return c
-
-
-def _identity_checks(
-    patterns: Sequence[gtpattern.GTPattern], images: dict[gtpattern.GTPattern, ssyt.Tableau]
-) -> tuple[int, int]:
-    """(counting, algebraic) violations of the diamond data, from one literal table per level.
-
-    Each of diamond_a, diamond_b, sum_a and sum_b is evaluated once per
-    (pattern, level, index).  The counting identities compare those values
-    with letter counts of the pattern's tableau; the algebraic identities
-    compare them with each other and with the weight.
-    """
-    counting = algebraic = 0
-    for p in patterns:
-        n = p.n
-        c = _letter_counts(images[p])
-        for i in range(1, n + 1):
-            counting += sum(bijection.letter_count_in_row(p, i, k) != c[i][k] for k in range(1, n + 1))
-        for i in range(1, n):
-            a = [gtpattern.diamond_a(p, i, j) for j in range(0, i + 1)]
-            b = [0] + [gtpattern.diamond_b(p, i, j) for j in range(1, i + 2)]
-            big_a = [gtpattern.sum_a(p, i, j) for j in range(0, i + 2)]
-            big_b = [gtpattern.sum_b(p, i, j) for j in range(0, i + 2)]
-            ci, cj = c[i], c[i + 1]  # letters i and i + 1
-            counting += sum(a[j] != ci[j] - cj[j + 1] for j in range(0, i + 1))
-            counting += sum(b[j] != cj[j] - ci[j - 1] for j in range(1, i + 2))
-            counting += sum(big_a[j] != sum(ci[j:]) - sum(cj[j + 1 :]) for j in range(0, i + 2))
-            counting += sum(big_b[j] != sum(cj[: j + 1]) - sum(ci[:j]) for j in range(0, i + 2))
-            algebraic += sum(b[j] != -a[j - 1] for j in range(1, i + 2))
-            algebraic += a[0] > 0 or b[i + 1] > 0
-            algebraic += sum(big_a[j] - big_b[j] != big_a[0] for j in range(0, i + 2))
-            algebraic += -big_b[i + 1] != big_a[0]
-        first, a_form, b_form = gtpattern.weight_expressions(p)
-        algebraic += a_form != b_form
-        shifts = {a_form[k] - first[k] for k in range(n)}
-        algebraic += len(shifts) != 1 or shifts != {sum(first)}
-    return counting, algebraic
-
-
-def _round_trip_check(
-    patterns: Sequence[gtpattern.GTPattern],
-    tableaux: Sequence[ssyt.Tableau],
-    image: Callable[[gtpattern.GTPattern], ssyt.Tableau],
-) -> int:
-    bad = sum(bijection.tableau_to_pattern(image(p)) != p for p in patterns)
-    return bad + sum(image(bijection.tableau_to_pattern(t)) != t for t in tableaux)
-
-
-def verify_shape(n: int, lam: Partition) -> dict[str, Any]:
-    """Run every check for one shape; returns the machine-readable record."""
-    patterns = gtpattern.enumerate_patterns(n, lam)
-    tableaux = ssyt.enumerate_tableaux(n, lam)
-    pm = crystal.pattern_model(n)
-    tm = crystal.tableau_model(n)
-
-    images = {p: bijection.pattern_to_tableau(p) for p in patterns}
-
-    def image(p: gtpattern.GTPattern) -> ssyt.Tableau:
-        # One bijection image per pattern; a pattern outside the set is mapped directly.
-        t = images.get(p)
-        return bijection.pattern_to_tableau(p) if t is None else t
-
-    checks: dict[str, dict[str, Any]] = {}
-
-    def record(name: str, violations: int, details: Optional[list] = None) -> None:
-        checks[name] = {"pass": violations == 0, "violations": violations}
-        if details:
-            checks[name]["details"] = details
-
-    record("dimension", 0 if len(patterns) == weyl_dimension(n, lam) else 1)
-    axioms_p = crystal.verify_axioms(pm, patterns)
-    record("axioms-patterns", len(axioms_p.violations), [v.to_dict() for v in axioms_p.violations])
-    axioms_t = crystal.verify_axioms(tm, tableaux)
-    record("axioms-tableaux", len(axioms_t.violations), [v.to_dict() for v in axioms_t.violations])
-    iso = crystal.verify_isomorphism(pm, patterns, tm, image, elements_b=tableaux)
-    record("isomorphism", len(iso.violations), [v.to_dict() for v in iso.violations])
-    counting, algebraic = _identity_checks(patterns, images)
-    record("counting-identities", counting)
-    record("algebraic-identities", algebraic)
-    record("round-trip", _round_trip_check(patterns, tableaux, image))
-    graph = crystal.build_graph(pm, patterns)
-    connected = crystal.connectivity(graph) == 1
-    unique_hw = len(crystal.highest_weight_elements(pm, patterns)) == 1
-    record("connected-unique-source", 0 if (connected and unique_hw) else 1)
-
-    return {
-        "n": n,
-        "lambda": list(lam),
-        "elements": len(patterns),
-        "checks": checks,
-        "pass": all(entry["pass"] for entry in checks.values()),
-    }
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.gtp is not None or args.ssyt is not None:
         kind, element = _element_from_args(args)
@@ -252,7 +151,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise ValueError("verify needs -n and -l, or --all-upto, or an element payload")
         shapes = [(args.n, _parse_partition(args.shape))]
 
-    records = [verify_shape(n, lam) for n, lam in shapes]
+    records = [crystal.verify_shape(n, lam) for n, lam in shapes]
     all_pass = all(record["pass"] for record in records)
     report = {"shapes": records, "pass": all_pass}
 
@@ -340,6 +239,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
     except (ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input too large: Python's recursion limit was exceeded", file=sys.stderr)
         return 2
 
 

@@ -5,6 +5,9 @@ rank.  Elements are frozen, hashable values and are compared, indexed and
 deduplicated by value.  The canonical key (the JSON serialization with sorted
 fields) is only the output form: it names graph vertices and the elements a
 violation reports, and it is stable across models, runs and processes.
+
+``verify_shape`` is the one verification engine: it runs every check of one
+shape, each into a ``Report``, and returns the record ``verify`` prints.
 """
 
 from __future__ import annotations
@@ -14,9 +17,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
+from . import bijection
 from . import gtpattern as gtp
 from . import ssyt
-from .core import Weight, coroot_pairing
+from .core import Partition, Weight, coroot_pairing, weyl_dimension
 
 
 class ClosureError(ValueError):
@@ -159,22 +163,26 @@ class Violation:
 
 @dataclass
 class Report:
-    """Verification outcome; passes exactly when no violations were recorded."""
+    """Verification outcome: ``found`` counts every violation, the first
+    ``limit`` of them are kept as witnesses; passes exactly when none was found."""
 
     violations: list[Violation] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
     limit: int = 100
-    truncated: bool = False
+    found: int = 0
 
     @property
     def passed(self) -> bool:
-        return not self.violations
+        return not self.found
+
+    @property
+    def truncated(self) -> bool:
+        return self.found > len(self.violations)
 
     def add(self, *args: Any) -> None:
+        self.found += 1
         if len(self.violations) < self.limit:
             self.violations.append(Violation(*args))
-        else:
-            self.truncated = True
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -256,15 +264,15 @@ def verify_isomorphism(
     elements_a: Sequence[Any],
     model_b: CrystalModel,
     mapping: Callable[[Any], Any],
-    elements_b: Optional[Sequence[Any]] = None,
+    elements_b: Sequence[Any],
     limit: int = 100,
 ) -> Report:
-    """Check that ``mapping`` is an isomorphism of crystals.
+    """Check that ``mapping`` is an isomorphism of crystals onto ``elements_b``.
 
-    Verifies injectivity (and, when ``elements_b`` is given, surjectivity
-    onto it), preservation of weight and both string lengths, and that the
-    mapping commutes with lowering and raising, with absent images matching
-    absent images.
+    Verifies injectivity, surjectivity onto ``elements_b`` and images inside
+    it, preservation of weight and both string lengths, and that the mapping
+    commutes with lowering and raising, with absent images matching absent
+    images.
     """
     report = Report(limit=limit)
     seen_images = set()
@@ -294,12 +302,11 @@ def verify_isomorphism(
                 mapped = None if image_a is None else mapping(image_a)
                 if mapped != direct:
                     report.add(rule, keys(), i, _image_key(model_b, mapped), _image_key(model_b, direct))
-    if elements_b is not None:
-        target = set(elements_b)
-        for key in sorted(map(model_b.canonical_key, target - seen_images)):
-            report.add("surjective", (key,), None, "covered by the mapping", "not hit")
-        for key in sorted(map(model_b.canonical_key, seen_images - target)):
-            report.add("into-target", (key,), None, "image inside the target set", "outside")
+    target = set(elements_b)
+    for key in sorted(map(model_b.canonical_key, target - seen_images)):
+        report.add("surjective", (key,), None, "covered by the mapping", "not hit")
+    for key in sorted(map(model_b.canonical_key, seen_images - target)):
+        report.add("into-target", (key,), None, "image inside the target set", "outside")
     return report
 
 
@@ -331,3 +338,101 @@ def connectivity(graph: CrystalGraph) -> int:
                     seen.add(other)
                     queue.append(other)
     return components
+
+
+def _counted(found: int) -> Report:
+    """Report of a check that counts its violations without naming witnesses."""
+    return Report(limit=0, found=int(found))
+
+
+def _letter_counts(t: ssyt.Tableau) -> list[list[int]]:
+    """c[letter][row]: multiplicity of the letter in that tableau row, read
+    from the cells alone; letters and rows 0..n, 0 off the tableau."""
+    c = [[0] * (t.n + 1) for _ in range(t.n + 1)]
+    for r, row in enumerate(t.rows, 1):
+        for x in row:
+            c[x][r] += 1
+    return c
+
+
+def _identity_checks(
+    patterns: Sequence[gtp.GTPattern], images: dict[gtp.GTPattern, ssyt.Tableau]
+) -> tuple[Report, Report]:
+    """(counting, algebraic) reports on the diamond data, from one literal table per level.
+
+    Each of diamond_a, diamond_b, sum_a and sum_b is evaluated once per
+    (pattern, level, index).  The counting identities compare those values
+    with letter counts of the pattern's tableau; the algebraic identities
+    compare them with each other and with the weight.
+    """
+    counting = algebraic = 0
+    for p in patterns:
+        n = p.n
+        c = _letter_counts(images[p])
+        for i in range(1, n + 1):
+            counting += sum(bijection.letter_count_in_row(p, i, k) != c[i][k] for k in range(1, n + 1))
+        for i in range(1, n):
+            a = [gtp.diamond_a(p, i, j) for j in range(0, i + 1)]
+            b = [0] + [gtp.diamond_b(p, i, j) for j in range(1, i + 2)]
+            big_a = [gtp.sum_a(p, i, j) for j in range(0, i + 2)]
+            big_b = [gtp.sum_b(p, i, j) for j in range(0, i + 2)]
+            ci, cj = c[i], c[i + 1]  # letters i and i + 1
+            counting += sum(a[j] != ci[j] - cj[j + 1] for j in range(0, i + 1))
+            counting += sum(b[j] != cj[j] - ci[j - 1] for j in range(1, i + 2))
+            counting += sum(big_a[j] != sum(ci[j:]) - sum(cj[j + 1 :]) for j in range(0, i + 2))
+            counting += sum(big_b[j] != sum(cj[: j + 1]) - sum(ci[:j]) for j in range(0, i + 2))
+            algebraic += sum(b[j] != -a[j - 1] for j in range(1, i + 2))
+            algebraic += a[0] > 0 or b[i + 1] > 0
+            algebraic += sum(big_a[j] - big_b[j] != big_a[0] for j in range(0, i + 2))
+            algebraic += -big_b[i + 1] != big_a[0]
+        first, a_form, b_form = gtp.weight_expressions(p)
+        algebraic += a_form != b_form
+        shifts = {a_form[k] - first[k] for k in range(n)}
+        algebraic += len(shifts) != 1 or shifts != {sum(first)}
+    return _counted(counting), _counted(algebraic)
+
+
+def _check_record(report: Report) -> dict[str, Any]:
+    """A check as ``verify`` reports it: pass, the count of every violation
+    found and, when witnesses were kept, their details."""
+    record: dict[str, Any] = {"pass": report.passed, "violations": report.found}
+    if report.violations:
+        record["details"] = [v.to_dict() for v in report.violations]
+    return record
+
+
+def verify_shape(n: int, lam: Partition) -> dict[str, Any]:
+    """Run every check for one shape; returns the machine-readable record."""
+    patterns = gtp.enumerate_patterns(n, lam)
+    tableaux = ssyt.enumerate_tableaux(n, lam)
+    pm = pattern_model(n)
+    tm = tableau_model(n)
+
+    images = {p: bijection.pattern_to_tableau(p) for p in patterns}
+
+    def image(p: gtp.GTPattern) -> ssyt.Tableau:
+        # One bijection image per pattern; a pattern outside the set is mapped directly.
+        t = images.get(p)
+        return bijection.pattern_to_tableau(p) if t is None else t
+
+    checks = {
+        "dimension": _counted(len(patterns) != weyl_dimension(n, lam)),
+        "axioms-patterns": verify_axioms(pm, patterns),
+        "axioms-tableaux": verify_axioms(tm, tableaux),
+        "isomorphism": verify_isomorphism(pm, patterns, tm, image, tableaux),
+    }
+    checks["counting-identities"], checks["algebraic-identities"] = _identity_checks(patterns, images)
+    round_trip = sum(bijection.tableau_to_pattern(image(p)) != p for p in patterns)
+    round_trip += sum(image(bijection.tableau_to_pattern(t)) != t for t in tableaux)
+    checks["round-trip"] = _counted(round_trip)
+    connected = connectivity(build_graph(pm, patterns)) == 1
+    unique_hw = len(highest_weight_elements(pm, patterns)) == 1
+    checks["connected-unique-source"] = _counted(not (connected and unique_hw))
+
+    return {
+        "n": n,
+        "lambda": list(lam),
+        "elements": len(patterns),
+        "checks": {name: _check_record(report) for name, report in checks.items()},
+        "pass": all(report.passed for report in checks.values()),
+    }

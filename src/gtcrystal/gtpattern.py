@@ -50,22 +50,10 @@ class GTPattern:
             return self.rows[self.n - i][j - 1]
         return 0
 
-    def row(self, i: int) -> tuple[int, ...]:
-        """Row i as a tuple of i entries, 1 <= i <= n."""
-        if not 1 <= i <= self.n:
-            raise IndexError(f"row index {i} out of range 1..{self.n}")
-        return self.rows[self.n - i]
-
     @property
     def top_row(self) -> Partition:
         """The fixed top row as a canonical partition."""
         return as_partition(self.rows[0])
-
-    def row_sum(self, i: int) -> int:
-        """Sum of row i; 0 for i = 0."""
-        if i == 0:
-            return 0
-        return sum(self.row(i))
 
     def compact(self) -> str:
         """Single-line form, rows top-down and slash-separated, e.g. ``3,1,0/3,1/2``."""
@@ -189,12 +177,13 @@ def sum_b(pattern: GTPattern, i: int, j: int) -> int:
 
 
 def weight_gtp(pattern: GTPattern) -> Weight:
-    """Weight of a pattern: coordinate j is row_sum(j) - row_sum(j-1).
+    """Weight of a pattern: coordinate j is the sum of row j minus the sum of row j-1.
 
     Coordinate j counts the letter j in the corresponding tableau, so the
     tuple is the canonical representative of the weight.
     """
-    return tuple(pattern.row_sum(j) - pattern.row_sum(j - 1) for j in range(1, pattern.n + 1))
+    sums = [0] + [sum(row) for row in reversed(pattern.rows)]  # sums[j]: row j, bottom-up
+    return tuple(sums[j] - sums[j - 1] for j in range(1, pattern.n + 1))
 
 
 def weight_expressions(pattern: GTPattern) -> tuple[Weight, Weight, Weight]:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from gtcrystal import cli
+from gtcrystal import cli, crystal
 
 WORKED = '{"n":3,"rows":[[3,1,0],[3,1],[2]]}'
 WORKED_TAB = '{"n":3,"shape":[3,1],"rows":[[1,1,2],[2]]}'
@@ -220,10 +220,20 @@ def test_verify_failure_exits_one(monkeypatch, capsys):
         "checks": {"dimension": {"pass": False, "violations": 1}},
         "pass": False,
     }
-    monkeypatch.setattr(cli, "verify_shape", lambda n, lam: failing)
+    monkeypatch.setattr(crystal, "verify_shape", lambda n, lam: failing)
     code, out, _ = run(capsys, "verify", "-n", "2", "-l", "1,0")
     assert code == 1
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize(
+    "argv", [("enumerate", "-n", "1200", "-l", "1"), ("verify", "-n", "2", "-l", "1100")], ids=" ".join
+)
+def test_input_past_recursion_limit_is_input_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: input too large") and "Traceback" not in err
 
 
 def test_usage_error_exits_two(capsys):

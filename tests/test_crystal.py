@@ -143,7 +143,14 @@ def test_violation_cap_limits_report(shape310):
     broken = replace(model, phi=lambda p, i: 99)
     report = verify_axioms(broken, elements, limit=5)
     assert len(report.violations) == 5
-    assert report.truncated
+    # Past its limit a report keeps counting: every violation is found, only
+    # the first five are kept as witnesses.
+    assert report.found == 60
+    assert report.truncated and not report.passed
+    full = verify_axioms(broken, elements, limit=10**9)
+    assert full.found == len(full.violations) == 60
+    assert not full.truncated
+    assert full.violations[:5] == report.violations
 
 
 def test_isomorphism_passes(shape310):
