@@ -73,11 +73,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_apply(args: argparse.Namespace) -> int:
     kind, element = _element_from_args(args)
-    if kind == "gtp":
-        op = gtpattern.lower_gtp if args.op == "f" else gtpattern.raise_gtp
-    else:
-        op = ssyt.lower_ssyt if args.op == "f" else ssyt.raise_ssyt
-    result = op(element, args.i)
+    model = crystal.pattern_model(element.n) if kind == "gtp" else crystal.tableau_model(element.n)
+    result = (model.lower if args.op == "f" else model.raise_)(element, args.i)
     if result is None:
         print("none")
     elif args.format == "text":
@@ -145,6 +142,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     elif args.all_upto is not None:
         if args.n is None:
             raise ValueError("--all-upto requires -n")
+        if args.all_upto < 0:
+            raise ValueError("--all-upto must be non-negative")
         shapes = [(args.n, lam) for lam in partitions_up_to(args.all_upto, args.n)]
     else:
         if args.n is None or args.shape is None:
@@ -154,13 +153,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     records = [crystal.verify_shape(n, lam) for n, lam in shapes]
     all_pass = all(record["pass"] for record in records)
     report = {"shapes": records, "pass": all_pass}
+    text = json.dumps(report, indent=2, sort_keys=True) if args.json or args.report else ""
 
     if args.report:
         with open(args.report, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+            handle.write(text + "\n")
     if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(text)
     else:
         for record in records:
             failed = sorted(name for name, entry in record["checks"].items() if not entry["pass"])

@@ -167,7 +167,6 @@ class Report:
     ``limit`` of them are kept as witnesses; passes exactly when none was found."""
 
     violations: list[Violation] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
     limit: int = 100
     found: int = 0
 
@@ -175,22 +174,18 @@ class Report:
     def passed(self) -> bool:
         return not self.found
 
-    @property
-    def truncated(self) -> bool:
-        return self.found > len(self.violations)
-
     def add(self, *args: Any) -> None:
         self.found += 1
         if len(self.violations) < self.limit:
             self.violations.append(Violation(*args))
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "pass": self.passed,
-            "violations": [v.to_dict() for v in self.violations],
-            "notes": self.notes,
-            "truncated": self.truncated,
-        }
+        """The check as ``verify`` reports it: pass, the count of every
+        violation found and, when witnesses were kept, their details."""
+        record: dict[str, Any] = {"pass": self.passed, "violations": self.found}
+        if self.violations:
+            record["details"] = [v.to_dict() for v in self.violations]
+        return record
 
 
 def _image_key(model: CrystalModel, image: Optional[Any]) -> str:
@@ -206,11 +201,11 @@ def verify_axioms(model: CrystalModel, elements: Sequence[Any], limit: int = 100
     the simple root, the raising length grows by 1 and the lowering length
     shrinks by 1; and phi - epsilon equals the coroot pairing of the weight.
     The string lengths are always plain integers here, so the unbounded case
-    of the axioms is vacuous (recorded as a note).  An operator image that
-    escapes the element set is reported as a ``closure`` violation rather
-    than raised, so mutated models can be diagnosed in full.
+    of the axioms is vacuous.  An operator image that escapes the element
+    set is reported as a ``closure`` violation rather than raised, so
+    mutated models can be diagnosed in full.
     """
-    report = Report(notes=["string lengths are total integers; the unbounded case cannot occur"], limit=limit)
+    report = Report(limit=limit)
     members = set(elements)
     if len(members) != len(elements):
         raise ValueError("elements are not distinct")
@@ -316,16 +311,20 @@ def highest_weight_elements(model: CrystalModel, elements: Sequence[Any]) -> lis
     return sorted(found, key=model.canonical_key)
 
 
-def connectivity(graph: CrystalGraph) -> int:
-    """Number of weakly connected components."""
-    keys = [key for key, _ in graph.vertices]
-    neighbors: dict[str, set[str]] = {key: set() for key in keys}
-    for u, _i, v in graph.edges:
-        neighbors[u].add(v)
-        neighbors[v].add(u)
-    seen: set[str] = set()
+def connectivity(model: CrystalModel, elements: Sequence[Any]) -> int:
+    """Number of weakly connected components of the lowering edges inside
+    ``elements``.  A lowering image outside the set adds no edge; the
+    ``closure`` rule of ``verify_axioms`` reports it."""
+    neighbors: dict[Any, set[Any]] = {e: set() for e in elements}
+    for element in elements:
+        for i in model.labels:
+            image = model.lower(element, i)
+            if image in neighbors:
+                neighbors[element].add(image)
+                neighbors[image].add(element)
+    seen: set[Any] = set()
     components = 0
-    for start in keys:
+    for start in neighbors:
         if start in seen:
             continue
         components += 1
@@ -392,15 +391,6 @@ def _identity_checks(
     return _counted(counting), _counted(algebraic)
 
 
-def _check_record(report: Report) -> dict[str, Any]:
-    """A check as ``verify`` reports it: pass, the count of every violation
-    found and, when witnesses were kept, their details."""
-    record: dict[str, Any] = {"pass": report.passed, "violations": report.found}
-    if report.violations:
-        record["details"] = [v.to_dict() for v in report.violations]
-    return record
-
-
 def verify_shape(n: int, lam: Partition) -> dict[str, Any]:
     """Run every check for one shape; returns the machine-readable record."""
     patterns = gtp.enumerate_patterns(n, lam)
@@ -425,7 +415,7 @@ def verify_shape(n: int, lam: Partition) -> dict[str, Any]:
     round_trip = sum(bijection.tableau_to_pattern(image(p)) != p for p in patterns)
     round_trip += sum(image(bijection.tableau_to_pattern(t)) != t for t in tableaux)
     checks["round-trip"] = _counted(round_trip)
-    connected = connectivity(build_graph(pm, patterns)) == 1
+    connected = connectivity(pm, patterns) == 1
     unique_hw = len(highest_weight_elements(pm, patterns)) == 1
     checks["connected-unique-source"] = _counted(not (connected and unique_hw))
 
@@ -433,6 +423,6 @@ def verify_shape(n: int, lam: Partition) -> dict[str, Any]:
         "n": n,
         "lambda": list(lam),
         "elements": len(patterns),
-        "checks": {name: _check_record(report) for name, report in checks.items()},
+        "checks": {name: report.to_dict() for name, report in checks.items()},
         "pass": all(report.passed for report in checks.values()),
     }

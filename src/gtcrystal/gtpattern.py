@@ -332,6 +332,8 @@ def enumerate_patterns(n: int, lam: Partition) -> list[GTPattern]:
     downward; entry j of the row below row ``upper`` ranges over the closed
     interval [upper[j+1], upper[j]], so no candidate is ever filtered out.
     """
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ShapeError(f"row count must be a positive integer, got {n!r}")
     lam = as_partition(lam)
     top = pad(lam, n)
 

@@ -376,6 +376,8 @@ def enumerate_tableaux(n: int, lam: Partition) -> list[Tableau]:
     from the larger of its left neighbor and one more than its upper
     neighbor (also at least its 1-based row index) up to n.
     """
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ShapeError(f"alphabet bound must be a positive integer, got {n!r}")
     lam = as_partition(lam)
     if len(lam) > n:
         raise ShapeError(f"shape {lam} has more than {n} rows")

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from gtcrystal import cli, crystal
+from gtcrystal import cli, crystal, gtpattern
 
 WORKED = '{"n":3,"rows":[[3,1,0],[3,1],[2]]}'
 WORKED_TAB = '{"n":3,"shape":[3,1],"rows":[[1,1,2],[2]]}'
@@ -189,6 +189,9 @@ def test_verify_report_file(tmp_path, capsys):
     code, _, _ = run(capsys, "verify", "-n", "2", "-l", "2,0", "--report", str(target))
     assert code == 0
     assert json.loads(target.read_text())["pass"] is True
+    code, out, _ = run(capsys, "verify", "-n", "3", "-l", "2,1", "--json", "--report", str(target))
+    assert code == 0
+    assert target.read_bytes() == out.encode()
 
 
 def test_verify_shape_from_element_payload(capsys):
@@ -212,6 +215,30 @@ def test_verify_requires_a_shape_source(capsys):
     assert code == 2
 
 
+def test_verify_rejects_negative_sweep_bound(capsys):
+    code, out, err = run(capsys, "verify", "-n", "3", "--all-upto", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --all-upto must be non-negative\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "-n", "0", "-l", ""),
+        ("enumerate", "-n", "-1", "-l", ""),
+        ("graph", "-n", "0", "-l", ""),
+        ("verify", "-n", "0", "-l", ""),
+    ],
+    ids=" ".join,
+)
+def test_nonpositive_row_count_is_input_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: row count must be a positive integer") and "Traceback" not in err
+
+
 def test_verify_failure_exits_one(monkeypatch, capsys):
     failing = {
         "n": 2,
@@ -224,6 +251,20 @@ def test_verify_failure_exits_one(monkeypatch, capsys):
     code, out, _ = run(capsys, "verify", "-n", "2", "-l", "1,0")
     assert code == 1
     assert "FAIL" in out
+
+
+def test_verify_reports_escaping_lowering_as_failure(monkeypatch, capsys):
+    # A lowering operator whose images leave the crystal is a failed check
+    # with closure witnesses, not an input error.
+    lower = gtpattern.lower_gtp
+    escaped = gtpattern.validate_pattern(3, [[99, 1, 0], [1, 0], [1]])
+    monkeypatch.setattr(gtpattern, "lower_gtp", lambda p, i: None if lower(p, i) is None else escaped)
+    code, out, err = run(capsys, "verify", "-n", "3", "-l", "2,1", "--json")
+    assert code == 1
+    assert err == ""
+    axioms = json.loads(out)["shapes"][0]["checks"]["axioms-patterns"]
+    assert not axioms["pass"]
+    assert any(detail["rule"] == "closure" for detail in axioms["details"])
 
 
 @pytest.mark.parametrize(

@@ -128,6 +128,9 @@ def test_each_reference_value_is_computed_once(monkeypatch):
     patterns = enumerate_patterns(n, lam)
     images = counted(monkeypatch, bijection, ["pattern_to_tableau"])
     literals = counted(monkeypatch, gtpattern, ["diamond_a", "diamond_b", "sum_a", "sum_b"])
+    rendering = counted(monkeypatch, crystal, ["_render_key", "build_graph"])
     assert crystal.verify_shape(n, lam)["pass"]
     assert images["pattern_to_tableau"] == len(patterns)
     assert sum(literals.values()) == len(patterns) * sum(4 * i + 6 for i in range(1, n))
+    # A passing shape renders one key: the sort of its single highest-weight element.
+    assert rendering == {"_render_key": 1, "build_graph": 0}

@@ -227,6 +227,8 @@ def test_enumerate_tableaux_counts_and_order():
     flat = [sum(t.rows, ()) for t in tabs]
     assert flat == sorted(flat)
     assert len(enumerate_tableaux(2, ())) == 1
+    with pytest.raises(ShapeError, match="alphabet bound must be a positive integer"):
+        enumerate_tableaux(0, ())
 
 
 def test_serialization_round_trip(reference):
