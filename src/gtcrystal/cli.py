@@ -17,6 +17,7 @@ import sys
 from typing import Any, Optional, Sequence
 
 from . import bijection, crystal, gtpattern, ssyt
+from .crystal import _render_key
 from .core import Partition, as_partition, partitions_up_to, weyl_dimension
 
 _PALETTE = ("blue", "red", "forestgreen", "darkorange", "purple", "teal", "maroon", "goldenrod")
@@ -34,10 +35,6 @@ def _load_payload(text: str) -> Any:
         return json.loads(text)
     with open(text, "r", encoding="utf-8") as handle:
         return json.load(handle)
-
-
-def _dumps(data: Any) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
 def _element_from_args(args: argparse.Namespace):
@@ -67,7 +64,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             print(element.pretty())
             print()
         else:
-            print(_dumps(element.to_dict()))
+            print(_render_key(element.to_dict()))
     return 0
 
 
@@ -80,28 +77,15 @@ def cmd_apply(args: argparse.Namespace) -> int:
     elif args.format == "text":
         print(result.pretty())
     else:
-        print(_dumps(result.to_dict()))
+        print(_render_key(result.to_dict()))
     return 0
 
 
 def cmd_biject(args: argparse.Namespace) -> int:
     kind, element = _element_from_args(args)
     image = bijection.pattern_to_tableau(element) if kind == "gtp" else bijection.tableau_to_pattern(element)
-    print(_dumps(image.to_dict()))
+    print(_render_key(image.to_dict()))
     return 0
-
-
-def _graph_to_dot(graph: crystal.CrystalGraph, labels: Sequence[str]) -> str:
-    """DOT document of ``graph``; ``labels`` names the vertices in graph order."""
-    ids = {key: f"v{k}" for k, (key, _element) in enumerate(graph.vertices)}
-    lines = ["digraph crystal {", "  rankdir=TB;", '  node [shape=box, fontname="monospace"];']
-    for (key, _element), label in zip(graph.vertices, labels):
-        lines.append(f'  {ids[key]} [label="{label}"];')
-    for u, i, v in graph.edges:
-        color = _PALETTE[(i - 1) % len(_PALETTE)]
-        lines.append(f'  {ids[u]} -> {ids[v]} [label="{i}", color="{color}"];')
-    lines.append("}")
-    return "\n".join(lines)
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
@@ -113,11 +97,28 @@ def cmd_graph(args: argparse.Namespace) -> int:
     else:
         model = crystal.pattern_model(args.n)
         elements = gtpattern.enumerate_patterns(args.n, lam)
-    graph = crystal.build_graph(model, elements)
+    edges = crystal.build_graph(model, elements)
+    # Vertices keep element order; edges are sorted by (source key, label).
+    data = [e.to_dict() for e in elements]
+    keys = [_render_key(d) for d in data]
+    key_of = dict(zip(elements, keys))
+    edges = sorted((key_of[u], i, key_of[v]) for u, i, v in edges)
     if args.format == "json":
-        print(json.dumps(graph.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(_graph_to_dot(graph, [e.compact() for e in elements]))
+        doc = {
+            "n": args.n,
+            "vertices": [{"key": key, "element": d} for key, d in zip(keys, data)],
+            "edges": [{"from": u, "i": i, "to": v} for u, i, v in edges],
+        }
+        print(json.dumps(doc, indent=2, sort_keys=True))
+        return 0
+    ids = {key: f"v{k}" for k, key in enumerate(keys)}
+    lines = ["digraph crystal {", "  rankdir=TB;", '  node [shape=box, fontname="monospace"];']
+    lines += [f'  {ids[key]} [label="{e.compact()}"];' for key, e in zip(keys, elements)]
+    for u, i, v in edges:
+        color = _PALETTE[(i - 1) % len(_PALETTE)]
+        lines.append(f'  {ids[u]} -> {ids[v]} [label="{i}", color="{color}"];')
+    lines.append("}")
+    print("\n".join(lines))
     return 0
 
 
@@ -175,9 +176,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gtcrystal", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_shape(p: argparse.ArgumentParser, required: bool = True) -> None:
+    def add_shape(p: argparse.ArgumentParser, required: bool = True, shape_group: Any = None) -> None:
         p.add_argument("-n", type=int, required=required, help="number of pattern rows / alphabet bound")
-        p.add_argument("-l", "--shape", required=required, help="comma-separated top row, e.g. 3,1,0")
+        (shape_group or p).add_argument("-l", "--shape", required=required, help="comma-separated top row, e.g. 3,1,0")
+
+    def add_payload(group: Any, purpose: str = "payload (inline JSON or file path)") -> None:
+        group.add_argument("--gtp", help=f"pattern {purpose}")
+        group.add_argument("--ssyt", help=f"tableau {purpose}")
 
     p_enum = sub.add_parser("enumerate", help="stream all elements of one crystal")
     add_shape(p_enum)
@@ -188,16 +193,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_apply = sub.add_parser("apply", help="apply a crystal operator to one element")
     p_apply.add_argument("op", choices=("f", "e"), help="f lowers, e raises")
     p_apply.add_argument("i", type=int, help="operator label")
-    group = p_apply.add_mutually_exclusive_group(required=True)
-    group.add_argument("--gtp", help="pattern payload (inline JSON or file path)")
-    group.add_argument("--ssyt", help="tableau payload (inline JSON or file path)")
+    add_payload(p_apply.add_mutually_exclusive_group(required=True))
     p_apply.add_argument("--format", choices=("json", "text"), default="json")
     p_apply.set_defaults(func=cmd_apply)
 
     p_biject = sub.add_parser("biject", help="map a pattern to its tableau or back")
-    group = p_biject.add_mutually_exclusive_group(required=True)
-    group.add_argument("--gtp", help="pattern payload (inline JSON or file path)")
-    group.add_argument("--ssyt", help="tableau payload (inline JSON or file path)")
+    add_payload(p_biject.add_mutually_exclusive_group(required=True))
     p_biject.set_defaults(func=cmd_biject)
 
     p_graph = sub.add_parser("graph", help="export one crystal graph")
@@ -207,10 +208,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_graph.set_defaults(func=cmd_graph)
 
     p_verify = sub.add_parser("verify", help="run the verification suite")
-    add_shape(p_verify, required=False)
-    p_verify.add_argument("--all-upto", type=int, help="sweep all shapes with at most this many boxes")
-    p_verify.add_argument("--gtp", help="take the shape from a pattern payload")
-    p_verify.add_argument("--ssyt", help="take the shape from a tableau payload")
+    source = p_verify.add_mutually_exclusive_group()
+    add_shape(p_verify, required=False, shape_group=source)
+    source.add_argument("--all-upto", type=int, help="sweep all shapes with at most this many boxes")
+    add_payload(source, "payload to take the shape from")
     p_verify.add_argument("--json", action="store_true", help="print the JSON report instead of the summary")
     p_verify.add_argument("--report", help="also write the JSON report to this file")
     p_verify.set_defaults(func=cmd_verify)

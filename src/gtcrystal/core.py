@@ -7,7 +7,7 @@ an explicit operation.  All arithmetic is exact integer arithmetic.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 Partition = tuple[int, ...]
 Weight = tuple[int, ...]
@@ -19,6 +19,12 @@ class ShapeError(ValueError):
 
 class LengthError(ValueError):
     """A partition has more parts than the declared length allows."""
+
+
+def require_positive(value: Any, noun: str) -> None:
+    """Raise ShapeError naming ``noun`` unless ``value`` is a positive integer."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ShapeError(f"{noun} must be a positive integer, got {value!r}")
 
 
 def as_partition(parts: Iterable[int]) -> Partition:
@@ -56,6 +62,7 @@ def weyl_dimension(n: int, lam: Partition) -> int:
     computed as an exact integer quotient.  Used only as an independent
     counting oracle for pattern enumeration.
     """
+    require_positive(n, "row count")
     lam = as_partition(lam)
     padded = pad(lam, n)
     num = 1

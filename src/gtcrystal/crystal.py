@@ -3,8 +3,9 @@
 A model bundles the crystal data callables for one element type at a fixed
 rank.  Elements are frozen, hashable values and are compared, indexed and
 deduplicated by value.  The canonical key (the JSON serialization with sorted
-fields) is only the output form: it names graph vertices and the elements a
-violation reports, and it is stable across models, runs and processes.
+fields) is only the output form: it names the elements a violation reports
+and, rendered by the CLI, graph vertices; it is stable across models, runs
+and processes.
 
 ``verify_shape`` is the one verification engine: it runs every check of one
 shape, each into a ``Report``, and returns the record ``verify`` prints.
@@ -78,57 +79,33 @@ def tableau_model(n: int) -> CrystalModel:
     )
 
 
-@dataclass
-class CrystalGraph:
-    """Vertices (key plus serialized element) and labeled directed edges.
-
-    An edge (u, i, v) is present exactly when lowering u along i gives v.
-    Edges are sorted by (source key, label); vertices keep construction
-    order.  ``canonical()`` re-sorts vertices by key so graphs built from
-    permuted inputs compare byte-identically.
-    """
-
-    n: int
-    vertices: tuple[tuple[str, dict], ...]
-    edges: tuple[tuple[str, int, str], ...]
-
-    def canonical(self) -> "CrystalGraph":
-        return CrystalGraph(self.n, tuple(sorted(self.vertices)), self.edges)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "n": self.n,
-            "vertices": [{"key": key, "element": element} for key, element in self.vertices],
-            "edges": [{"from": u, "i": i, "to": v} for u, i, v in self.edges],
-        }
-
-
-def build_graph(model: CrystalModel, elements: Sequence[Any]) -> CrystalGraph:
-    """Materialize the lowering relation over a closed element set.
+def build_graph(model: CrystalModel, elements: Sequence[Any]) -> list[tuple[Any, int, Any]]:
+    """The lowering edges (b, i, f_i b) of a closed element set, in element
+    order and then label order.
 
     The elements must be distinct and closed under the lowering operators;
     an escaping image raises ClosureError naming the escaping element.
     """
-    data = [e.to_dict() for e in elements]
-    keys = {e: _render_key(d) for e, d in zip(elements, data)}
-    if len(keys) != len(elements):
+    members = set(elements)
+    if len(members) != len(elements):
         raise ValueError("elements are not distinct")
     edges = []
-    for element, key in keys.items():
+    for element in elements:
         for i in model.labels:
             image = model.lower(element, i)
             if image is None:
                 continue
-            if image not in keys:
-                raise ClosureError(f"lowering {key} along {i} escapes the element set: {model.canonical_key(image)}")
-            edges.append((key, i, keys[image]))
-    return CrystalGraph(model.n, tuple(zip(keys.values(), data)), tuple(sorted(edges)))
+            if image not in members:
+                raise ClosureError(
+                    f"lowering {model.canonical_key(element)} along {i} escapes the element set: "
+                    f"{model.canonical_key(image)}"
+                )
+            edges.append((element, i, image))
+    return edges
 
 
-def build_graph_from_sources(model: CrystalModel, sources: Sequence[Any]) -> CrystalGraph:
-    """Cross-check constructor: breadth-first closure of ``sources`` under
-    both operators, vertices sorted by key.  Must produce the same graph as
-    ``build_graph`` on the full element set (after ``canonical()``)."""
+def closure(model: CrystalModel, sources: Sequence[Any]) -> set[Any]:
+    """The breadth-first closure of ``sources`` under lowering and raising."""
     seen = set(sources)
     queue = deque(seen)
     while queue:
@@ -138,7 +115,7 @@ def build_graph_from_sources(model: CrystalModel, sources: Sequence[Any]) -> Cry
                 if image is not None and image not in seen:
                     seen.add(image)
                     queue.append(image)
-    return build_graph(model, sorted(seen, key=model.canonical_key))
+    return seen
 
 
 @dataclass
@@ -306,9 +283,8 @@ def verify_isomorphism(
 
 
 def highest_weight_elements(model: CrystalModel, elements: Sequence[Any]) -> list[Any]:
-    """Elements with every raising length zero, sorted by canonical key."""
-    found = [e for e in elements if all(model.epsilon(e, i) == 0 for i in model.labels)]
-    return sorted(found, key=model.canonical_key)
+    """Elements with every raising length zero, in input order."""
+    return [e for e in elements if all(model.epsilon(e, i) == 0 for i in model.labels)]
 
 
 def connectivity(model: CrystalModel, elements: Sequence[Any]) -> int:

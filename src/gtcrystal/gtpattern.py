@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Any, Optional
 
-from .core import Partition, ShapeError, Weight, as_partition, pad
+from .core import Partition, ShapeError, Weight, as_partition, pad, require_positive
 
 
 class NonNegativityError(ValueError):
@@ -87,8 +87,7 @@ def validate_pattern(n: int, rows: Any) -> GTPattern:
     negative entry NonNegativityError, and a broken interleaving inequality
     InterleaveError carrying the (i, j) coordinates of the offending entry.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ShapeError(f"row count must be a positive integer, got {n!r}")
+    require_positive(n, "row count")
     rows = tuple(tuple(r) for r in rows)
     if len(rows) != n:
         raise ShapeError(f"expected {n} rows, got {len(rows)}")
@@ -332,8 +331,7 @@ def enumerate_patterns(n: int, lam: Partition) -> list[GTPattern]:
     downward; entry j of the row below row ``upper`` ranges over the closed
     interval [upper[j+1], upper[j]], so no candidate is ever filtered out.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ShapeError(f"row count must be a positive integer, got {n!r}")
+    require_positive(n, "row count")
     lam = as_partition(lam)
     top = pad(lam, n)
 

@@ -3,8 +3,8 @@
 The crystal data come from the far-eastern reading (columns right to left,
 each column top to bottom) followed by pair cancellation between the letters
 i and i+1.  The operators match the letters in a single stack pass over the
-reading word; ``bracket_word`` and ``match_positions`` keep the literal
-crossed-position form as the reference.  A second, column-scanning
+reading word; ``match_positions`` keeps the literal crossed-position form
+as the reference.  A second, column-scanning
 implementation of the cancellation is provided and must induce identical
 data; the verification suite checks the two against each other exhaustively
 at desk scale.
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
-from .core import Partition, ShapeError, Weight, as_partition
+from .core import Partition, ShapeError, Weight, as_partition, require_positive
 
 
 class TableauError(ValueError):
@@ -84,8 +84,7 @@ def validate_tableau(n: int, shape: Sequence[int], rows: Any) -> Tableau:
     outside 1..n, RowOrderError and ColumnOrderError for ordering violations,
     each reporting the first offending cell.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ShapeError(f"alphabet bound must be a positive integer, got {n!r}")
+    require_positive(n, "alphabet bound")
     shape = as_partition(shape)
     rows = tuple(tuple(r) for r in rows)
     if tuple(len(row) for row in rows) != shape:
@@ -164,32 +163,6 @@ def match_positions(letters: Sequence[int], i: int) -> frozenset[int]:
             crossed.add(stack.pop())
             crossed.add(pos)
     return frozenset(crossed)
-
-
-@dataclass(frozen=True)
-class Bracketing:
-    """Result of the i-cancellation on a reading word.
-
-    The uncrossed letters from {i, i+1} always form the subsequence
-    (i+1)^eps i^phi of the word.
-    """
-
-    word: ReadingWord
-    i: int
-    crossed: frozenset[int]
-
-    def uncrossed(self, letter: int) -> tuple[int, ...]:
-        """Positions (1-based, increasing) of uncrossed occurrences of ``letter``."""
-        return tuple(
-            pos
-            for pos, x in enumerate(self.word.letters, start=1)
-            if x == letter and pos not in self.crossed
-        )
-
-
-def bracket_word(word: ReadingWord, i: int) -> Bracketing:
-    """The i-cancellation of a reading word."""
-    return Bracketing(word, i, match_positions(word.letters, i))
 
 
 def _check_label(tableau: Tableau, i: int) -> None:
@@ -376,8 +349,7 @@ def enumerate_tableaux(n: int, lam: Partition) -> list[Tableau]:
     from the larger of its left neighbor and one more than its upper
     neighbor (also at least its 1-based row index) up to n.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ShapeError(f"alphabet bound must be a positive integer, got {n!r}")
+    require_positive(n, "alphabet bound")
     lam = as_partition(lam)
     if len(lam) > n:
         raise ShapeError(f"shape {lam} has more than {n} rows")

@@ -11,7 +11,6 @@ from dataclasses import replace
 
 from gtcrystal import (
     GTPattern,
-    bracket_word,
     build_graph,
     connectivity,
     coroot_pairing,
@@ -104,7 +103,7 @@ def test_reference_tableau_reading_and_bracketing():
         t = validate_tableau(4, (5, 2, 2), [[1, 2, 2, 2, 3], [3, 3], [4, 4]])
         word = far_east_reading(t)
         assert word.letters == (3, 2, 2, 2, 3, 4, 1, 3, 4)
-        assert bracket_word(word, 2).crossed == frozenset({3, 4, 5, 8})
+        assert match_positions(word.letters, 2) == frozenset({3, 4, 5, 8})
         assert phi_ssyt(t, 2) == 1
         assert lower_ssyt(t, 2).rows == ((1, 2, 2, 3, 3), (3, 3), (4, 4))
 
@@ -114,13 +113,12 @@ def test_twin_graphs_for_shape_310():
         pm, tm = pattern_model(3), tableau_model(3)
         patterns = enumerate_patterns(3, (3, 1))
         tableaux = enumerate_tableaux(3, (3, 1))
-        pgraph = build_graph(pm, patterns)
-        tgraph = build_graph(tm, tableaux)
-        assert len(pgraph.vertices) == 15 and len(pgraph.edges) == 18
-        assert len(tgraph.vertices) == 15 and len(tgraph.edges) == 18
-        mapped_key = {pm.canonical_key(p): tm.canonical_key(pattern_to_tableau(p)) for p in patterns}
-        mapped_edges = {(mapped_key[u], i, mapped_key[v]) for u, i, v in pgraph.edges}
-        assert mapped_edges == set(tgraph.edges)
+        pedges = build_graph(pm, patterns)
+        tedges = build_graph(tm, tableaux)
+        assert len(patterns) == 15 and len(pedges) == 18
+        assert len(tableaux) == 15 and len(tedges) == 18
+        mapped_edges = {(pattern_to_tableau(u), i, pattern_to_tableau(v)) for u, i, v in pedges}
+        assert mapped_edges == set(tedges) and len(mapped_edges) == 18
         assert [p.rows for p in highest_weight_elements(pm, patterns)] == [((3, 1, 0), (3, 1), (3,))]
         assert [t.rows for t in highest_weight_elements(tm, tableaux)] == [((1, 1, 1), (2,))]
         assert connectivity(pm, patterns) == 1

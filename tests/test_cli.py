@@ -125,6 +125,21 @@ def test_graph_json_counts(capsys):
     assert len(doc["edges"]) == 18
 
 
+def test_graph_json_document(capsys):
+    _, out, _ = run(capsys, "graph", "-n", "3", "-l", "3,1,0", "--format", "json")
+    doc = json.loads(out)
+    assert set(doc) == {"n", "vertices", "edges"} and doc["n"] == 3
+    assert all(set(v) == {"key", "element"} for v in doc["vertices"])
+    assert all(set(e) == {"from", "i", "to"} for e in doc["edges"])
+    # A vertex key is the compact JSON of its element; edges are sorted by
+    # source key, then label, and join vertices.
+    assert all(v["key"] == json.dumps(v["element"], sort_keys=True, separators=(",", ":")) for v in doc["vertices"])
+    edges = [(e["from"], e["i"], e["to"]) for e in doc["edges"]]
+    assert edges == sorted(edges)
+    keys = {v["key"] for v in doc["vertices"]}
+    assert all(u in keys and v in keys for u, _i, v in edges)
+
+
 def test_graph_degenerate_shapes(capsys):
     _, out, _ = run(capsys, "graph", "-n", "1", "-l", "4", "--format", "json")
     doc = json.loads(out)
@@ -215,6 +230,23 @@ def test_verify_requires_a_shape_source(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--gtp", WORKED, "--ssyt", WORKED_TAB),
+        ("verify", "-n", "2", "-l", "1", "--all-upto", "1"),
+        ("verify", "-n", "3", "-l", "3,1", "--gtp", WORKED),
+        ("verify", "--all-upto", "1", "--ssyt", WORKED_TAB),
+    ],
+    ids=" ".join,
+)
+def test_verify_rejects_conflicting_shape_sources(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "not allowed with argument" in err
+
+
 def test_verify_rejects_negative_sweep_bound(capsys):
     code, out, err = run(capsys, "verify", "-n", "3", "--all-upto", "-1")
     assert code == 2
@@ -229,6 +261,8 @@ def test_verify_rejects_negative_sweep_bound(capsys):
         ("enumerate", "-n", "-1", "-l", ""),
         ("graph", "-n", "0", "-l", ""),
         ("verify", "-n", "0", "-l", ""),
+        ("dim", "-n", "0", "-l", ""),
+        ("dim", "-n", "-1", "-l", ""),
     ],
     ids=" ".join,
 )

@@ -7,8 +7,11 @@ from gtcrystal import (
     as_partition,
     coroot_pairing,
     enumerate_patterns,
+    enumerate_tableaux,
     pad,
     partitions_up_to,
+    validate_pattern,
+    validate_tableau,
     weyl_dimension,
 )
 
@@ -50,6 +53,21 @@ def test_weyl_dimension_known_values():
 def test_weyl_dimension_rejects_long_partition():
     with pytest.raises(LengthError):
         weyl_dimension(2, (1, 1, 1))
+
+
+def test_row_count_and_alphabet_bound_must_be_positive_integers():
+    # One message for every entry point that takes a row count or an alphabet bound.
+    for call, noun in (
+        (lambda n: weyl_dimension(n, ()), "row count"),
+        (lambda n: enumerate_patterns(n, ()), "row count"),
+        (lambda n: validate_pattern(n, []), "row count"),
+        (lambda n: enumerate_tableaux(n, ()), "alphabet bound"),
+        (lambda n: validate_tableau(n, (), []), "alphabet bound"),
+    ):
+        for bad in (0, -1, True, 2.0):
+            with pytest.raises(ShapeError) as caught:
+                call(bad)
+            assert str(caught.value) == f"{noun} must be a positive integer, got {bad!r}"
 
 
 def test_weyl_dimension_matches_enumeration():

@@ -6,7 +6,7 @@ import pytest
 from gtcrystal import (
     ClosureError,
     build_graph,
-    build_graph_from_sources,
+    closure,
     connectivity,
     enumerate_patterns,
     enumerate_tableaux,
@@ -20,7 +20,7 @@ from gtcrystal import (
     verify_axioms,
     verify_isomorphism,
 )
-from sweeps import shape_sweep
+from sweeps import SPOT_RANK_5_SHAPES, shape_sweep
 
 
 @pytest.fixture
@@ -31,64 +31,61 @@ def shape310():
 
 def test_build_graph_counts(shape310):
     model, elements = shape310
-    graph = build_graph(model, elements)
-    assert len(graph.vertices) == 15
-    assert len(graph.edges) == 18
+    edges = build_graph(model, elements)
+    assert {u for u, _i, _v in edges} | {v for _u, _i, v in edges} == set(elements)
+    assert len(elements) == 15
+    assert len(edges) == 18
 
 
 def test_build_graph_degenerate_cases():
-    graph = build_graph(pattern_model(1), enumerate_patterns(1, (4,)))
-    assert (len(graph.vertices), len(graph.edges)) == (1, 0)
-    graph = build_graph(pattern_model(2), enumerate_patterns(2, (1,)))
-    assert (len(graph.vertices), len(graph.edges)) == (2, 1)
-    assert graph.edges[0][1] == 1
+    elements = enumerate_patterns(1, (4,))
+    assert (len(elements), build_graph(pattern_model(1), elements)) == (1, [])
+    elements = enumerate_patterns(2, (1,))
+    edges = build_graph(pattern_model(2), elements)
+    assert (len(elements), len(edges)) == (2, 1)
+    assert edges[0][1] == 1
 
 
 def test_build_graph_rejects_escaping_elements(shape310):
     model, elements = shape310
     top = highest_weight_elements(model, elements)
-    with pytest.raises(ClosureError):
+    with pytest.raises(ClosureError) as caught:
         build_graph(model, top)
+    assert str(caught.value) == (
+        'lowering {"n":3,"rows":[[3,1,0],[3,1],[3]]} along 1 escapes the element set: '
+        '{"n":3,"rows":[[3,1,0],[3,1],[2]]}'
+    )
 
 
 def test_build_graph_order_invariance(shape310):
-    import json
-
+    # Edges come in element order, then label order; the edge set does not
+    # depend on the order of the elements.
     model, elements = shape310
     straight = build_graph(model, elements)
+    expected = [(b, i, model.lower(b, i)) for b in elements for i in model.labels if model.lower(b, i) is not None]
+    assert straight == expected
     shuffled = build_graph(model, list(reversed(elements)))
-    assert straight.canonical() == shuffled.canonical()
-    assert straight.edges == shuffled.edges
-    # byte-identical after the canonical sort
-    assert json.dumps(straight.canonical().to_dict(), sort_keys=True) == json.dumps(
-        shuffled.canonical().to_dict(), sort_keys=True
-    )
+    assert shuffled != straight
+    assert set(shuffled) == set(straight) and len(shuffled) == len(straight)
 
 
 def test_bfs_construction_matches(shape310):
     model, elements = shape310
     sources = highest_weight_elements(model, elements)
-    assert build_graph_from_sources(model, sources).canonical() == build_graph(model, elements).canonical()
-
-
-def test_graph_json_document(shape310):
-    model, elements = shape310
-    doc = build_graph(model, elements).to_dict()
-    assert set(doc) == {"n", "vertices", "edges"}
-    assert all(set(v) == {"key", "element"} for v in doc["vertices"])
-    assert all(set(e) == {"from", "i", "to"} for e in doc["edges"])
+    assert closure(model, sources) == set(elements)
+    assert closure(model, [elements[7]]) == set(elements)
+    assert closure(model, []) == set()
 
 
 def test_edges_form_label_disjoint_paths(shape310):
     model, elements = shape310
-    graph = build_graph(model, elements)
+    edges = build_graph(model, elements)
     for label in model.labels:
-        outgoing = [u for u, i, _v in graph.edges if i == label]
-        incoming = [v for _u, i, v in graph.edges if i == label]
+        outgoing = [u for u, i, _v in edges if i == label]
+        incoming = [v for _u, i, v in edges if i == label]
         assert len(outgoing) == len(set(outgoing))
         assert len(incoming) == len(set(incoming))
-    by_key = {model.canonical_key(e): e for e in elements}
-    for key, element in by_key.items():
+    for element in elements:
         for i in model.labels:
             expected = model.phi(element, i) + model.epsilon(element, i)
             steps = 0
@@ -100,7 +97,26 @@ def test_edges_form_label_disjoint_paths(shape310):
             while (up := model.raise_(current, i)) is not None:
                 current = up
                 steps += 1
-            assert steps == expected, f"string through {key} at label {i}"
+            assert steps == expected, f"string through {model.canonical_key(element)} at label {i}"
+
+
+def test_graphs_by_value_over_the_sweep():
+    # For both models: the edges are exactly the lowering images, the closure
+    # of the highest-weight elements is the whole crystal, and the bijection
+    # maps the pattern edges one to one onto the tableau edges (the twin graphs).
+    for n, lam in shape_sweep() + [(5, lam) for lam in SPOT_RANK_5_SHAPES]:
+        pm, tm = pattern_model(n), tableau_model(n)
+        patterns, tableaux = enumerate_patterns(n, lam), enumerate_tableaux(n, lam)
+        graphs = {}
+        for model, elements in ((pm, patterns), (tm, tableaux)):
+            edges = build_graph(model, elements)
+            assert len(set(edges)) == len(edges)
+            expected = {(b, i, model.lower(b, i)) for b in elements for i in model.labels}
+            assert set(edges) == {edge for edge in expected if edge[2] is not None}
+            assert closure(model, highest_weight_elements(model, elements)) == set(elements)
+            graphs[model.name] = set(edges)
+        mapped = {(pattern_to_tableau(u), i, pattern_to_tableau(v)) for u, i, v in graphs["gtp"]}
+        assert mapped == graphs["ssyt"] and len(mapped) == len(graphs["gtp"]), (n, lam)
 
 
 def test_axioms_pass_for_both_models(shape310):

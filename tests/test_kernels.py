@@ -1,8 +1,8 @@
 """The one-pass operator kernels against the literal reference forms.
 
 The oracles here use only ``sum_a``/``sum_b`` on patterns and
-``bracket_word(far_east_reading(t), i).uncrossed(...)`` mapped through the
-reading word's origins on tableaux; they build the expected images with
+the positions ``match_positions`` leaves uncrossed in ``far_east_reading(t)``,
+mapped through the reading word's origins, on tableaux; they build the expected images with
 ``validate_pattern``/``validate_tableau``, never with the kernels.  The
 guard tests cover each local check that replaced full revalidation.
 """
@@ -18,7 +18,6 @@ from gtcrystal import (
     GTPattern,
     ShapeError,
     Tableau,
-    bracket_word,
     enumerate_patterns,
     enumerate_tableaux,
     epsilon_gtp,
@@ -26,6 +25,7 @@ from gtcrystal import (
     far_east_reading,
     lower_gtp,
     lower_ssyt,
+    match_positions,
     pattern_to_tableau,
     phi_gtp,
     phi_ssyt,
@@ -79,6 +79,11 @@ def tableau_with(t, r, c, letter):
     return validate_tableau(t.n, t.shape, rows)
 
 
+def uncrossed(word, crossed, letter):
+    """Positions (1-based, increasing) of the uncrossed occurrences of ``letter``."""
+    return [pos for pos, x in enumerate(word.letters, start=1) if x == letter and pos not in crossed]
+
+
 def test_pattern_kernels_match_partial_sum_reference():
     for n, lam in full_sweep():
         for p in enumerate_patterns(n, lam):
@@ -111,9 +116,9 @@ def test_tableau_kernels_match_literal_bracketing():
         for t in enumerate_tableaux(n, lam):
             word = far_east_reading(t)
             for i in range(1, n):
-                bracketing = bracket_word(word, i)
-                lows = [word.origin[pos - 1] for pos in bracketing.uncrossed(i)]
-                highs = [word.origin[pos - 1] for pos in bracketing.uncrossed(i + 1)]
+                crossed = match_positions(word.letters, i)
+                lows = [word.origin[pos - 1] for pos in uncrossed(word, crossed, i)]
+                highs = [word.origin[pos - 1] for pos in uncrossed(word, crossed, i + 1)]
                 assert phi_ssyt(t, i) == len(lows)
                 assert epsilon_ssyt(t, i) == len(highs)
 

@@ -10,7 +10,7 @@ least one check.
 
 import pytest
 
-from gtcrystal import bijection, crystal, enumerate_patterns, gtpattern, validate_tableau
+from gtcrystal import bijection, crystal, enumerate_patterns, enumerate_tableaux, gtpattern, validate_tableau
 
 SHAPES = ((3, (2, 1)), (4, (2, 1)), (4, (3, 2, 1)), (5, (2, 1, 1)))
 
@@ -128,9 +128,18 @@ def test_each_reference_value_is_computed_once(monkeypatch):
     patterns = enumerate_patterns(n, lam)
     images = counted(monkeypatch, bijection, ["pattern_to_tableau"])
     literals = counted(monkeypatch, gtpattern, ["diamond_a", "diamond_b", "sum_a", "sum_b"])
-    rendering = counted(monkeypatch, crystal, ["_render_key", "build_graph"])
+    rendering = counted(monkeypatch, crystal, ["_render_key"])
     assert crystal.verify_shape(n, lam)["pass"]
     assert images["pattern_to_tableau"] == len(patterns)
     assert sum(literals.values()) == len(patterns) * sum(4 * i + 6 for i in range(1, n))
-    # A passing shape renders one key: the sort of its single highest-weight element.
-    assert rendering == {"_render_key": 1, "build_graph": 0}
+    # Keys are rendered only to name a violation, and a passing shape has none.
+    assert rendering == {"_render_key": 0}
+
+
+def test_build_graph_renders_no_key(monkeypatch):
+    n, lam = 5, (2, 1, 1)
+    rendering = counted(monkeypatch, crystal, ["_render_key"])
+    edges = crystal.build_graph(crystal.pattern_model(n), enumerate_patterns(n, lam))
+    edges += crystal.build_graph(crystal.tableau_model(n), enumerate_tableaux(n, lam))
+    assert len(edges) > 0
+    assert rendering == {"_render_key": 0}

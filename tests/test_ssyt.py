@@ -9,7 +9,6 @@ from gtcrystal import (
     ShapeError,
     Tableau,
     bracket_columns,
-    bracket_word,
     enumerate_tableaux,
     epsilon_columns,
     epsilon_ssyt,
@@ -81,7 +80,7 @@ def test_far_east_inverse_round_trip_random(t):
 
 def test_bracketing_reference(reference):
     word = far_east_reading(reference)
-    assert bracket_word(word, 2).crossed == frozenset({3, 4, 5, 8})
+    assert match_positions(word.letters, 2) == frozenset({3, 4, 5, 8})
 
 
 def test_bracketing_small_cases():
@@ -109,11 +108,11 @@ def test_single_pass_matches_recursive_oracle_exhaustively():
 def test_crossed_letters_balanced_and_residue_sorted(reference):
     word = far_east_reading(reference)
     for i in range(1, 4):
-        br = bracket_word(word, i)
-        crossed_letters = [word.letters[p - 1] for p in sorted(br.crossed)]
+        crossed = match_positions(word.letters, i)
+        crossed_letters = [word.letters[p - 1] for p in sorted(crossed)]
         assert all(x in (i, i + 1) for x in crossed_letters)
         assert crossed_letters.count(i) == crossed_letters.count(i + 1)
-        residue = [x for p, x in enumerate(word.letters, 1) if x in (i, i + 1) and p not in br.crossed]
+        residue = [x for p, x in enumerate(word.letters, 1) if x in (i, i + 1) and p not in crossed]
         assert residue == sorted(residue, reverse=True)  # (i+1)* then i*
 
 
@@ -196,7 +195,7 @@ def test_column_scan_agrees_with_word_scan_cellwise():
         for t in enumerate_tableaux(n, lam):
             word = far_east_reading(t)
             for i in range(1, n):
-                by_word = {word.origin[p - 1] for p in bracket_word(word, i).crossed}
+                by_word = {word.origin[p - 1] for p in match_positions(word.letters, i)}
                 assert bracket_columns(t, i) == by_word
 
 
