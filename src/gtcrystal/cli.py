@@ -138,6 +138,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.gtp is not None or args.ssyt is not None:
         kind, element = _element_from_args(args)
         n = element.n
+        if args.n is not None and args.n != n:
+            raise ValueError(f"-n {args.n} disagrees with the payload's n={n}")
         lam = element.top_row if kind == "gtp" else element.shape
         shapes = [(n, as_partition(lam))]
     elif args.all_upto is not None:

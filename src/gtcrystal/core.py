@@ -63,7 +63,6 @@ def weyl_dimension(n: int, lam: Partition) -> int:
     counting oracle for pattern enumeration.
     """
     require_positive(n, "row count")
-    lam = as_partition(lam)
     padded = pad(lam, n)
     num = 1
     den = 1

@@ -104,20 +104,6 @@ def build_graph(model: CrystalModel, elements: Sequence[Any]) -> list[tuple[Any,
     return edges
 
 
-def closure(model: CrystalModel, sources: Sequence[Any]) -> set[Any]:
-    """The breadth-first closure of ``sources`` under lowering and raising."""
-    seen = set(sources)
-    queue = deque(seen)
-    while queue:
-        element = queue.popleft()
-        for i in model.labels:
-            for image in (model.lower(element, i), model.raise_(element, i)):
-                if image is not None and image not in seen:
-                    seen.add(image)
-                    queue.append(image)
-    return seen
-
-
 @dataclass
 class Violation:
     """One failed check: which rule, the elements involved, what was expected."""
@@ -138,13 +124,16 @@ class Violation:
         }
 
 
+WITNESS_LIMIT = 100
+
+
 @dataclass
 class Report:
     """Verification outcome: ``found`` counts every violation, the first
-    ``limit`` of them are kept as witnesses; passes exactly when none was found."""
+    ``WITNESS_LIMIT`` of them are kept as witnesses; passes exactly when none
+    was found."""
 
     violations: list[Violation] = field(default_factory=list)
-    limit: int = 100
     found: int = 0
 
     @property
@@ -153,7 +142,7 @@ class Report:
 
     def add(self, *args: Any) -> None:
         self.found += 1
-        if len(self.violations) < self.limit:
+        if len(self.violations) < WITNESS_LIMIT:
             self.violations.append(Violation(*args))
 
     def to_dict(self) -> dict[str, Any]:
@@ -170,7 +159,7 @@ def _image_key(model: CrystalModel, image: Optional[Any]) -> str:
     return "None" if image is None else model.canonical_key(image)
 
 
-def verify_axioms(model: CrystalModel, elements: Sequence[Any], limit: int = 100) -> Report:
+def verify_axioms(model: CrystalModel, elements: Sequence[Any]) -> Report:
     """Check the crystal axioms over a closed element set.
 
     For every element b and label i: lowering and raising are mutually
@@ -182,7 +171,7 @@ def verify_axioms(model: CrystalModel, elements: Sequence[Any], limit: int = 100
     set is reported as a ``closure`` violation rather than raised, so
     mutated models can be diagnosed in full.
     """
-    report = Report(limit=limit)
+    report = Report()
     members = set(elements)
     if len(members) != len(elements):
         raise ValueError("elements are not distinct")
@@ -237,7 +226,6 @@ def verify_isomorphism(
     model_b: CrystalModel,
     mapping: Callable[[Any], Any],
     elements_b: Sequence[Any],
-    limit: int = 100,
 ) -> Report:
     """Check that ``mapping`` is an isomorphism of crystals onto ``elements_b``.
 
@@ -246,7 +234,7 @@ def verify_isomorphism(
     commutes with lowering and raising, with absent images matching absent
     images.
     """
-    report = Report(limit=limit)
+    report = Report()
     seen_images = set()
 
     def keys() -> tuple[str, str]:
@@ -315,11 +303,6 @@ def connectivity(model: CrystalModel, elements: Sequence[Any]) -> int:
     return components
 
 
-def _counted(found: int) -> Report:
-    """Report of a check that counts its violations without naming witnesses."""
-    return Report(limit=0, found=int(found))
-
-
 def _letter_counts(t: ssyt.Tableau) -> list[list[int]]:
     """c[letter][row]: multiplicity of the letter in that tableau row, read
     from the cells alone; letters and rows 0..n, 0 off the tableau."""
@@ -364,7 +347,7 @@ def _identity_checks(
         algebraic += a_form != b_form
         shifts = {a_form[k] - first[k] for k in range(n)}
         algebraic += len(shifts) != 1 or shifts != {sum(first)}
-    return _counted(counting), _counted(algebraic)
+    return Report(found=counting), Report(found=algebraic)
 
 
 def verify_shape(n: int, lam: Partition) -> dict[str, Any]:
@@ -375,25 +358,31 @@ def verify_shape(n: int, lam: Partition) -> dict[str, Any]:
     tm = tableau_model(n)
 
     images = {p: bijection.pattern_to_tableau(p) for p in patterns}
+    preimages = {t: bijection.tableau_to_pattern(t) for t in tableaux}
 
+    # One bijection image per pattern and one preimage per tableau; an element
+    # outside the enumerated set is mapped directly.
     def image(p: gtp.GTPattern) -> ssyt.Tableau:
-        # One bijection image per pattern; a pattern outside the set is mapped directly.
         t = images.get(p)
         return bijection.pattern_to_tableau(p) if t is None else t
 
+    def preimage(t: ssyt.Tableau) -> gtp.GTPattern:
+        p = preimages.get(t)
+        return bijection.tableau_to_pattern(t) if p is None else p
+
     checks = {
-        "dimension": _counted(len(patterns) != weyl_dimension(n, lam)),
+        "dimension": Report(found=int(len(patterns) != weyl_dimension(n, lam))),
         "axioms-patterns": verify_axioms(pm, patterns),
         "axioms-tableaux": verify_axioms(tm, tableaux),
         "isomorphism": verify_isomorphism(pm, patterns, tm, image, tableaux),
     }
     checks["counting-identities"], checks["algebraic-identities"] = _identity_checks(patterns, images)
-    round_trip = sum(bijection.tableau_to_pattern(image(p)) != p for p in patterns)
-    round_trip += sum(image(bijection.tableau_to_pattern(t)) != t for t in tableaux)
-    checks["round-trip"] = _counted(round_trip)
+    round_trip = sum(preimage(image(p)) != p for p in patterns)
+    round_trip += sum(image(preimages[t]) != t for t in tableaux)
+    checks["round-trip"] = Report(found=round_trip)
     connected = connectivity(pm, patterns) == 1
     unique_hw = len(highest_weight_elements(pm, patterns)) == 1
-    checks["connected-unique-source"] = _counted(not (connected and unique_hw))
+    checks["connected-unique-source"] = Report(found=int(not (connected and unique_hw)))
 
     return {
         "n": n,

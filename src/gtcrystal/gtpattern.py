@@ -312,17 +312,6 @@ def raise_gtp(pattern: GTPattern, i: int) -> Optional[GTPattern]:
     return _with_entry_changed(pattern, i, ell, +1)
 
 
-def highest_weight_pattern(n: int, lam: Partition) -> GTPattern:
-    """The pattern whose row i repeats the first i parts of ``lam``.
-
-    Every raising string length vanishes on it, making it the unique source
-    vertex of the crystal graph.
-    """
-    lam = as_partition(lam)
-    padded = pad(lam, n)
-    return validate_pattern(n, tuple(padded[:i] for i in range(n, 0, -1)))
-
-
 def enumerate_patterns(n: int, lam: Partition) -> list[GTPattern]:
     """All patterns with n rows and top row ``lam``, each exactly once.
 
@@ -332,7 +321,6 @@ def enumerate_patterns(n: int, lam: Partition) -> list[GTPattern]:
     interval [upper[j+1], upper[j]], so no candidate is ever filtered out.
     """
     require_positive(n, "row count")
-    lam = as_partition(lam)
     top = pad(lam, n)
 
     def extend(stack: list[tuple[int, ...]]) -> None:

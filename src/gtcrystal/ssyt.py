@@ -47,10 +47,6 @@ class Tableau:
     def shape(self) -> Partition:
         return tuple(len(row) for row in self.rows)
 
-    @property
-    def size(self) -> int:
-        return sum(len(row) for row in self.rows)
-
     def cell(self, r: int, c: int) -> int:
         return self.rows[r - 1][c - 1]
 
@@ -128,22 +124,6 @@ def far_east_reading(tableau: Tableau) -> ReadingWord:
                 letters.append(row[c - 1])
                 origin.append((r, c))
     return ReadingWord(tuple(letters), tuple(origin))
-
-
-def far_east_inverse(n: int, shape: Partition, letters: Sequence[int]) -> Tableau:
-    """Rebuild the tableau of the given shape whose far-eastern reading is ``letters``."""
-    shape = as_partition(shape)
-    if sum(shape) != len(letters):
-        raise ShapeError(f"shape {shape} has {sum(shape)} cells but the word has {len(letters)} letters")
-    grid = [[0] * part for part in shape]
-    width = shape[0] if shape else 0
-    pos = 0
-    for c in range(width, 0, -1):
-        for r in range(1, len(shape) + 1):
-            if shape[r - 1] >= c:
-                grid[r - 1][c - 1] = letters[pos]
-                pos += 1
-    return validate_tableau(n, shape, grid)
 
 
 def match_positions(letters: Sequence[int], i: int) -> frozenset[int]:
@@ -331,14 +311,6 @@ def raise_columns(tableau: Tableau, i: int) -> Optional[Tableau]:
         return None
     r, c = cells[0]
     return _with_cell_changed(tableau, r, c, i)
-
-
-def highest_weight_tableau(n: int, lam: Partition) -> Tableau:
-    """The tableau with every row r filled by the letter r."""
-    lam = as_partition(lam)
-    if len(lam) > n:
-        raise ShapeError(f"shape {lam} has more than {n} rows")
-    return validate_tableau(n, lam, tuple((r,) * lam[r - 1] for r in range(1, len(lam) + 1)))
 
 
 def enumerate_tableaux(n: int, lam: Partition) -> list[Tableau]:

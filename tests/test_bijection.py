@@ -7,7 +7,6 @@ from gtcrystal import (
     diamond_b,
     enumerate_patterns,
     enumerate_tableaux,
-    highest_weight_pattern,
     letter_count_in_row,
     pattern_to_tableau,
     sum_a,
@@ -36,7 +35,7 @@ def test_pattern_to_tableau_second_vertex():
 
 
 def test_pattern_to_tableau_highest_weight():
-    t = pattern_to_tableau(highest_weight_pattern(4, (3, 2, 2)))
+    t = pattern_to_tableau(validate_pattern(4, [[3, 2, 2, 0], [3, 2, 2], [3, 2], [3]]))
     assert t.rows == ((1, 1, 1), (2, 2), (3, 3))
 
 

@@ -215,6 +215,15 @@ def test_verify_shape_from_element_payload(capsys):
     assert "3,1" in out
 
 
+@pytest.mark.parametrize("source, payload", [("--gtp", WORKED), ("--ssyt", WORKED_TAB)])
+def test_verify_row_count_must_match_the_payload(capsys, source, payload):
+    code, out, err = run(capsys, "verify", "-n", "5", source, payload)
+    assert (code, out, err) == (2, "", "error: -n 5 disagrees with the payload's n=3\n")
+    code, out, _ = run(capsys, "verify", "-n", "3", source, payload)
+    assert code == 0
+    assert out.startswith("PASS n=3 shape=3,1 elements=15\n")
+
+
 def test_verify_corrupt_element_is_input_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"n":3,"rows":[[3,1,0],[3,2],[2]]}')

@@ -6,7 +6,6 @@ import pytest
 from gtcrystal import (
     ClosureError,
     build_graph,
-    closure,
     connectivity,
     enumerate_patterns,
     enumerate_tableaux,
@@ -70,11 +69,11 @@ def test_build_graph_order_invariance(shape310):
 
 
 def test_bfs_construction_matches(shape310):
+    # One component with one source: every element is reached from the
+    # highest-weight element.
     model, elements = shape310
-    sources = highest_weight_elements(model, elements)
-    assert closure(model, sources) == set(elements)
-    assert closure(model, [elements[7]]) == set(elements)
-    assert closure(model, []) == set()
+    assert connectivity(model, elements) == 1
+    assert len(highest_weight_elements(model, elements)) == 1
 
 
 def test_edges_form_label_disjoint_paths(shape310):
@@ -101,9 +100,10 @@ def test_edges_form_label_disjoint_paths(shape310):
 
 
 def test_graphs_by_value_over_the_sweep():
-    # For both models: the edges are exactly the lowering images, the closure
-    # of the highest-weight elements is the whole crystal, and the bijection
-    # maps the pattern edges one to one onto the tableau edges (the twin graphs).
+    # For both models: the edges are exactly the lowering images, they join
+    # all the elements into one component with one highest-weight element, and
+    # the bijection maps the pattern edges one to one onto the tableau edges
+    # (the twin graphs).
     for n, lam in shape_sweep() + [(5, lam) for lam in SPOT_RANK_5_SHAPES]:
         pm, tm = pattern_model(n), tableau_model(n)
         patterns, tableaux = enumerate_patterns(n, lam), enumerate_tableaux(n, lam)
@@ -113,7 +113,8 @@ def test_graphs_by_value_over_the_sweep():
             assert len(set(edges)) == len(edges)
             expected = {(b, i, model.lower(b, i)) for b in elements for i in model.labels}
             assert set(edges) == {edge for edge in expected if edge[2] is not None}
-            assert closure(model, highest_weight_elements(model, elements)) == set(elements)
+            assert connectivity(model, elements) == 1
+            assert len(highest_weight_elements(model, elements)) == 1
             graphs[model.name] = set(edges)
         mapped = {(pattern_to_tableau(u), i, pattern_to_tableau(v)) for u, i, v in graphs["gtp"]}
         assert mapped == graphs["ssyt"] and len(mapped) == len(graphs["gtp"]), (n, lam)
@@ -144,20 +145,26 @@ def test_axioms_flag_broken_lowering(shape310):
     assert any(v.rule == "lower-domain" for v in report.violations)
 
 
-def test_violation_cap_limits_report(shape310):
-    model, elements = shape310
-    from dataclasses import replace
-
-    broken = replace(model, phi=lambda p, i: 99)
-    report = verify_axioms(broken, elements, limit=5)
-    assert len(report.violations) == 5
-    # Past its limit a report keeps counting: every violation is found, only
-    # the first five are kept as witnesses.
-    assert report.found == 60
-    assert report.found > len(report.violations) and not report.passed
-    full = verify_axioms(broken, elements, limit=10**9)
-    assert full.found == len(full.violations) == 60
-    assert full.violations[:5] == report.violations
+def test_violation_cap_limits_report():
+    # With phi = 99 every (element, label) pair fails twice: the pairing, and
+    # the lower domain where no image exists or the phi step where one does.
+    model = pattern_model(3)
+    elements = enumerate_patterns(3, (4, 2))
+    expected = []
+    for b in elements:
+        for i in model.labels:
+            down = model.lower(b, i)
+            expected.append(("pairing", (b,), i))
+            expected.append(("lower-domain", (b,), i) if down is None else ("phi-step", (b, down), i))
+    assert len(expected) == 108
+    report = verify_axioms(replace(model, phi=lambda p, i: 99), elements)
+    # Past 100 a report keeps counting: every violation is found, only the
+    # first 100 are kept as witnesses, in element order.
+    keyed = [(rule, tuple(map(model.canonical_key, involved)), i) for rule, involved, i in expected]
+    assert [(v.rule, v.keys, v.label) for v in report.violations] == keyed[:100]
+    assert report.found == 108 and not report.passed
+    record = report.to_dict()
+    assert record["violations"] == 108 and len(record["details"]) == 100
 
 
 def test_isomorphism_passes(shape310):
@@ -259,13 +266,13 @@ T12 = '{"n":2,"rows":[[1,2]],"shape":[2]}'
 T22 = '{"n":2,"rows":[[2,2]],"shape":[2]}'
 Q0 = '{"n":3,"rows":[[1,0,0],[0,0],[0]]}'
 Q1 = '{"n":3,"rows":[[1,0,0],[1,0],[0]]}'
+Q2 = '{"n":3,"rows":[[1,0,0],[1,0],[1]]}'
 
 
-def rendered_report(violations, found=None):
+def rendered_report(violations):
     """The JSON of Report.to_dict() for these (rule, keys, label, expected, actual)
-    witness rows, out of ``found`` violations in all (by default, the rows alone)."""
-    found = len(violations) if found is None else found
-    record = {"pass": not found, "violations": found}
+    witness rows, the only violations found."""
+    record = {"pass": not violations, "violations": len(violations)}
     if violations:
         record["details"] = [
             {"rule": rule, "keys": list(keys), "label": label, "expected": expected, "actual": actual}
@@ -321,7 +328,7 @@ def test_inverse_witnesses(shape2):
 
 def test_truncated_witnesses():
     broken = replace(pattern_model(3), phi=lambda p, i: 99)
-    report = verify_axioms(broken, enumerate_patterns(3, (1,)), limit=7)
+    report = verify_axioms(broken, enumerate_patterns(3, (1,)))
     assert json.dumps(report.to_dict()) == rendered_report(
         [
             ("pairing", (Q0,), 1, "phi - epsilon = 0", "99 - 0"),
@@ -331,8 +338,12 @@ def test_truncated_witnesses():
             ("pairing", (Q1,), 1, "phi - epsilon = -1", "99 - 1"),
             ("lower-domain", (Q1,), 1, "image iff phi > 0 (phi = 99)", "False"),
             ("pairing", (Q1,), 2, "phi - epsilon = 1", "99 - 0"),
-        ],
-        found=12,
+            ("phi-step", (Q1, Q0), 2, "98", "99"),
+            ("pairing", (Q2,), 1, "phi - epsilon = 1", "99 - 0"),
+            ("phi-step", (Q2, Q1), 1, "98", "99"),
+            ("pairing", (Q2,), 2, "phi - epsilon = 0", "99 - 0"),
+            ("lower-domain", (Q2,), 2, "image iff phi > 0 (phi = 99)", "False"),
+        ]
     )
 
 

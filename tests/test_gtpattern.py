@@ -16,15 +16,18 @@ from gtcrystal import (
     diamond_a,
     diamond_b,
     enumerate_patterns,
+    enumerate_tableaux,
     epsilon_gtp,
-    highest_weight_pattern,
+    highest_weight_elements,
     lower_gtp,
+    pattern_model,
     phi_gtp,
     raise_gtp,
     reduced_long_word,
     string_datum,
     sum_a,
     sum_b,
+    tableau_model,
     validate_pattern,
     weight_expressions,
     weight_gtp,
@@ -108,7 +111,7 @@ def test_weight_worked_example(worked):
 def test_weight_degenerate():
     single = validate_pattern(1, [[5]])
     assert weight_gtp(single) == (5,)
-    hw = highest_weight_pattern(3, (3, 1))
+    hw = validate_pattern(3, [[3, 1, 0], [3, 1], [3]])
     assert weight_gtp(hw) == (3, 1, 0)
 
 
@@ -122,7 +125,7 @@ def test_string_lengths_worked_example(worked):
 
 
 def test_string_lengths_highest_weight():
-    hw = highest_weight_pattern(4, (5, 3, 2))
+    hw = validate_pattern(4, [[5, 3, 2, 0], [5, 3, 2], [5, 3], [5]])
     padded = (5, 3, 2, 0)
     for i in range(1, 4):
         assert phi_gtp(hw, i) == padded[i - 1] - padded[i]
@@ -148,7 +151,7 @@ def test_lower_on_empty_crystal():
 
 def test_lowering_tie_break_takes_largest_index():
     # ties among the partial sums: the decremented entry is the rightmost one
-    hw = highest_weight_pattern(3, (3, 1))
+    hw = validate_pattern(3, [[3, 1, 0], [3, 1], [3]])
     assert lower_gtp(hw, 2).rows == ((3, 1, 0), (3, 0), (3,))
     tied = validate_pattern(3, [[3, 2, 0], [3, 1], [2]])
     assert sum_a(tied, 2, 1) == sum_a(tied, 2, 2) == 1
@@ -162,9 +165,17 @@ def test_raising_tie_break_takes_smallest_index():
 
 
 def test_highest_weight_pattern_shape():
-    assert highest_weight_pattern(3, (3, 1)).rows == ((3, 1, 0), (3, 1), (3,))
-    assert highest_weight_pattern(2, (2,)).rows == ((2, 0), (2,))
-    assert highest_weight_pattern(1, (4,)).rows == ((4,),)
+    # The unique source of each model: the pattern whose row i repeats the
+    # first i parts of the shape, and the tableau whose row r holds only r.
+    for n, lam, pattern_rows, tableau_rows in (
+        (3, (3, 1), ((3, 1, 0), (3, 1), (3,)), ((1, 1, 1), (2,))),
+        (2, (2,), ((2, 0), (2,)), ((1, 1),)),
+        (1, (4,), ((4,),), ((1, 1, 1, 1),)),
+    ):
+        patterns = highest_weight_elements(pattern_model(n), enumerate_patterns(n, lam))
+        assert [p.rows for p in patterns] == [pattern_rows]
+        tableaux = highest_weight_elements(tableau_model(n), enumerate_tableaux(n, lam))
+        assert [t.rows for t in tableaux] == [tableau_rows]
 
 
 def test_enumerate_counts():
@@ -278,7 +289,7 @@ def test_string_datum_worked_example(worked):
 
 
 def test_string_datum_highest_weight_vanishes():
-    datum = string_datum(highest_weight_pattern(4, (4, 2, 1)))
+    datum = string_datum(validate_pattern(4, [[4, 2, 1, 0], [4, 2, 1], [4, 2], [4]]))
     assert all(v == 0 for _i, _j, v in datum.entries)
 
 

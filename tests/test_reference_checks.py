@@ -126,11 +126,12 @@ def counted(monkeypatch, module, names):
 def test_each_reference_value_is_computed_once(monkeypatch):
     n, lam = 5, (2, 1, 1)
     patterns = enumerate_patterns(n, lam)
-    images = counted(monkeypatch, bijection, ["pattern_to_tableau"])
+    tableaux = enumerate_tableaux(n, lam)
+    images = counted(monkeypatch, bijection, ["pattern_to_tableau", "tableau_to_pattern"])
     literals = counted(monkeypatch, gtpattern, ["diamond_a", "diamond_b", "sum_a", "sum_b"])
     rendering = counted(monkeypatch, crystal, ["_render_key"])
     assert crystal.verify_shape(n, lam)["pass"]
-    assert images["pattern_to_tableau"] == len(patterns)
+    assert images == {"pattern_to_tableau": len(patterns), "tableau_to_pattern": len(tableaux)}
     assert sum(literals.values()) == len(patterns) * sum(4 * i + 6 for i in range(1, n))
     # Keys are rendered only to name a violation, and a passing shape has none.
     assert rendering == {"_render_key": 0}

@@ -3,7 +3,11 @@
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gtcrystal"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "gtcrystal"
+
+# Literal reference forms that only the tests compare against.
+TEST_REFERENCES = {"match_positions", "phi_columns", "epsilon_columns", "lower_columns", "raise_columns"}
 
 
 def test_package_has_no_assert_statements():
@@ -18,3 +22,34 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_every_public_definition_is_used():
+    # A public module-level function or class must be used by code outside
+    # its own definition, in the package or a script, or be a test reference.
+    # The re-exports in __init__.py do not count as uses.
+    paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted((ROOT / "scripts").glob("*.py"))
+    statements = [
+        (path, node)
+        for path in paths
+        for node in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body
+    ]
+    uses = [
+        {
+            sub.id if isinstance(sub, ast.Name) else sub.attr
+            for sub in ast.walk(node)
+            if isinstance(sub, (ast.Name, ast.Attribute))
+        }
+        for _path, node in statements
+    ]
+    defined = [
+        (k, node.name)
+        for k, (path, node) in enumerate(statements)
+        if path.parent == PACKAGE
+        and isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    ]
+    assert len(defined) > 50
+    unused = {name for k, name in defined if not any(name in names for m, names in enumerate(uses) if m != k)}
+    assert unused == TEST_REFERENCES

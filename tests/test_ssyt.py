@@ -12,9 +12,7 @@ from gtcrystal import (
     enumerate_tableaux,
     epsilon_columns,
     epsilon_ssyt,
-    far_east_inverse,
     far_east_reading,
-    highest_weight_tableau,
     lower_columns,
     lower_ssyt,
     match_positions,
@@ -36,7 +34,7 @@ def reference():
 
 def test_validate_accepts_reference(reference):
     assert reference.shape == (5, 2, 2)
-    assert reference.size == 9
+    assert sum(map(len, reference.rows)) == 9
 
 
 def test_validate_rejects_each_violation():
@@ -67,15 +65,22 @@ def test_far_east_reading_worked_small():
     assert far_east_reading(t).letters == (2, 1, 1, 2)
 
 
-def test_far_east_inverse_round_trip(reference):
-    word = far_east_reading(reference)
-    assert far_east_inverse(4, (5, 2, 2), word.letters) == reference
+def assert_reads_columns_right_to_left(t):
+    # Every cell once, columns right to left and each column top to bottom,
+    # with each letter read from its own cell.
+    word = far_east_reading(t)
+    cells = [(r, c) for r, row in enumerate(t.rows, 1) for c in range(1, len(row) + 1)]
+    assert word.origin == tuple(sorted(cells, key=lambda cell: (-cell[1], cell[0])))
+    assert word.letters == tuple(t.cell(r, c) for r, c in word.origin)
+
+
+def test_far_east_reading_visits_each_cell_once(reference):
+    assert_reads_columns_right_to_left(reference)
 
 
 @given(t=tableau_st())
-def test_far_east_inverse_round_trip_random(t):
-    word = far_east_reading(t)
-    assert far_east_inverse(t.n, t.shape, word.letters) == t
+def test_far_east_reading_visits_each_cell_once_random(t):
+    assert_reads_columns_right_to_left(t)
 
 
 def test_bracketing_reference(reference):
@@ -124,7 +129,7 @@ def test_string_lengths_reference(reference):
 
 
 def test_string_lengths_highest_weight():
-    hw = highest_weight_tableau(4, (5, 3, 2))
+    hw = validate_tableau(4, (5, 3, 2), [[1, 1, 1, 1, 1], [2, 2, 2], [3, 3]])
     padded = (5, 3, 2, 0)
     for i in range(1, 4):
         assert phi_ssyt(hw, i) == padded[i - 1] - padded[i]
@@ -180,7 +185,7 @@ def test_column_scan_reference(reference):
 
 
 def test_column_scan_highest_weight_crosses_all_upper_letters():
-    hw = highest_weight_tableau(3, (3, 2))
+    hw = validate_tableau(3, (3, 2), [[1, 1, 1], [2, 2]])
     crossed = bracket_columns(hw, 1)
     assert {(r, c) for r, c in crossed if hw.cell(r, c) == 2} == {(2, 1), (2, 2)}
 
