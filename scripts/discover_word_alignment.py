@@ -43,7 +43,7 @@ def survey(n, max_size):
     data = []
     for lam in partitions_up_to(max_size, n):
         for p in enumerate_patterns(n, lam):
-            table = {(i, j): v for i, j, v in string_datum(p).entries}
+            table = string_datum(p)
             up = exponents(p, word, raise_gtp, epsilon_gtp)
             down = exponents(p, word, lower_gtp, phi_gtp)
             data.append((table, up, down))

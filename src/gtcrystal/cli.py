@@ -17,7 +17,7 @@ import sys
 from typing import Any, Optional, Sequence
 
 from . import bijection, crystal, gtpattern, ssyt
-from .crystal import _render_key
+from .crystal import render_key
 from .core import Partition, as_partition, partitions_up_to, weyl_dimension
 
 _PALETTE = ("blue", "red", "forestgreen", "darkorange", "purple", "teal", "maroon", "goldenrod")
@@ -64,7 +64,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             print(element.pretty())
             print()
         else:
-            print(_render_key(element.to_dict()))
+            print(render_key(element.to_dict()))
     return 0
 
 
@@ -77,14 +77,14 @@ def cmd_apply(args: argparse.Namespace) -> int:
     elif args.format == "text":
         print(result.pretty())
     else:
-        print(_render_key(result.to_dict()))
+        print(render_key(result.to_dict()))
     return 0
 
 
 def cmd_biject(args: argparse.Namespace) -> int:
     kind, element = _element_from_args(args)
     image = bijection.pattern_to_tableau(element) if kind == "gtp" else bijection.tableau_to_pattern(element)
-    print(_render_key(image.to_dict()))
+    print(render_key(image.to_dict()))
     return 0
 
 
@@ -100,7 +100,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
     edges = crystal.build_graph(model, elements)
     # Vertices keep element order; edges are sorted by (source key, label).
     data = [e.to_dict() for e in elements]
-    keys = [_render_key(d) for d in data]
+    keys = [render_key(d) for d in data]
     key_of = dict(zip(elements, keys))
     edges = sorted((key_of[u], i, key_of[v]) for u, i, v in edges)
     if args.format == "json":
@@ -130,18 +130,24 @@ def cmd_dim(args: argparse.Namespace) -> int:
 
 def cmd_string_datum(args: argparse.Namespace) -> int:
     pattern = gtpattern.GTPattern.from_dict(_load_payload(args.gtp))
-    print(json.dumps(gtpattern.string_datum(pattern).to_dict(), indent=2, sort_keys=True))
+    datum = gtpattern.string_datum(pattern)
+    doc = {
+        "n": pattern.n,
+        "entries": [{"i": i, "j": j, "value": v} for (i, j), v in datum.items()],
+        "word": list(gtpattern.reduced_long_word(pattern.n)),
+        "along_word": list(gtpattern.along_word(datum, pattern.n)),
+    }
+    print(json.dumps(doc, indent=2, sort_keys=True))
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.gtp is not None or args.ssyt is not None:
-        kind, element = _element_from_args(args)
+        element = _element_from_args(args)[1]
         n = element.n
         if args.n is not None and args.n != n:
             raise ValueError(f"-n {args.n} disagrees with the payload's n={n}")
-        lam = element.top_row if kind == "gtp" else element.shape
-        shapes = [(n, as_partition(lam))]
+        shapes = [(n, element.shape)]
     elif args.all_upto is not None:
         if args.n is None:
             raise ValueError("--all-upto requires -n")

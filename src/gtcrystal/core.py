@@ -27,6 +27,16 @@ def require_positive(value: Any, noun: str) -> None:
         raise ShapeError(f"{noun} must be a positive integer, got {value!r}")
 
 
+def as_rows(rows: Any) -> tuple[tuple[Any, ...], ...]:
+    """``rows`` as a tuple of row tuples; ShapeError unless it is an array of arrays."""
+    if not isinstance(rows, (list, tuple)):
+        raise ShapeError(f"rows must be an array, got {rows!r}")
+    for r, row in enumerate(rows, start=1):
+        if not isinstance(row, (list, tuple)):
+            raise ShapeError(f"row {r} must be an array, got {row!r}")
+    return tuple(map(tuple, rows))
+
+
 def as_partition(parts: Iterable[int]) -> Partition:
     """Canonicalize a sequence into a partition (trailing zeros stripped).
 

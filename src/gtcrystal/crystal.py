@@ -2,10 +2,11 @@
 
 A model bundles the crystal data callables for one element type at a fixed
 rank.  Elements are frozen, hashable values and are compared, indexed and
-deduplicated by value.  The canonical key (the JSON serialization with sorted
-fields) is only the output form: it names the elements a violation reports
-and, rendered by the CLI, graph vertices; it is stable across models, runs
-and processes.
+deduplicated by value.  The canonical key (``render_key``: the JSON
+serialization with sorted fields) is only the output form, stable across
+models, runs and processes.  A violation keeps the elements and values it
+found and renders them once, when its report is rendered; the CLI renders
+the keys of the elements and graph vertices it prints.
 
 ``verify_shape`` is the one verification engine: it runs every check of one
 shape, each into a ``Report``, and returns the record ``verify`` prints.
@@ -28,7 +29,7 @@ class ClosureError(ValueError):
     """An operator image escapes the supplied element set."""
 
 
-def _render_key(data: dict) -> str:
+def render_key(data: dict) -> str:
     """The canonical key of a serialized element: compact JSON with sorted fields."""
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
@@ -48,9 +49,6 @@ class CrystalModel:
     @property
     def labels(self) -> range:
         return range(1, self.n)
-
-    def canonical_key(self, element: Any) -> str:
-        return _render_key(element.to_dict())
 
 
 def pattern_model(n: int) -> CrystalModel:
@@ -97,30 +95,38 @@ def build_graph(model: CrystalModel, elements: Sequence[Any]) -> list[tuple[Any,
                 continue
             if image not in members:
                 raise ClosureError(
-                    f"lowering {model.canonical_key(element)} along {i} escapes the element set: "
-                    f"{model.canonical_key(image)}"
+                    f"lowering {render_key(element.to_dict())} along {i} escapes the element set: "
+                    f"{render_key(image.to_dict())}"
                 )
             edges.append((element, i, image))
     return edges
 
 
+def _render(value: Any) -> str:
+    """A witness value as report text: an element (anything with ``to_dict``)
+    as its key, anything else (``None``, an int, a weight, a fixed string)
+    with ``str``."""
+    return render_key(value.to_dict()) if hasattr(value, "to_dict") else str(value)
+
+
 @dataclass
 class Violation:
-    """One failed check: which rule, the elements involved, what was expected."""
+    """One failed check: which rule, the elements involved, the label, and the
+    expected and actual values, kept as values and rendered by ``to_dict``."""
 
     rule: str
-    keys: tuple[str, ...]
+    elements: tuple[Any, ...]
     label: Optional[int]
-    expected: str
-    actual: str
+    expected: Any
+    actual: Any
 
     def to_dict(self) -> dict[str, Any]:
         return {
             "rule": self.rule,
-            "keys": list(self.keys),
+            "keys": [render_key(e.to_dict()) for e in self.elements],
             "label": self.label,
-            "expected": self.expected,
-            "actual": self.actual,
+            "expected": _render(self.expected),
+            "actual": _render(self.actual),
         }
 
 
@@ -154,11 +160,6 @@ class Report:
         return record
 
 
-def _image_key(model: CrystalModel, image: Optional[Any]) -> str:
-    """An operator image as a report string: its key, or ``None`` when absent."""
-    return "None" if image is None else model.canonical_key(image)
-
-
 def verify_axioms(model: CrystalModel, elements: Sequence[Any]) -> Report:
     """Check the crystal axioms over a closed element set.
 
@@ -176,10 +177,6 @@ def verify_axioms(model: CrystalModel, elements: Sequence[Any]) -> Report:
     if len(members) != len(elements):
         raise ValueError("elements are not distinct")
 
-    def keys(*involved: Any) -> tuple[str, ...]:
-        # Elements are compared by value; keys are rendered only for a violation.
-        return tuple(map(model.canonical_key, involved))
-
     for b in elements:
         wt = model.weight(b)
         for i in model.labels:
@@ -187,36 +184,36 @@ def verify_axioms(model: CrystalModel, elements: Sequence[Any]) -> Report:
             eps = model.epsilon(b, i)
             pairing = coroot_pairing(wt, i)
             if phi - eps != pairing:
-                report.add("pairing", keys(b), i, f"phi - epsilon = {pairing}", f"{phi} - {eps}")
+                report.add("pairing", (b,), i, f"phi - epsilon = {pairing}", f"{phi} - {eps}")
             down = model.lower(b, i)
             if (down is None) != (phi == 0):
-                report.add("lower-domain", keys(b), i, f"image iff phi > 0 (phi = {phi})", f"{down is not None}")
+                report.add("lower-domain", (b,), i, f"image iff phi > 0 (phi = {phi})", down is not None)
             if down is not None:
                 if down not in members:
-                    report.add("closure", keys(b, down), i, "lowering image inside the element set", "escaped")
+                    report.add("closure", (b, down), i, "lowering image inside the element set", "escaped")
                 else:
                     back = model.raise_(down, i)
                     if back != b:
-                        report.add("inverse", keys(b, down), i, "raising inverts lowering", _image_key(model, back))
+                        report.add("inverse", (b, down), i, "raising inverts lowering", back)
                     expected_wt = list(wt)
                     expected_wt[i - 1] -= 1
                     expected_wt[i] += 1
                     if list(model.weight(down)) != expected_wt:
-                        report.add("weight-step", keys(b, down), i, f"{tuple(expected_wt)}", f"{model.weight(down)}")
+                        report.add("weight-step", (b, down), i, tuple(expected_wt), model.weight(down))
                     if model.epsilon(down, i) != eps + 1:
-                        report.add("epsilon-step", keys(b, down), i, f"{eps + 1}", f"{model.epsilon(down, i)}")
+                        report.add("epsilon-step", (b, down), i, eps + 1, model.epsilon(down, i))
                     if model.phi(down, i) != phi - 1:
-                        report.add("phi-step", keys(b, down), i, f"{phi - 1}", f"{model.phi(down, i)}")
+                        report.add("phi-step", (b, down), i, phi - 1, model.phi(down, i))
             up = model.raise_(b, i)
             if (up is None) != (eps == 0):
-                report.add("raise-domain", keys(b), i, f"image iff epsilon > 0 (epsilon = {eps})", f"{up is not None}")
+                report.add("raise-domain", (b,), i, f"image iff epsilon > 0 (epsilon = {eps})", up is not None)
             if up is not None:
                 if up not in members:
-                    report.add("closure", keys(b, up), i, "raising image inside the element set", "escaped")
+                    report.add("closure", (b, up), i, "raising image inside the element set", "escaped")
                 else:
                     back = model.lower(up, i)
                     if back != b:
-                        report.add("inverse", keys(b, up), i, "lowering inverts raising", _image_key(model, back))
+                        report.add("inverse", (b, up), i, "lowering inverts raising", back)
     return report
 
 
@@ -237,22 +234,18 @@ def verify_isomorphism(
     report = Report()
     seen_images = set()
 
-    def keys() -> tuple[str, str]:
-        # The pair (a, b) under test, rendered only for a violation.
-        return model_a.canonical_key(a), model_b.canonical_key(b)
-
     for a in elements_a:
         b = mapping(a)
         if b in seen_images:
-            report.add("injective", keys(), None, "distinct images", "duplicate image")
+            report.add("injective", (a, b), None, "distinct images", "duplicate image")
         seen_images.add(b)
         if model_a.weight(a) != model_b.weight(b):
-            report.add("weight", keys(), None, f"{model_a.weight(a)}", f"{model_b.weight(b)}")
+            report.add("weight", (a, b), None, model_a.weight(a), model_b.weight(b))
         for i in model_a.labels:
             if model_a.phi(a, i) != model_b.phi(b, i):
-                report.add("phi", keys(), i, f"{model_a.phi(a, i)}", f"{model_b.phi(b, i)}")
+                report.add("phi", (a, b), i, model_a.phi(a, i), model_b.phi(b, i))
             if model_a.epsilon(a, i) != model_b.epsilon(b, i):
-                report.add("epsilon", keys(), i, f"{model_a.epsilon(a, i)}", f"{model_b.epsilon(b, i)}")
+                report.add("epsilon", (a, b), i, model_a.epsilon(a, i), model_b.epsilon(b, i))
             for rule, op_a, op_b in (
                 ("lower-intertwine", model_a.lower, model_b.lower),
                 ("raise-intertwine", model_a.raise_, model_b.raise_),
@@ -261,12 +254,12 @@ def verify_isomorphism(
                 direct = op_b(b, i)
                 mapped = None if image_a is None else mapping(image_a)
                 if mapped != direct:
-                    report.add(rule, keys(), i, _image_key(model_b, mapped), _image_key(model_b, direct))
+                    report.add(rule, (a, b), i, mapped, direct)
     target = set(elements_b)
-    for key in sorted(map(model_b.canonical_key, target - seen_images)):
-        report.add("surjective", (key,), None, "covered by the mapping", "not hit")
-    for key in sorted(map(model_b.canonical_key, seen_images - target)):
-        report.add("into-target", (key,), None, "image inside the target set", "outside")
+    for b in sorted(target - seen_images, key=_render):
+        report.add("surjective", (b,), None, "covered by the mapping", "not hit")
+    for b in sorted(seen_images - target, key=_render):
+        report.add("into-target", (b,), None, "image inside the target set", "outside")
     return report
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Any, Optional
 
-from .core import Partition, ShapeError, Weight, as_partition, pad, require_positive
+from .core import Partition, ShapeError, Weight, as_partition, as_rows, pad, require_positive
 
 
 class NonNegativityError(ValueError):
@@ -51,8 +51,8 @@ class GTPattern:
         return 0
 
     @property
-    def top_row(self) -> Partition:
-        """The fixed top row as a canonical partition."""
+    def shape(self) -> Partition:
+        """The fixed top row as a canonical partition, the shape of the tableau."""
         return as_partition(self.rows[0])
 
     def compact(self) -> str:
@@ -88,7 +88,7 @@ def validate_pattern(n: int, rows: Any) -> GTPattern:
     InterleaveError carrying the (i, j) coordinates of the offending entry.
     """
     require_positive(n, "row count")
-    rows = tuple(tuple(r) for r in rows)
+    rows = as_rows(rows)
     if len(rows) != n:
         raise ShapeError(f"expected {n} rows, got {len(rows)}")
     for k, row in enumerate(rows):
@@ -347,61 +347,33 @@ def reduced_long_word(n: int) -> tuple[int, ...]:
     return tuple(word)
 
 
-@dataclass(frozen=True)
-class StringDatum:
-    """Table of string exponents d[i,j] for 1 <= i < j <= n.
-
-    ``entries`` holds (i, j, value) triples sorted by (i, j).  The value at
-    (i, j) is the number of boxes the prefix rows gain between levels j-1
-    and j, truncated at column j - i; see ``string_datum``.
-    """
-
-    n: int
-    entries: tuple[tuple[int, int, int], ...]
-
-    def value(self, i: int, j: int) -> int:
-        for a, b, v in self.entries:
-            if (a, b) == (i, j):
-                return v
-        raise IndexError(f"no entry ({i},{j}) in a table for n={self.n}")
-
-    def in_word_order(self) -> tuple[int, ...]:
-        """Values aligned with ``reduced_long_word(n)``.
-
-        The word splits into blocks (k, k-1, ..., 1) for k = 1..n-1; the
-        position carrying letter l within block k corresponds to the table
-        entry (k+1-l, k+1).  Read along the word, the values are the exact
-        numbers of times the raising operator with the letter's label
-        applies maximally, left to right (confirmed by exhaustive iteration
-        at desk scale; see the verification suite).
-        """
-        out: list[int] = []
-        for k in range(1, self.n):
-            for letter in range(k, 0, -1):
-                out.append(self.value(k + 1 - letter, k + 1))
-        return tuple(out)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "n": self.n,
-            "entries": [{"i": i, "j": j, "value": v} for i, j, v in self.entries],
-            "word": list(reduced_long_word(self.n)),
-            "along_word": list(self.in_word_order()),
-        }
-
-
-def string_datum(pattern: GTPattern) -> StringDatum:
-    """Closed-form string exponents: d[i,j] = sum over m = 1..j-i of
-    (entry(j, m) - entry(j-1, m)).
+def string_datum(pattern: GTPattern) -> dict[tuple[int, int], int]:
+    """Closed-form string exponents {(i, j): d[i,j]} for 1 <= i < j <= n, in
+    sorted (i, j) order: d[i,j] = sum over m = 1..j-i of (entry(j, m) -
+    entry(j-1, m)), the boxes the prefix rows gain between levels j-1 and j,
+    truncated at column j - i.
 
     Every value is non-negative because consecutive rows interleave; a
     negative one raises RuntimeError.
     """
-    entries = []
+    datum = {}
     for i in range(1, pattern.n + 1):
         for j in range(i + 1, pattern.n + 1):
             value = sum(pattern.entry(j, m) - pattern.entry(j - 1, m) for m in range(1, j - i + 1))
             if value < 0:
                 raise RuntimeError(f"negative string exponent d[{i},{j}] = {value} indicates a bug")
-            entries.append((i, j, value))
-    return StringDatum(pattern.n, tuple(entries))
+            datum[i, j] = value
+    return datum
+
+
+def along_word(datum: dict[tuple[int, int], int], n: int) -> tuple[int, ...]:
+    """The string exponents of an n-row pattern aligned with ``reduced_long_word(n)``.
+
+    The word splits into blocks (k, k-1, ..., 1) for k = 1..n-1; the
+    position carrying letter l within block k corresponds to the table
+    entry (k+1-l, k+1).  Read along the word, the values are the exact
+    numbers of times the raising operator with the letter's label applies
+    maximally, left to right (confirmed by exhaustive iteration at desk
+    scale; see the verification suite).
+    """
+    return tuple(datum[k + 1 - letter, k + 1] for k in range(1, n) for letter in range(k, 0, -1))

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
-from .core import Partition, ShapeError, Weight, as_partition, require_positive
+from .core import Partition, ShapeError, Weight, as_partition, as_rows, require_positive
 
 
 class TableauError(ValueError):
@@ -76,13 +76,16 @@ class Tableau:
 def validate_tableau(n: int, shape: Sequence[int], rows: Any) -> Tableau:
     """Validate a filling against a shape and return the tableau.
 
-    Raises ShapeError on a shape/filling mismatch, AlphabetError for letters
-    outside 1..n, RowOrderError and ColumnOrderError for ordering violations,
-    each reporting the first offending cell.
+    Raises ShapeError on a malformed shape or filling or a mismatch between
+    them, AlphabetError for letters outside 1..n, RowOrderError and
+    ColumnOrderError for ordering violations, each reporting the first
+    offending cell.
     """
     require_positive(n, "alphabet bound")
+    if not isinstance(shape, (list, tuple)):
+        raise ShapeError(f"shape must be an array, got {shape!r}")
     shape = as_partition(shape)
-    rows = tuple(tuple(r) for r in rows)
+    rows = as_rows(rows)
     if tuple(len(row) for row in rows) != shape:
         raise ShapeError(f"row lengths {tuple(len(r) for r in rows)} do not match shape {shape}")
     for r, row in enumerate(rows, start=1):

@@ -11,6 +11,7 @@ from dataclasses import replace
 
 from gtcrystal import (
     GTPattern,
+    along_word,
     build_graph,
     connectivity,
     coroot_pairing,
@@ -239,11 +240,11 @@ def test_string_exponent_table_matches_operator_iteration():
         word3 = reduced_long_word(3)
         for lam in [lam for n, lam in shape_sweep(max_rank=3) if n == 3]:
             for p in enumerate_patterns(3, lam):
-                assert string_datum(p).in_word_order() == raising_exponents(p, word3)
+                assert along_word(string_datum(p), 3) == raising_exponents(p, word3)
         word4 = reduced_long_word(4)
         for lam in [lam for n, lam in shape_sweep(max_boxes=4, max_rank=4) if n == 4]:
             for p in enumerate_patterns(4, lam):
-                assert string_datum(p).in_word_order() == raising_exponents(p, word4)
+                assert along_word(string_datum(p), 4) == raising_exponents(p, word4)
 
 
 def flipped_lower(pattern, i):

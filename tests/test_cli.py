@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from gtcrystal import cli, crystal, gtpattern
+from gtcrystal import cli, crystal, gtpattern, ssyt
 
 WORKED = '{"n":3,"rows":[[3,1,0],[3,1],[2]]}'
 WORKED_TAB = '{"n":3,"shape":[3,1],"rows":[[1,1,2],[2]]}'
@@ -140,6 +140,17 @@ def test_graph_json_document(capsys):
     assert all(u in keys and v in keys for u, _i, v in edges)
 
 
+@pytest.mark.parametrize("model, element_type", [("gtp", gtpattern.GTPattern), ("ssyt", ssyt.Tableau)])
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_graph_serializes_each_vertex_once(monkeypatch, capsys, model, element_type, fmt):
+    serialized = []
+    to_dict = element_type.to_dict
+    monkeypatch.setattr(element_type, "to_dict", lambda self: serialized.append(self) or to_dict(self))
+    code, _, _ = run(capsys, "graph", "-n", "3", "-l", "3,1,0", "--model", model, "--format", fmt)
+    assert code == 0
+    assert len(serialized) == len(set(serialized)) == 15
+
+
 def test_graph_degenerate_shapes(capsys):
     _, out, _ = run(capsys, "graph", "-n", "1", "-l", "4", "--format", "json")
     doc = json.loads(out)
@@ -222,6 +233,21 @@ def test_verify_row_count_must_match_the_payload(capsys, source, payload):
     code, out, _ = run(capsys, "verify", "-n", "3", source, payload)
     assert code == 0
     assert out.startswith("PASS n=3 shape=3,1 elements=15\n")
+
+
+@pytest.mark.parametrize(
+    "source, payload, message",
+    [
+        ("--gtp", '{"n":2,"rows":null}', "rows must be an array, got None"),
+        ("--gtp", '{"n":2,"rows":[[1,0],5]}', "row 2 must be an array, got 5"),
+        ("--ssyt", '{"n":2,"shape":5,"rows":[[1]]}', "shape must be an array, got 5"),
+        ("--ssyt", '{"n":2,"shape":[1],"rows":[null]}', "row 1 must be an array, got None"),
+    ],
+    ids=["rows-null", "row-not-array", "shape-not-array", "row-null"],
+)
+def test_payload_field_that_is_not_an_array_is_input_error(capsys, source, payload, message):
+    code, out, err = run(capsys, "biject", source, payload)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_verify_corrupt_element_is_input_error(tmp_path, capsys):

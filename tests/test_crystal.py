@@ -7,12 +7,14 @@ from gtcrystal import (
     ClosureError,
     build_graph,
     connectivity,
+    crystal,
     enumerate_patterns,
     enumerate_tableaux,
     highest_weight_elements,
     pattern_model,
     pattern_to_tableau,
     raise_gtp,
+    render_key,
     tableau_model,
     tableau_to_pattern,
     validate_pattern,
@@ -96,7 +98,7 @@ def test_edges_form_label_disjoint_paths(shape310):
             while (up := model.raise_(current, i)) is not None:
                 current = up
                 steps += 1
-            assert steps == expected, f"string through {model.canonical_key(element)} at label {i}"
+            assert steps == expected, f"string through {render_key(element.to_dict())} at label {i}"
 
 
 def test_graphs_by_value_over_the_sweep():
@@ -145,7 +147,7 @@ def test_axioms_flag_broken_lowering(shape310):
     assert any(v.rule == "lower-domain" for v in report.violations)
 
 
-def test_violation_cap_limits_report():
+def test_violation_cap_limits_report(monkeypatch):
     # With phi = 99 every (element, label) pair fails twice: the pairing, and
     # the lower domain where no image exists or the phi step where one does.
     model = pattern_model(3)
@@ -157,14 +159,19 @@ def test_violation_cap_limits_report():
             expected.append(("pairing", (b,), i))
             expected.append(("lower-domain", (b,), i) if down is None else ("phi-step", (b, down), i))
     assert len(expected) == 108
+    rendered = []
+    monkeypatch.setattr(crystal, "render_key", lambda data: rendered.append(data) or render_key(data))
     report = verify_axioms(replace(model, phi=lambda p, i: 99), elements)
+    # Witnesses are kept as values: building the report renders no key.
+    assert rendered == []
     # Past 100 a report keeps counting: every violation is found, only the
     # first 100 are kept as witnesses, in element order.
-    keyed = [(rule, tuple(map(model.canonical_key, involved)), i) for rule, involved, i in expected]
-    assert [(v.rule, v.keys, v.label) for v in report.violations] == keyed[:100]
+    assert [(v.rule, v.elements, v.label) for v in report.violations] == expected[:100]
     assert report.found == 108 and not report.passed
     record = report.to_dict()
     assert record["violations"] == 108 and len(record["details"]) == 100
+    # Rendering the report renders each element of a kept witness once.
+    assert len(rendered) == sum(len(v.elements) for v in report.violations) == 132
 
 
 def test_isomorphism_passes(shape310):
@@ -189,11 +196,11 @@ def test_isomorphism_detects_swapped_images(shape310):
     for t in tabs:
         by_weight.setdefault(tmodel.weight(t), []).append(t)
     pair = next(group for group in by_weight.values() if len(group) == 2)
-    swap = {tmodel.canonical_key(pair[0]): pair[1], tmodel.canonical_key(pair[1]): pair[0]}
+    swap = {pair[0]: pair[1], pair[1]: pair[0]}
 
     def tweaked(p):
         image = pattern_to_tableau(p)
-        return swap.get(tmodel.canonical_key(image), image)
+        return swap.get(image, image)
 
     report = verify_isomorphism(model, elements, tmodel, tweaked, elements_b=tabs)
     assert not report.passed
@@ -226,17 +233,16 @@ def test_canonical_key_is_injective():
     # Value equality and key equality agree: a == b exactly when their keys do.
     # Equal values are built twice, once directly and once through the
     # bijection and back, so equal elements are distinct objects too.
-    for model, enumerate_model, rebuild in (
-        (pattern_model, enumerate_patterns, lambda p: tableau_to_pattern(pattern_to_tableau(p))),
-        (tableau_model, enumerate_tableaux, lambda t: pattern_to_tableau(tableau_to_pattern(t))),
+    for enumerate_model, rebuild in (
+        (enumerate_patterns, lambda p: tableau_to_pattern(pattern_to_tableau(p))),
+        (enumerate_tableaux, lambda t: pattern_to_tableau(tableau_to_pattern(t))),
     ):
         key_of_value: dict = {}
         value_of_key: dict = {}
         for n, lam in shape_sweep():
-            m = model(n)
             for built in enumerate_model(n, lam):
                 for element in (built, rebuild(built)):
-                    key = m.canonical_key(element)
+                    key = render_key(element.to_dict())
                     assert key_of_value.setdefault(element, key) == key
                     assert value_of_key.setdefault(key, element) == element
         assert len(key_of_value) == len(value_of_key) > 100

@@ -12,6 +12,7 @@ from gtcrystal import (
     InterleaveError,
     NonNegativityError,
     ShapeError,
+    along_word,
     coroot_pairing,
     diamond_a,
     diamond_b,
@@ -282,25 +283,23 @@ def test_reduced_long_word():
 
 def test_string_datum_worked_example(worked):
     datum = string_datum(worked)
-    assert datum.value(1, 2) == 1
-    assert datum.value(1, 3) == 0
-    assert datum.value(2, 3) == 0
-    assert datum.in_word_order() == (1, 0, 0)
+    assert list(datum.items()) == [((1, 2), 1), ((1, 3), 0), ((2, 3), 0)]
+    assert along_word(datum, 3) == (1, 0, 0)
 
 
 def test_string_datum_highest_weight_vanishes():
     datum = string_datum(validate_pattern(4, [[4, 2, 1, 0], [4, 2, 1], [4, 2], [4]]))
-    assert all(v == 0 for _i, _j, v in datum.entries)
+    assert all(v == 0 for v in datum.values())
 
 
 def test_string_datum_two_row_case():
     datum = string_datum(validate_pattern(2, [[2, 0], [0]]))
-    assert datum.value(1, 2) == 2
+    assert datum[1, 2] == 2
 
 
 @given(p=pattern_st())
 def test_string_datum_non_negative(p):
-    assert all(v >= 0 for _i, _j, v in string_datum(p).entries)
+    assert all(v >= 0 for v in string_datum(p).values())
 
 
 def test_string_datum_rejects_non_interleaving_rows():

@@ -129,18 +129,18 @@ def test_each_reference_value_is_computed_once(monkeypatch):
     tableaux = enumerate_tableaux(n, lam)
     images = counted(monkeypatch, bijection, ["pattern_to_tableau", "tableau_to_pattern"])
     literals = counted(monkeypatch, gtpattern, ["diamond_a", "diamond_b", "sum_a", "sum_b"])
-    rendering = counted(monkeypatch, crystal, ["_render_key"])
+    rendering = counted(monkeypatch, crystal, ["render_key"])
     assert crystal.verify_shape(n, lam)["pass"]
     assert images == {"pattern_to_tableau": len(patterns), "tableau_to_pattern": len(tableaux)}
     assert sum(literals.values()) == len(patterns) * sum(4 * i + 6 for i in range(1, n))
     # Keys are rendered only to name a violation, and a passing shape has none.
-    assert rendering == {"_render_key": 0}
+    assert rendering == {"render_key": 0}
 
 
 def test_build_graph_renders_no_key(monkeypatch):
     n, lam = 5, (2, 1, 1)
-    rendering = counted(monkeypatch, crystal, ["_render_key"])
+    rendering = counted(monkeypatch, crystal, ["render_key"])
     edges = crystal.build_graph(crystal.pattern_model(n), enumerate_patterns(n, lam))
     edges += crystal.build_graph(crystal.tableau_model(n), enumerate_tableaux(n, lam))
     assert len(edges) > 0
-    assert rendering == {"_render_key": 0}
+    assert rendering == {"render_key": 0}

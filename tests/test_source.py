@@ -53,3 +53,26 @@ def test_every_public_definition_is_used():
     assert len(defined) > 50
     unused = {name for k, name in defined if not any(name in names for m, names in enumerate(uses) if m != k)}
     assert unused == TEST_REFERENCES
+
+
+def test_no_module_reads_another_modules_private_names():
+    # A ``_``-prefixed name is private to its module: no other package module
+    # imports it or reads it as an attribute of the module.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        modules = set()  # local names of package modules bound by ``from . import m``
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("gtcrystal")):
+                if node.module in (None, "gtcrystal"):
+                    modules.update(alias.asname or alias.name for alias in node.names)
+                found += [f"{path.name}:{node.lineno} {a.name}" for a in node.names if a.name.startswith("_")]
+        found += [
+            f"{path.name}:{node.lineno} {node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and node.attr.startswith("_")
+        ]
+    assert found == []
