@@ -4,8 +4,8 @@ Subcommands: enumerate, apply, biject, graph, verify, dim, string-datum.
 Streams are line-delimited JSON; graphs and reports are single JSON or DOT
 documents.  Exit codes: 0 for success (including an absent operator image,
 printed as the literal ``none``), 1 for a verification failure, 2 for an
-input error or input too large to process.  Set NO_COLOR to suppress
-colored pass/fail lines.
+input error or input too large to process, 3 for an internal error.  Set
+NO_COLOR to suppress colored pass/fail lines.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ def _parse_partition(text: str) -> Partition:
 
 
 def _load_payload(text: str) -> Any:
-    """Inline JSON when the value starts with '{', otherwise a file path."""
-    if text.lstrip().startswith("{"):
+    """Inline JSON when the value starts with '{' or '[', otherwise a file path."""
+    if text.lstrip().startswith(("{", "[")):
         return json.loads(text)
     with open(text, "r", encoding="utf-8") as handle:
         return json.load(handle)
@@ -251,6 +251,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except RecursionError:
         print("error: input too large: Python's recursion limit was exceeded", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def entry() -> None:

@@ -11,8 +11,9 @@ entry-by-entry forms as the reference.
 
 Indexing convention used everywhere in this package: ``entry(i, j)`` is the
 j-th entry of the row with i entries, both 1-based, and reads 0 whenever
-(i, j) falls outside the triangle.  Internally rows are stored in display
-order (``rows[0]`` is the n-entry top row), which is private to this module.
+(i, j) falls outside the triangle.  ``rows`` runs top-down from the n-entry
+row, the JSON payload order of ``to_dict``/``from_dict``; ``bijection`` reads
+and builds rows in that order too.
 """
 
 from __future__ import annotations

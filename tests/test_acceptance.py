@@ -8,6 +8,7 @@ stated wall-time budgets.
 import time
 from contextlib import contextmanager
 from dataclasses import replace
+from itertools import permutations
 
 from gtcrystal import (
     GTPattern,
@@ -28,6 +29,7 @@ from gtcrystal import (
     lower_ssyt,
     match_positions,
     pattern_model,
+    partitions_up_to,
     pattern_to_tableau,
     phi_gtp,
     phi_ssyt,
@@ -223,13 +225,16 @@ def test_dual_bracketing_implementations_agree():
                 assert match_positions(letters, i) == recursive_crossing(letters, i)
 
 
-def raising_exponents(pattern, word):
+def exponents(pattern, word, step):
+    # Apply ``step`` with each letter's label until it returns None; phi and
+    # epsilon are never read, so the closed form is checked against the
+    # operators alone.
     out = []
     current = pattern
     for letter in word:
         steps = 0
-        while (lifted := raise_gtp(current, letter)) is not None:
-            current = lifted
+        while (moved := step(current, letter)) is not None:
+            current = moved
             steps += 1
         out.append(steps)
     return tuple(out)
@@ -238,13 +243,26 @@ def raising_exponents(pattern, word):
 def test_string_exponent_table_matches_operator_iteration():
     with criterion("closed-form string exponents match operator iteration"):
         word3 = reduced_long_word(3)
-        for lam in [lam for n, lam in shape_sweep(max_rank=3) if n == 3]:
-            for p in enumerate_patterns(3, lam):
-                assert along_word(string_datum(p), 3) == raising_exponents(p, word3)
+        rows = [
+            (string_datum(p), exponents(p, word3, raise_gtp), exponents(p, word3, lower_gtp))
+            for lam in partitions_up_to(6, 3)
+            for p in enumerate_patterns(3, lam)
+        ]
+        assert len(rows) == 259
+        # Of the 6 orderings of the table entries along the word, exactly
+        # along_word's reproduces the raising exponents, and none the lowering.
+        # Given a table that maps each entry to itself, along_word returns its ordering.
+        entries = [(1, 2), (1, 3), (2, 3)]
+        orderings = list(permutations(entries))
+        raising = [o for o in orderings if all(tuple(d[e] for e in o) == up for d, up, _ in rows)]
+        lowering = [o for o in orderings if all(tuple(d[e] for e in o) == down for d, _, down in rows)]
+        assert raising == [along_word({e: e for e in entries}, 3)] == [((1, 2), (1, 3), (2, 3))]
+        assert lowering == []
         word4 = reduced_long_word(4)
-        for lam in [lam for n, lam in shape_sweep(max_boxes=4, max_rank=4) if n == 4]:
-            for p in enumerate_patterns(4, lam):
-                assert along_word(string_datum(p), 4) == raising_exponents(p, word4)
+        patterns4 = [p for lam in partitions_up_to(5, 4) for p in enumerate_patterns(4, lam)]
+        assert len(patterns4) == 441
+        for p in patterns4:
+            assert along_word(string_datum(p), 4) == exponents(p, word4, raise_gtp)
 
 
 def flipped_lower(pattern, i):

@@ -242,8 +242,11 @@ def test_verify_row_count_must_match_the_payload(capsys, source, payload):
         ("--gtp", '{"n":2,"rows":[[1,0],5]}', "row 2 must be an array, got 5"),
         ("--ssyt", '{"n":2,"shape":5,"rows":[[1]]}', "shape must be an array, got 5"),
         ("--ssyt", '{"n":2,"shape":[1],"rows":[null]}', "row 1 must be an array, got None"),
+        # A value starting with '[' is inline JSON, not a file path.
+        ("--gtp", "[1,2]", "pattern document must have exactly the keys 'n' and 'rows'"),
+        ("--ssyt", "[1,2]", "tableau document must have exactly the keys 'n', 'shape' and 'rows'"),
     ],
-    ids=["rows-null", "row-not-array", "shape-not-array", "row-null"],
+    ids=["rows-null", "row-not-array", "shape-not-array", "row-null", "pattern-array", "tableau-array"],
 )
 def test_payload_field_that_is_not_an_array_is_input_error(capsys, source, payload, message):
     code, out, err = run(capsys, "biject", source, payload)
@@ -334,6 +337,15 @@ def test_verify_reports_escaping_lowering_as_failure(monkeypatch, capsys):
     axioms = json.loads(out)["shapes"][0]["checks"]["axioms-patterns"]
     assert not axioms["pass"]
     assert any(detail["rule"] == "closure" for detail in axioms["details"])
+
+
+def test_internal_error_exits_three(monkeypatch, capsys):
+    # A kernel guard that rejects an operator's image is a defect of the
+    # program, not a failed check (1) or bad input (2).
+    monkeypatch.setattr(gtpattern, "_lower_scan", lambda p, i: (1, 1))
+    code, out, err = run(capsys, "apply", "f", "2", "--gtp", '{"n":3,"rows":[[3,1,0],[3,1],[3]]}')
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: crystal operator produced an invalid pattern") and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

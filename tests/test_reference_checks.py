@@ -1,16 +1,28 @@
 """The reference checks of ``crystal.verify_shape`` under mutants, and their call economy.
 
-Each mutant replaces one literal function (through its module attribute,
-where ``verify_shape`` reaches it) with a deterministic off-by-one on a
-subset of its inputs.  The violation count of every check is pinned over a
-fixed shape list of ranks 3 to 5, so a change to how the checks are
+Each mutant in ``MUTANTS`` replaces one literal function (through its module
+attribute, where ``verify_shape`` reaches it) with a deterministic off-by-one
+on a subset of its inputs.  The violation count of every check is pinned
+over a fixed shape list of ranks 3 to 5, so a change to how the checks are
 computed must reproduce each count exactly, and every mutant must fire at
-least one check.
+least one check.  Each mutant in ``GUARDED`` replaces a tableau operator or
+the reading it scans with the opposite choice; its first image is not
+semistandard, so ``verify_shape`` raises the guard's RuntimeError and
+``gtcrystal verify`` exits 3.
 """
 
 import pytest
 
-from gtcrystal import bijection, crystal, enumerate_patterns, enumerate_tableaux, gtpattern, validate_tableau
+from gtcrystal import (
+    bijection,
+    cli,
+    crystal,
+    enumerate_patterns,
+    enumerate_tableaux,
+    gtpattern,
+    ssyt,
+    validate_tableau,
+)
 
 SHAPES = ((3, (2, 1)), (4, (2, 1)), (4, (3, 2, 1)), (5, (2, 1, 1)))
 
@@ -65,6 +77,41 @@ def _pattern_to_tableau(orig):
     return mutant
 
 
+def _uncrossed_cells(t, i, letter):
+    word = ssyt.far_east_reading(t)
+    crossed = ssyt.match_positions(word.letters, i)
+    cells = enumerate(zip(word.letters, word.origin), start=1)
+    return [cell for pos, (x, cell) in cells if x == letter and pos not in crossed]
+
+
+def _lower_ssyt(_orig):
+    # Change the rightmost uncrossed i of the reading word instead of the leftmost.
+    def mutant(t, i):
+        cells = _uncrossed_cells(t, i, i)
+        return ssyt._with_cell_changed(t, *cells[-1], i + 1) if cells else None
+
+    return mutant
+
+
+def _raise_ssyt(_orig):
+    # Change the leftmost uncrossed i+1 of the reading word instead of the rightmost.
+    def mutant(t, i):
+        cells = _uncrossed_cells(t, i, i + 1)
+        return ssyt._with_cell_changed(t, *cells[0], i) if cells else None
+
+    return mutant
+
+
+def _far_east_reading(orig):
+    # Read the columns left to right, each still top to bottom.
+    def mutant(t):
+        word = orig(t)
+        pairs = sorted(zip(word.origin, word.letters), key=lambda pair: (pair[0][1], pair[0][0]))
+        return ssyt.ReadingWord(tuple(x for _, x in pairs), tuple(cell for cell, _ in pairs))
+
+    return mutant
+
+
 MUTANTS = {
     "diamond_a": (gtpattern, _diamond_a),
     "diamond_b": (gtpattern, _diamond_b),
@@ -106,6 +153,26 @@ def test_mutant_fires_pinned_checks(monkeypatch, name):
     fired = violations_by_check()
     assert fired, f"mutant {name} fired no check"
     assert fired == PINNED[name]
+
+
+# Tableau operator mutants: each yields a filling that is not semistandard,
+# which the changed-cell guard rejects before any check can count it.
+GUARDED = {
+    "lower_ssyt": (_lower_ssyt, "invalid tableau at (1,1): right neighbour 1 < 2"),
+    "raise_ssyt": (_raise_ssyt, "invalid tableau at (1,2): left neighbour 2 > 1"),
+    "far_east_reading": (_far_east_reading, "invalid tableau at (1,1): right neighbour 1 < 2"),
+}
+
+
+@pytest.mark.parametrize("name", list(GUARDED))
+def test_tableau_mutant_is_an_internal_error(monkeypatch, capsys, name):
+    make, message = GUARDED[name]
+    monkeypatch.setattr(ssyt, name, make(getattr(ssyt, name)))
+    with pytest.raises(RuntimeError) as caught:
+        crystal.verify_shape(3, (2, 1))
+    assert str(caught.value) == f"crystal operator produced an {message}"
+    assert cli.main(["verify", "-n", "3", "-l", "2,1"]) == 3
+    assert capsys.readouterr() == ("", f"internal error: {caught.value}\n")
 
 
 def counted(monkeypatch, module, names):

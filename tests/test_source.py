@@ -25,15 +25,12 @@ def test_package_has_no_assert_statements():
 
 
 def test_every_public_definition_is_used():
-    # A public module-level function or class must be used by code outside
-    # its own definition, in the package or a script, or be a test reference.
-    # The re-exports in __init__.py do not count as uses.
+    # A public module-level function or class must be used by package code
+    # outside its own definition, or be a test reference.  The re-exports in
+    # __init__.py do not count as uses.
     paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
-    paths += sorted((ROOT / "scripts").glob("*.py"))
     statements = [
-        (path, node)
-        for path in paths
-        for node in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body
+        node for path in paths for node in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body
     ]
     uses = [
         {
@@ -41,14 +38,12 @@ def test_every_public_definition_is_used():
             for sub in ast.walk(node)
             if isinstance(sub, (ast.Name, ast.Attribute))
         }
-        for _path, node in statements
+        for node in statements
     ]
     defined = [
         (k, node.name)
-        for k, (path, node) in enumerate(statements)
-        if path.parent == PACKAGE
-        and isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
+        for k, node in enumerate(statements)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
     ]
     assert len(defined) > 50
     unused = {name for k, name in defined if not any(name in names for m, names in enumerate(uses) if m != k)}
