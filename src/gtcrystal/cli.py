@@ -4,8 +4,9 @@ Subcommands: enumerate, apply, biject, graph, verify, dim, string-datum.
 Streams are line-delimited JSON; graphs and reports are single JSON or DOT
 documents.  Exit codes: 0 for success (including an absent operator image,
 printed as the literal ``none``), 1 for a verification failure, 2 for an
-input error or input too large to process, 3 for an internal error.  Set
-NO_COLOR to suppress colored pass/fail lines.
+input error or input too large to process, 3 for an internal error: a kernel
+guard that rejects an operator's image, or a lowering image outside the
+crystal in ``graph``.  Set NO_COLOR to suppress colored pass/fail lines.
 """
 
 from __future__ import annotations
@@ -102,6 +103,9 @@ def cmd_graph(args: argparse.Namespace) -> int:
     data = [e.to_dict() for e in elements]
     keys = [render_key(d) for d in data]
     key_of = dict(zip(elements, keys))
+    for u, i, v in edges:
+        if v not in key_of:
+            raise RuntimeError(f"lowering {key_of[u]} along {i} escapes the crystal: {render_key(v.to_dict())}")
     edges = sorted((key_of[u], i, key_of[v]) for u, i, v in edges)
     if args.format == "json":
         doc = {

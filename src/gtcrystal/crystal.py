@@ -8,6 +8,9 @@ models, runs and processes.  A violation keeps the elements and values it
 found and renders them once, when its report is rendered; the CLI renders
 the keys of the elements and graph vertices it prints.
 
+``build_graph`` is the one lowering walk: it returns every lowering edge,
+and its callers decide what an image outside the element set means.
+
 ``verify_shape`` is the one verification engine: it runs every check of one
 shape, each into a ``Report``, and returns the record ``verify`` prints.
 """
@@ -15,7 +18,6 @@ shape, each into a ``Report``, and returns the record ``verify`` prints.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
@@ -23,10 +25,6 @@ from . import bijection
 from . import gtpattern as gtp
 from . import ssyt
 from .core import Partition, Weight, coroot_pairing, weyl_dimension
-
-
-class ClosureError(ValueError):
-    """An operator image escapes the supplied element set."""
 
 
 def render_key(data: dict) -> str:
@@ -78,28 +76,17 @@ def tableau_model(n: int) -> CrystalModel:
 
 
 def build_graph(model: CrystalModel, elements: Sequence[Any]) -> list[tuple[Any, int, Any]]:
-    """The lowering edges (b, i, f_i b) of a closed element set, in element
-    order and then label order.
+    """Every lowering edge (b, i, f_i b) with an image, in element order and
+    then label order, whether or not the image is one of the elements.
 
-    The elements must be distinct and closed under the lowering operators;
-    an escaping image raises ClosureError naming the escaping element.
+    The elements must be distinct.  Each caller decides what an image outside
+    the set means: ``gtcrystal graph`` treats it as a defect, ``connectivity``
+    ignores it, and ``verify_axioms`` reports it through its ``closure`` rule.
     """
-    members = set(elements)
-    if len(members) != len(elements):
+    if len(set(elements)) != len(elements):
         raise ValueError("elements are not distinct")
-    edges = []
-    for element in elements:
-        for i in model.labels:
-            image = model.lower(element, i)
-            if image is None:
-                continue
-            if image not in members:
-                raise ClosureError(
-                    f"lowering {render_key(element.to_dict())} along {i} escapes the element set: "
-                    f"{render_key(image.to_dict())}"
-                )
-            edges.append((element, i, image))
-    return edges
+    lowered = ((b, i, model.lower(b, i)) for b in elements for i in model.labels)
+    return [edge for edge in lowered if edge[2] is not None]
 
 
 def _render(value: Any) -> str:
@@ -269,30 +256,25 @@ def highest_weight_elements(model: CrystalModel, elements: Sequence[Any]) -> lis
 
 
 def connectivity(model: CrystalModel, elements: Sequence[Any]) -> int:
-    """Number of weakly connected components of the lowering edges inside
-    ``elements``.  A lowering image outside the set adds no edge; the
+    """Number of weakly connected components of the ``build_graph`` edges
+    inside ``elements``.  An edge to an image outside the set is ignored; the
     ``closure`` rule of ``verify_axioms`` reports it."""
     neighbors: dict[Any, set[Any]] = {e: set() for e in elements}
-    for element in elements:
-        for i in model.labels:
-            image = model.lower(element, i)
-            if image in neighbors:
-                neighbors[element].add(image)
-                neighbors[image].add(element)
+    for element, _i, image in build_graph(model, elements):
+        if image in neighbors:
+            neighbors[element].add(image)
+            neighbors[image].add(element)
     seen: set[Any] = set()
     components = 0
     for start in neighbors:
-        if start in seen:
-            continue
-        components += 1
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            node = queue.popleft()
-            for other in neighbors[node]:
-                if other not in seen:
-                    seen.add(other)
-                    queue.append(other)
+        if start not in seen:
+            components += 1
+            stack = [start]
+            while stack:
+                node = stack.pop()
+                if node not in seen:
+                    seen.add(node)
+                    stack.extend(neighbors[node])
     return components
 
 

@@ -285,7 +285,8 @@ def _with_entry_changed(pattern: GTPattern, i: int, j: int, delta: int) -> GTPat
         elif j < i and value < low[j - 1]:
             problem = f"entry ({i},{j}) = {value} is below entry ({i - 1},{j}) = {low[j - 1]}"
     if problem is not None:
-        raise RuntimeError(f"crystal operator produced an invalid pattern at ({i},{j}): {problem}")
+        operator = f"{'f' if delta < 0 else 'e'}_{i} on {pattern.compact()}"
+        raise RuntimeError(f"crystal operator {operator} produced an invalid pattern at ({i},{j}): {problem}")
     rows = pattern.rows
     return GTPattern(pattern.n, rows[:k] + (row[: j - 1] + (value,) + row[j:],) + rows[k + 1 :])
 

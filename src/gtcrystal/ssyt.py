@@ -210,7 +210,8 @@ def _with_cell_changed(tableau: Tableau, r: int, c: int, letter: int) -> Tableau
     elif r < len(rows) and len(rows[r]) >= c and letter >= rows[r][c - 1]:
         problem = f"cell below holds {rows[r][c - 1]} <= {letter}"
     if problem is not None:
-        raise RuntimeError(f"crystal operator produced an invalid tableau at ({r},{c}): {problem}")
+        operator = (f"f_{row[c - 1]}" if letter > row[c - 1] else f"e_{letter}") + f" on {tableau.compact()}"
+        raise RuntimeError(f"crystal operator {operator} produced an invalid tableau at ({r},{c}): {problem}")
     return Tableau(tableau.n, rows[: r - 1] + (row[: c - 1] + (letter,) + row[c:],) + rows[r:])
 
 

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +11,7 @@ from gtcrystal import cli, crystal, gtpattern, ssyt
 
 WORKED = '{"n":3,"rows":[[3,1,0],[3,1],[2]]}'
 WORKED_TAB = '{"n":3,"shape":[3,1],"rows":[[1,1,2],[2]]}'
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -325,12 +330,20 @@ def test_verify_failure_exits_one(monkeypatch, capsys):
     assert "FAIL" in out
 
 
-def test_verify_reports_escaping_lowering_as_failure(monkeypatch, capsys):
-    # A lowering operator whose images leave the crystal is a failed check
-    # with closure witnesses, not an input error.
+ESCAPED = '{"n":3,"rows":[[99,1,0],[1,0],[1]]}'
+
+
+@pytest.fixture
+def escaping_lower(monkeypatch):
+    # A lowering operator whose images leave the crystal.
     lower = gtpattern.lower_gtp
-    escaped = gtpattern.validate_pattern(3, [[99, 1, 0], [1, 0], [1]])
+    escaped = gtpattern.GTPattern.from_dict(json.loads(ESCAPED))
     monkeypatch.setattr(gtpattern, "lower_gtp", lambda p, i: None if lower(p, i) is None else escaped)
+
+
+def test_verify_reports_escaping_lowering_as_failure(escaping_lower, capsys):
+    # An escaping lowering image is a failed check with closure witnesses,
+    # not an input error.
     code, out, err = run(capsys, "verify", "-n", "3", "-l", "2,1", "--json")
     assert code == 1
     assert err == ""
@@ -339,13 +352,57 @@ def test_verify_reports_escaping_lowering_as_failure(monkeypatch, capsys):
     assert any(detail["rule"] == "closure" for detail in axioms["details"])
 
 
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_graph_with_escaping_lowering_is_internal_error(escaping_lower, capsys, fmt):
+    # The graph of a crystal whose lowering leaves it is a defect of the
+    # program (3), not bad input (2), and nothing is printed.
+    code, out, err = run(capsys, "graph", "-n", "3", "-l", "2,1", "--format", fmt)
+    assert (code, out) == (3, "")
+    source = '{"n":3,"rows":[[2,1,0],[1,0],[1]]}'
+    assert err == f"internal error: lowering {source} along 1 escapes the crystal: {ESCAPED}\n"
+
+
 def test_internal_error_exits_three(monkeypatch, capsys):
     # A kernel guard that rejects an operator's image is a defect of the
     # program, not a failed check (1) or bad input (2).
     monkeypatch.setattr(gtpattern, "_lower_scan", lambda p, i: (1, 1))
     code, out, err = run(capsys, "apply", "f", "2", "--gtp", '{"n":3,"rows":[[3,1,0],[3,1],[3]]}')
     assert (code, out) == (3, "")
-    assert err.startswith("internal error: crystal operator produced an invalid pattern") and "Traceback" not in err
+    prefix = "internal error: crystal operator f_2 on 3,1,0/3,1/3 produced an invalid pattern at (2,1)"
+    assert err.startswith(prefix) and "Traceback" not in err
+
+
+EXIT_CODES_SCRIPT = f"""
+import contextlib, io, json, sys
+from gtcrystal import cli, gtpattern
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(list(argv))
+
+codes = [run("dim", "-n", "3", "-l", "2,1"), run("dim", "-n", "0", "-l", "")]
+diamond_a = gtpattern.diamond_a
+gtpattern.diamond_a = lambda p, i, j: diamond_a(p, i, j) + 1
+codes.append(run("verify", "-n", "3", "-l", "2,1"))
+gtpattern.diamond_a = diamond_a
+lower = gtpattern.lower_gtp
+escaped = gtpattern.GTPattern.from_dict(json.loads({ESCAPED!r}))
+gtpattern.lower_gtp = lambda p, i: None if lower(p, i) is None else escaped
+codes.append(run("graph", "-n", "3", "-l", "2,1", "--format", "json"))
+gtpattern.lower_gtp = lower
+gtpattern._lower_scan = lambda p, i: (1, 1)
+codes.append(run("apply", "f", "2", "--gtp", '{{"n":3,"rows":[[3,1,0],[3,1],[3]]}}'))
+print(json.dumps([sys.flags.optimize, codes]))
+"""
+
+
+def test_exit_codes_hold_under_optimize():
+    # ``python -O`` strips assert statements; every exit code must still hold:
+    # success, input error, failed check, escaping image, guard rejection.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    command = [sys.executable, "-O", "-c", EXIT_CODES_SCRIPT]
+    out = subprocess.run(command, env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert json.loads(out.stdout) == [1, [0, 2, 1, 3, 3]], out.stdout + out.stderr
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,6 @@ from dataclasses import replace
 import pytest
 
 from gtcrystal import (
-    ClosureError,
     build_graph,
     connectivity,
     crystal,
@@ -47,15 +46,17 @@ def test_build_graph_degenerate_cases():
     assert edges[0][1] == 1
 
 
-def test_build_graph_rejects_escaping_elements(shape310):
+def test_build_graph_returns_escaping_edges(shape310):
+    # Every lowering edge comes back, also one whose image is outside the
+    # set; connectivity ignores it.
     model, elements = shape310
     top = highest_weight_elements(model, elements)
-    with pytest.raises(ClosureError) as caught:
-        build_graph(model, top)
-    assert str(caught.value) == (
-        'lowering {"n":3,"rows":[[3,1,0],[3,1],[3]]} along 1 escapes the element set: '
-        '{"n":3,"rows":[[3,1,0],[3,1],[2]]}'
-    )
+    assert build_graph(model, top) == [
+        (top[0], 1, validate_pattern(3, [[3, 1, 0], [3, 1], [2]])),
+        (top[0], 2, validate_pattern(3, [[3, 1, 0], [3, 0], [3]])),
+    ]
+    assert top[0] == validate_pattern(3, [[3, 1, 0], [3, 1], [3]])
+    assert connectivity(model, top) == 1
 
 
 def test_build_graph_order_invariance(shape310):
@@ -256,7 +257,7 @@ def test_duplicate_elements_rejected():
     # only the distinctness check can reject it.
     elements = enumerate_patterns(2, (1,))
     repeated = elements + [validate_pattern(2, [list(row) for row in elements[0].rows])]
-    for check in (build_graph, verify_axioms):
+    for check in (build_graph, connectivity, verify_axioms):
         with pytest.raises(ValueError, match="not distinct"):
             check(pattern_model(2), repeated)
 

@@ -156,11 +156,12 @@ def test_mutant_fires_pinned_checks(monkeypatch, name):
 
 
 # Tableau operator mutants: each yields a filling that is not semistandard,
-# which the changed-cell guard rejects before any check can count it.
+# which the changed-cell guard rejects before any check can count it.  The
+# guard's message names the operator, the tableau it was applied to and the cell.
 GUARDED = {
-    "lower_ssyt": (_lower_ssyt, "invalid tableau at (1,1): right neighbour 1 < 2"),
-    "raise_ssyt": (_raise_ssyt, "invalid tableau at (1,2): left neighbour 2 > 1"),
-    "far_east_reading": (_far_east_reading, "invalid tableau at (1,1): right neighbour 1 < 2"),
+    "lower_ssyt": (_lower_ssyt, "f_1 on 1,1/3 produced an invalid tableau at (1,1): right neighbour 1 < 2"),
+    "raise_ssyt": (_raise_ssyt, "e_1 on 2,2/3 produced an invalid tableau at (1,2): left neighbour 2 > 1"),
+    "far_east_reading": (_far_east_reading, "f_1 on 1,1/3 produced an invalid tableau at (1,1): right neighbour 1 < 2"),
 }
 
 
@@ -170,7 +171,7 @@ def test_tableau_mutant_is_an_internal_error(monkeypatch, capsys, name):
     monkeypatch.setattr(ssyt, name, make(getattr(ssyt, name)))
     with pytest.raises(RuntimeError) as caught:
         crystal.verify_shape(3, (2, 1))
-    assert str(caught.value) == f"crystal operator produced an {message}"
+    assert str(caught.value) == f"crystal operator {message}"
     assert cli.main(["verify", "-n", "3", "-l", "2,1"]) == 3
     assert capsys.readouterr() == ("", f"internal error: {caught.value}\n")
 
