@@ -4,9 +4,9 @@ Subcommands: enumerate, apply, biject, graph, verify, dim, string-datum.
 Streams are line-delimited JSON; graphs and reports are single JSON or DOT
 documents.  Exit codes: 0 for success (including an absent operator image,
 printed as the literal ``none``), 1 for a verification failure, 2 for an
-input error or input too large to process, 3 for an internal error: a kernel
-guard that rejects an operator's image, or a lowering image outside the
-crystal in ``graph``.  Set NO_COLOR to suppress colored pass/fail lines.
+input error, such as a payload nested too deeply, 3 for an internal error:
+a kernel guard that rejects an operator's image, or a lowering image outside
+the crystal in ``graph``.  Set NO_COLOR to suppress colored pass/fail lines.
 """
 
 from __future__ import annotations
@@ -19,23 +19,28 @@ from typing import Any, Optional, Sequence
 
 from . import bijection, crystal, gtpattern, ssyt
 from .crystal import render_key
-from .core import Partition, as_partition, partitions_up_to, weyl_dimension
+from .core import Partition, ShapeError, as_partition, partitions_up_to, weyl_dimension
 
 _PALETTE = ("blue", "red", "forestgreen", "darkorange", "purple", "teal", "maroon", "goldenrod")
 
 
 def _parse_partition(text: str) -> Partition:
-    if text.strip() == "":
-        return ()
-    return as_partition(int(piece) for piece in text.split(","))
+    try:
+        parts = [int(piece) for piece in text.split(",")] if text.strip() else []
+    except ValueError:
+        raise ShapeError(f"shape {text!r} must be comma-separated integers") from None
+    return as_partition(parts)
 
 
 def _load_payload(text: str) -> Any:
     """Inline JSON when the value starts with '{' or '[', otherwise a file path."""
-    if text.lstrip().startswith(("{", "[")):
+    if not text.lstrip().startswith(("{", "[")):
+        with open(text, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    try:
         return json.loads(text)
-    with open(text, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+    except RecursionError:
+        raise ValueError("payload nests too deeply") from None
 
 
 def _element_from_args(args: argparse.Namespace):
@@ -251,9 +256,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
     except (ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        print("error: input too large: Python's recursion limit was exceeded", file=sys.stderr)
         return 2
     except RuntimeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

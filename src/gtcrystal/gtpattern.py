@@ -318,27 +318,19 @@ def enumerate_patterns(n: int, lam: Partition) -> list[GTPattern]:
     """All patterns with n rows and top row ``lam``, each exactly once.
 
     Order: lexicographically increasing on the concatenation of rows read
-    top-down, left-to-right.  Rows are generated from the fixed top row
-    downward; entry j of the row below row ``upper`` ranges over the closed
-    interval [upper[j+1], upper[j]], so no candidate is ever filtered out.
+    top-down, left-to-right.  The walk goes level by level down from the
+    fixed top row: entry j of the row below row ``upper`` ranges over the
+    closed interval [upper[j+1], upper[j]], so no candidate is filtered out.
     """
     require_positive(n, "row count")
-    top = pad(lam, n)
-
-    def extend(stack: list[tuple[int, ...]]) -> None:
-        upper = stack[-1]
-        if len(upper) == 1:
-            results.append(GTPattern(n, tuple(stack)))
-            return
-        ranges = [range(upper[j + 1], upper[j] + 1) for j in range(len(upper) - 1)]
-        for row in product(*ranges):
-            stack.append(row)
-            extend(stack)
-            stack.pop()
-
-    results: list[GTPattern] = []
-    extend([top])
-    return results
+    stacks = [(pad(lam, n),)]
+    for _ in range(n - 1):
+        stacks = [
+            stack + (row,)
+            for stack in stacks
+            for row in product(*(range(low, high + 1) for low, high in zip(stack[-1][1:], stack[-1])))
+        ]
+    return [GTPattern(n, stack) for stack in stacks]
 
 
 def reduced_long_word(n: int) -> tuple[int, ...]:

@@ -15,6 +15,8 @@ Cells are addressed by 1-based (row, column) pairs throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
+from operator import lt
 from typing import Any, Optional, Sequence
 
 from .core import Partition, ShapeError, Weight, as_partition, as_rows, require_positive
@@ -321,32 +323,21 @@ def enumerate_tableaux(n: int, lam: Partition) -> list[Tableau]:
     """All semistandard tableaux of the given shape with letters in 1..n.
 
     Order: lexicographically increasing on the concatenation of rows read
-    top-down, left-to-right.  Cells are filled row-major; each cell ranges
-    from the larger of its left neighbor and one more than its upper
-    neighbor (also at least its 1-based row index) up to n.
+    top-down, left-to-right.  The walk goes row by row: each weakly
+    increasing row of letters r..n extends the partial fillings whose last
+    row it exceeds strictly in every column.
     """
     require_positive(n, "alphabet bound")
     lam = as_partition(lam)
     if len(lam) > n:
         raise ShapeError(f"shape {lam} has more than {n} rows")
-    cells = [(r, c) for r in range(len(lam)) for c in range(lam[r])]
-    grid = [[0] * part for part in lam]
-    results: list[Tableau] = []
-
-    def fill(k: int) -> None:
-        if k == len(cells):
-            results.append(Tableau(n, tuple(tuple(row) for row in grid)))
-            return
-        r, c = cells[k]
-        low = r + 1
-        if c > 0:
-            low = max(low, grid[r][c - 1])
-        if r > 0:
-            low = max(low, grid[r - 1][c] + 1)
-        for value in range(low, n + 1):
-            grid[r][c] = value
-            fill(k + 1)
-        grid[r][c] = 0
-
-    fill(0)
-    return results
+    fillings: list[tuple[tuple[int, ...], ...]] = [()]
+    for r, part in enumerate(lam, start=1):
+        rows = list(combinations_with_replacement(range(r, n + 1), part))
+        fillings = [
+            filling + (row,)
+            for filling in fillings
+            for row in rows
+            if not filling or all(map(lt, filling[-1], row))
+        ]
+    return [Tableau(n, filling) for filling in fillings]

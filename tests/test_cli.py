@@ -49,6 +49,10 @@ def test_enumerate_rejects_bad_shape(capsys):
     code, _, err = run(capsys, "enumerate", "-n", "3", "-l", "1,2")
     assert code == 2
     assert "error" in err
+    for text in ("3,,1", "x"):
+        code, out, err = run(capsys, "enumerate", "-n", "3", "-l", text)
+        assert (code, out) == (2, "")
+        assert err == f"error: shape {text!r} must be comma-separated integers\n"
 
 
 def test_enumerate_rejects_overlong_shape(capsys):
@@ -406,13 +410,37 @@ def test_exit_codes_hold_under_optimize():
 
 
 @pytest.mark.parametrize(
-    "argv", [("enumerate", "-n", "1200", "-l", "1"), ("verify", "-n", "2", "-l", "1100")], ids=" ".join
+    "argv, last_line",
+    [
+        pytest.param(argv, last, id=" ".join(argv))
+        for argv, last in (
+            (("verify", "-n", "1", "-l", "1000"), "PASS 1 shape(s) verified"),
+            (("verify", "-n", "1", "--all-upto", "1000"), "PASS 1001 shape(s) verified"),
+            (("enumerate", "-n", "1000", "-l", ""), '{"n":1000,"rows":'),
+            (("graph", "-n", "1000", "-l", "", "--format", "dot"), "}"),
+        )
+    ],
 )
-def test_input_past_recursion_limit_is_input_error(capsys, argv):
+def test_deep_walks_run(capsys, argv, last_line):
+    # One-element crystals whose enumerators walk 1,000 rows or cells deep.
     code, out, err = run(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: input too large") and "Traceback" not in err
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1].startswith(last_line)
+    if argv[0] == "enumerate":
+        assert len(out.splitlines()) == 1
+        assert len(json.loads(out)["rows"]) == 1000
+
+
+@pytest.mark.parametrize("where", ["inline", "file"])
+def test_deeply_nested_payload_is_input_error(capsys, tmp_path, where):
+    payload = "[" * 5000 + "]" * 5000
+    if where == "file":
+        path = tmp_path / "payload.json"
+        path.write_text(payload, encoding="utf-8")
+        payload = str(path)
+    code, out, err = run(capsys, "biject", "--gtp", payload)
+    assert (code, out) == (2, "")
+    assert err == "error: payload nests too deeply\n"
 
 
 def test_usage_error_exits_two(capsys):

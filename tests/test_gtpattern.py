@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from itertools import islice, product
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from gtcrystal import (
     InterleaveError,
     NonNegativityError,
     ShapeError,
+    TableauError,
     along_word,
     coroot_pairing,
     diamond_a,
@@ -21,6 +23,7 @@ from gtcrystal import (
     epsilon_gtp,
     highest_weight_elements,
     lower_gtp,
+    partitions_up_to,
     pattern_model,
     phi_gtp,
     raise_gtp,
@@ -30,6 +33,7 @@ from gtcrystal import (
     sum_b,
     tableau_model,
     validate_pattern,
+    validate_tableau,
     weight_expressions,
     weight_gtp,
 )
@@ -195,6 +199,34 @@ def test_enumerate_order_is_lexicographic_on_concatenation():
         ((2, 0), (1,)),
         ((2, 0), (2,)),
     ]
+
+
+def test_enumerators_match_brute_force():
+    # Oracle: every filling of the free entries or cells, in lexicographic
+    # order, kept when the validator accepts it.  It shares no code with the
+    # level walks of either enumerator.
+    shapes = [(n, lam) for n in range(1, 5) for lam in partitions_up_to(4, n)]
+    assert len(shapes) == 37
+    for n, lam in shapes:
+        top = list(lam) + [0] * (n - len(lam))
+        patterns = []
+        for flat in product(range(top[0] + 1), repeat=n * (n - 1) // 2):
+            entries = iter(flat)
+            rows = [top] + [list(islice(entries, m)) for m in range(n - 1, 0, -1)]
+            try:
+                patterns.append(validate_pattern(n, rows))
+            except InterleaveError:
+                pass
+        assert enumerate_patterns(n, lam) == patterns, (n, lam)
+        tableaux = []
+        for flat in product(range(1, n + 1), repeat=sum(lam)):
+            letters = iter(flat)
+            rows = [list(islice(letters, m)) for m in lam]
+            try:
+                tableaux.append(validate_tableau(n, lam, rows))
+            except TableauError:
+                pass
+        assert enumerate_tableaux(n, lam) == tableaux, (n, lam)
 
 
 def test_enumerate_yields_distinct_valid_patterns():
