@@ -4,9 +4,9 @@ Subcommands: enumerate, apply, biject, graph, verify, dim, string-datum.
 Streams are line-delimited JSON; graphs and reports are single JSON or DOT
 documents.  Exit codes: 0 for success (including an absent operator image,
 printed as the literal ``none``), 1 for a verification failure, 2 for an
-input error, such as a payload nested too deeply, 3 for an internal error:
-a kernel guard that rejects an operator's image, or a lowering image outside
-the crystal in ``graph``.  Set NO_COLOR to suppress colored pass/fail lines.
+input error, such as a payload nested too deeply, 3 for any other exception:
+an internal error, such as a guard rejecting an operator image or, in
+``graph``, a lowering image outside the crystal.  NO_COLOR suppresses color.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Any, Optional, Sequence
 
 from . import bijection, crystal, gtpattern, ssyt
 from .crystal import render_key
-from .core import Partition, ShapeError, as_partition, partitions_up_to, weyl_dimension
+from .core import Partition, ShapeError, as_partition, partitions_up_to, quote, weyl_dimension
 
 _PALETTE = ("blue", "red", "forestgreen", "darkorange", "purple", "teal", "maroon", "goldenrod")
 
@@ -28,7 +28,7 @@ def _parse_partition(text: str) -> Partition:
     try:
         parts = [int(piece) for piece in text.split(",")] if text.strip() else []
     except ValueError:
-        raise ShapeError(f"shape {text!r} must be comma-separated integers") from None
+        raise ShapeError(f"shape {quote(text)} must be comma-separated integers") from None
     return as_partition(parts)
 
 
@@ -245,19 +245,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse: usage error or --help
+        return int(exc.code or 0)
     except BrokenPipeError:
         return 0
-    except (ValueError, IndexError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
+    except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

@@ -21,19 +21,30 @@ class LengthError(ValueError):
     """A partition has more parts than the declared length allows."""
 
 
+class LabelError(ValueError, IndexError):
+    """An operator label outside 1..n-1: an input error that is also an IndexError."""
+
+
+def quote(value: Any) -> str:
+    """An offending value in an error message: its repr up to 40 characters, else its type and length."""
+    text = repr(value)
+    size = len(value) if hasattr(value, "__len__") else len(text)  # an int's length counts its digits
+    return text if len(text) <= 40 else f"{type(value).__name__} of length {size}"
+
+
 def require_positive(value: Any, noun: str) -> None:
     """Raise ShapeError naming ``noun`` unless ``value`` is a positive integer."""
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ShapeError(f"{noun} must be a positive integer, got {value!r}")
+        raise ShapeError(f"{noun} must be a positive integer, got {quote(value)}")
 
 
 def as_rows(rows: Any) -> tuple[tuple[Any, ...], ...]:
     """``rows`` as a tuple of row tuples; ShapeError unless it is an array of arrays."""
     if not isinstance(rows, (list, tuple)):
-        raise ShapeError(f"rows must be an array, got {rows!r}")
+        raise ShapeError(f"rows must be an array, got {quote(rows)}")
     for r, row in enumerate(rows, start=1):
         if not isinstance(row, (list, tuple)):
-            raise ShapeError(f"row {r} must be an array, got {row!r}")
+            raise ShapeError(f"row {r} must be an array, got {quote(row)}")
     return tuple(map(tuple, rows))
 
 
@@ -46,7 +57,7 @@ def as_partition(parts: Iterable[int]) -> Partition:
     seq = tuple(parts)
     for x in seq:
         if not isinstance(x, int) or isinstance(x, bool):
-            raise ShapeError(f"partition entries must be integers, got {x!r}")
+            raise ShapeError(f"partition entries must be integers, got {quote(x)}")
         if x < 0:
             raise ShapeError(f"partition entries must be non-negative, got {x}")
     for k in range(len(seq) - 1):

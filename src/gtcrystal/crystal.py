@@ -17,6 +17,7 @@ shape, each into a ``Report``, and returns the record ``verify`` prints.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
@@ -257,24 +258,20 @@ def highest_weight_elements(model: CrystalModel, elements: Sequence[Any]) -> lis
 
 def connectivity(model: CrystalModel, elements: Sequence[Any]) -> int:
     """Number of weakly connected components of the ``build_graph`` edges
-    inside ``elements``.  An edge to an image outside the set is ignored; the
-    ``closure`` rule of ``verify_axioms`` reports it."""
+    inside ``elements``, counted by popping one component after another from
+    the neighbour map until it is empty.  An edge to an image outside the set
+    is ignored; the ``closure`` rule of ``verify_axioms`` reports it."""
     neighbors: dict[Any, set[Any]] = {e: set() for e in elements}
     for element, _i, image in build_graph(model, elements):
         if image in neighbors:
             neighbors[element].add(image)
             neighbors[image].add(element)
-    seen: set[Any] = set()
     components = 0
-    for start in neighbors:
-        if start not in seen:
-            components += 1
-            stack = [start]
-            while stack:
-                node = stack.pop()
-                if node not in seen:
-                    seen.add(node)
-                    stack.extend(neighbors[node])
+    while neighbors:
+        components += 1
+        stack = list(neighbors.popitem()[1])
+        while stack:
+            stack.extend(neighbors.pop(stack.pop(), ()))
     return components
 
 
@@ -289,7 +286,7 @@ def _letter_counts(t: ssyt.Tableau) -> list[list[int]]:
 
 
 def _identity_checks(
-    patterns: Sequence[gtp.GTPattern], images: dict[gtp.GTPattern, ssyt.Tableau]
+    patterns: Sequence[gtp.GTPattern], image: Callable[[gtp.GTPattern], ssyt.Tableau]
 ) -> tuple[Report, Report]:
     """(counting, algebraic) reports on the diamond data, from one literal table per level.
 
@@ -301,7 +298,7 @@ def _identity_checks(
     counting = algebraic = 0
     for p in patterns:
         n = p.n
-        c = _letter_counts(images[p])
+        c = _letter_counts(image(p))
         for i in range(1, n + 1):
             counting += sum(bijection.letter_count_in_row(p, i, k) != c[i][k] for k in range(1, n + 1))
         for i in range(1, n):
@@ -332,28 +329,18 @@ def verify_shape(n: int, lam: Partition) -> dict[str, Any]:
     pm = pattern_model(n)
     tm = tableau_model(n)
 
-    images = {p: bijection.pattern_to_tableau(p) for p in patterns}
-    preimages = {t: bijection.tableau_to_pattern(t) for t in tableaux}
-
-    # One bijection image per pattern and one preimage per tableau; an element
-    # outside the enumerated set is mapped directly.
-    def image(p: gtp.GTPattern) -> ssyt.Tableau:
-        t = images.get(p)
-        return bijection.pattern_to_tableau(p) if t is None else t
-
-    def preimage(t: ssyt.Tableau) -> gtp.GTPattern:
-        p = preimages.get(t)
-        return bijection.tableau_to_pattern(t) if p is None else p
-
+    # Each element is mapped through the bijection once, on first use.
+    image = functools.cache(bijection.pattern_to_tableau)
+    preimage = functools.cache(bijection.tableau_to_pattern)
     checks = {
         "dimension": Report(found=int(len(patterns) != weyl_dimension(n, lam))),
         "axioms-patterns": verify_axioms(pm, patterns),
         "axioms-tableaux": verify_axioms(tm, tableaux),
         "isomorphism": verify_isomorphism(pm, patterns, tm, image, tableaux),
     }
-    checks["counting-identities"], checks["algebraic-identities"] = _identity_checks(patterns, images)
+    checks["counting-identities"], checks["algebraic-identities"] = _identity_checks(patterns, image)
     round_trip = sum(preimage(image(p)) != p for p in patterns)
-    round_trip += sum(image(preimages[t]) != t for t in tableaux)
+    round_trip += sum(image(preimage(t)) != t for t in tableaux)
     checks["round-trip"] = Report(found=round_trip)
     connected = connectivity(pm, patterns) == 1
     unique_hw = len(highest_weight_elements(pm, patterns)) == 1

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Any, Optional
 
-from .core import Partition, ShapeError, Weight, as_partition, as_rows, pad, require_positive
+from .core import LabelError, Partition, ShapeError, Weight, as_partition, as_rows, pad, quote, require_positive
 
 
 class NonNegativityError(ValueError):
@@ -97,7 +97,7 @@ def validate_pattern(n: int, rows: Any) -> GTPattern:
             raise ShapeError(f"row with {n - k} slots has {len(row)} entries")
         for x in row:
             if not isinstance(x, int) or isinstance(x, bool):
-                raise ShapeError(f"entries must be integers, got {x!r}")
+                raise ShapeError(f"entries must be integers, got {quote(x)}")
     pattern = GTPattern(n, rows)
     for i in range(n, 0, -1):
         for j in range(1, i + 1):
@@ -117,20 +117,16 @@ def validate_pattern(n: int, rows: Any) -> GTPattern:
 
 def _check_label(pattern: GTPattern, i: int) -> None:
     if not 1 <= i <= pattern.n - 1:
-        raise IndexError(f"label {i} out of range 1..{pattern.n - 1}")
+        raise LabelError(f"label {i} out of range 1..{pattern.n - 1}")
 
 
 def _a(p: GTPattern, i: int, j: int) -> int:
-    # Signed diamond sum anchored at entry (i, j); zero by convention for j > i.
-    if j > i:
-        return 0
+    # Signed diamond sum anchored at entry (i, j); 0 for j > i, where every entry read is outside the triangle.
     return p.entry(i, j) - p.entry(i - 1, j) + p.entry(i, j + 1) - p.entry(i + 1, j + 1)
 
 
 def _b(p: GTPattern, i: int, j: int) -> int:
-    # Mirrored diamond sum; zero by convention for j > i + 1.
-    if j > i + 1:
-        return 0
+    # Mirrored diamond sum; 0 for j > i + 1, where every entry read is outside the triangle.
     return -p.entry(i, j) + p.entry(i - 1, j - 1) - p.entry(i, j - 1) + p.entry(i + 1, j)
 
 

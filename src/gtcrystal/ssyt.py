@@ -19,7 +19,7 @@ from itertools import combinations_with_replacement
 from operator import lt
 from typing import Any, Optional, Sequence
 
-from .core import Partition, ShapeError, Weight, as_partition, as_rows, require_positive
+from .core import LabelError, Partition, ShapeError, Weight, as_partition, as_rows, quote, require_positive
 
 
 class TableauError(ValueError):
@@ -85,15 +85,15 @@ def validate_tableau(n: int, shape: Sequence[int], rows: Any) -> Tableau:
     """
     require_positive(n, "alphabet bound")
     if not isinstance(shape, (list, tuple)):
-        raise ShapeError(f"shape must be an array, got {shape!r}")
+        raise ShapeError(f"shape must be an array, got {quote(shape)}")
     shape = as_partition(shape)
     rows = as_rows(rows)
     if tuple(len(row) for row in rows) != shape:
-        raise ShapeError(f"row lengths {tuple(len(r) for r in rows)} do not match shape {shape}")
+        raise ShapeError(f"row lengths {quote(tuple(map(len, rows)))} do not match shape {quote(shape)}")
     for r, row in enumerate(rows, start=1):
         for c, x in enumerate(row, start=1):
             if not isinstance(x, int) or isinstance(x, bool):
-                raise ShapeError(f"letters must be integers, got {x!r} at ({r},{c})")
+                raise ShapeError(f"letters must be integers, got {quote(x)} at ({r},{c})")
             if not 1 <= x <= n:
                 raise AlphabetError(f"letter {x} at ({r},{c}) outside 1..{n}")
     for r, row in enumerate(rows, start=1):
@@ -152,7 +152,7 @@ def match_positions(letters: Sequence[int], i: int) -> frozenset[int]:
 
 def _check_label(tableau: Tableau, i: int) -> None:
     if not 1 <= i <= tableau.n - 1:
-        raise IndexError(f"label {i} out of range 1..{tableau.n - 1}")
+        raise LabelError(f"label {i} out of range 1..{tableau.n - 1}")
 
 
 def _cancel(word: ReadingWord, i: int) -> tuple[list[tuple[int, int]], int, Optional[tuple[int, int]]]:

@@ -53,6 +53,8 @@ def test_enumerate_rejects_bad_shape(capsys):
         code, out, err = run(capsys, "enumerate", "-n", "3", "-l", text)
         assert (code, out) == (2, "")
         assert err == f"error: shape {text!r} must be comma-separated integers\n"
+    code, out, err = run(capsys, "enumerate", "-n", "3", "-l", "x" * 20000)
+    assert (code, out, err) == (2, "", "error: shape str of length 20000 must be comma-separated integers\n")
 
 
 def test_enumerate_rejects_overlong_shape(capsys):
@@ -262,6 +264,44 @@ def test_payload_field_that_is_not_an_array_is_input_error(capsys, source, paylo
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify", "--all-upto", "3"), "--all-upto requires -n"),
+        (("biject", "--ssyt", '{"n":2,"shape":[2],"rows":[[1,"x"]]}'), "letters must be integers, got 'x' at (1,2)"),
+        (("apply", "f", "5", "--gtp", WORKED), "label 5 out of range 1..2"),
+        (("apply", "e", "0", "--ssyt", WORKED_TAB), "label 0 out of range 1..2"),
+    ],
+    ids=["all-upto-without-n", "letter-not-integer", "gtp-label", "ssyt-label"],
+)
+def test_input_error_names_the_problem(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+BIG = [0] * 20000
+
+
+@pytest.mark.parametrize(
+    "source, document, message",
+    [
+        ("--gtp", {"n": 1, "rows": [[BIG]]}, "entries must be integers, got list of length 20000"),
+        ("--gtp", {"n": BIG, "rows": []}, "row count must be a positive integer, got list of length 20000"),
+        ("--gtp", {"n": 1, "rows": {f"k{k}": 0 for k in range(5000)}}, "rows must be an array, got dict of length 5000"),
+        ("--ssyt", {"n": 1, "shape": "x" * 20000, "rows": []}, "shape must be an array, got str of length 20000"),
+        ("--ssyt", {"n": 1, "shape": [1], "rows": [[BIG]]}, "letters must be integers, got list of length 20000 at (1,1)"),
+        ("--ssyt", {"n": 1, "shape": [1] * 20000, "rows": []}, "row lengths () do not match shape tuple of length 20000"),
+        ("--ssyt", {"n": 2, "shape": [2, 1], "rows": [[1, 1]]}, "row lengths (2,) do not match shape (2, 1)"),
+    ],
+    ids=["pattern-entry", "row-count", "rows", "tableau-shape", "tableau-letter", "shape-mismatch", "short-mismatch"],
+)
+def test_error_quotes_a_large_value_by_type_and_length(capsys, source, document, message):
+    # The whole value would make one error line of 20 to 60 KB.
+    code, out, err = run(capsys, "biject", source, json.dumps(document))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert len(err.encode()) < 200
+
+
 def test_verify_corrupt_element_is_input_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"n":3,"rows":[[3,1,0],[3,2],[2]]}')
@@ -376,6 +416,22 @@ def test_internal_error_exits_three(monkeypatch, capsys):
     assert err.startswith(prefix) and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "exc, message",
+    [(KeyError("rows"), "'rows'"), (IndexError("tuple index out of range"), "tuple index out of range")],
+    ids=["KeyError", "IndexError"],
+)
+def test_any_defect_exits_three(monkeypatch, capsys, exc, message):
+    # An exception that no input check raises is a defect of the program (3),
+    # whatever its type: not a failed check (1) and not bad input (2).
+    def lower_gtp(p, i):
+        raise exc
+
+    monkeypatch.setattr(gtpattern, "lower_gtp", lower_gtp)
+    code, out, err = run(capsys, "verify", "-n", "3", "-l", "2,1")
+    assert (code, out, err) == (3, "", f"internal error: {message}\n")
+
+
 EXIT_CODES_SCRIPT = f"""
 import contextlib, io, json, sys
 from gtcrystal import cli, gtpattern
@@ -393,6 +449,11 @@ lower = gtpattern.lower_gtp
 escaped = gtpattern.GTPattern.from_dict(json.loads({ESCAPED!r}))
 gtpattern.lower_gtp = lambda p, i: None if lower(p, i) is None else escaped
 codes.append(run("graph", "-n", "3", "-l", "2,1", "--format", "json"))
+for exc in (KeyError("rows"), IndexError("tuple index out of range")):
+    def lower_gtp(p, i, exc=exc):
+        raise exc
+    gtpattern.lower_gtp = lower_gtp
+    codes.append(run("verify", "-n", "3", "-l", "2,1"))
 gtpattern.lower_gtp = lower
 gtpattern._lower_scan = lambda p, i: (1, 1)
 codes.append(run("apply", "f", "2", "--gtp", '{{"n":3,"rows":[[3,1,0],[3,1],[3]]}}'))
@@ -402,11 +463,12 @@ print(json.dumps([sys.flags.optimize, codes]))
 
 def test_exit_codes_hold_under_optimize():
     # ``python -O`` strips assert statements; every exit code must still hold:
-    # success, input error, failed check, escaping image, guard rejection.
+    # success, input error, failed check, escaping image, a KeyError and an
+    # IndexError raised by an operator, guard rejection.
     env = dict(os.environ, PYTHONPATH=str(SRC))
     command = [sys.executable, "-O", "-c", EXIT_CODES_SCRIPT]
     out = subprocess.run(command, env=env, capture_output=True, text=True, check=True, timeout=60)
-    assert json.loads(out.stdout) == [1, [0, 2, 1, 3, 3]], out.stdout + out.stderr
+    assert json.loads(out.stdout) == [1, [0, 2, 1, 3, 3, 3, 3]], out.stdout + out.stderr
 
 
 @pytest.mark.parametrize(
@@ -471,6 +533,12 @@ GOLDEN = {
     ("biject", "--gtp", WORKED): "8a8ab42abb273df8d3b2bad773390213e7fe0d2d717fd09aa0c40430fa48681d",
     ("biject", "--ssyt", WORKED_TAB): "9ab9fcf76658fedd2cee9161489873d8ac31e39a2ea1fdf0f3acd3b84dec331b",
     ("string-datum", "--gtp", WORKED): "524084c093fae24bb81351083c48291841ecdd8cd06c0affb31fd8f9a8562bf5",
+    ("enumerate", "-n", "3", "-l", "2,1", "--format", "text"): "f4fbfed45483f7b295c6f9d092d7f04b61896a0d2445c005b6dd447004248bba",
+    ("enumerate", "-n", "3", "-l", "2,1", "--model", "ssyt", "--format", "text"): "2fb99893d8c8114874cfe32edcf8259c9f85241785f40ce59d4a324de3943ac4",
+    # The empty tableau prints as "(empty)" in text and is labelled "-" in DOT.
+    ("enumerate", "-n", "2", "-l", "", "--model", "ssyt", "--format", "text"): "2da555d1d9c2dcf25d9be37ea00e3885170d431434c0a9b5b497beca1dd54f51",
+    ("apply", "f", "1", "--ssyt", WORKED_TAB, "--format", "text"): "b52838ffef9dec6f7aae7ce9059380352173af8e8e439bfe96942c141abc50ae",
+    ("graph", "-n", "2", "-l", "", "--model", "ssyt", "--format", "dot"): "2924cda667190db6b89a0284ce4b79cdb36bef1b7a0fd4eb5fd2e7f521c85f8b",
 }
 
 

@@ -9,6 +9,7 @@ from gtcrystal import (
     crystal,
     enumerate_patterns,
     enumerate_tableaux,
+    epsilon_gtp,
     highest_weight_elements,
     pattern_model,
     pattern_to_tableau,
@@ -19,6 +20,7 @@ from gtcrystal import (
     validate_pattern,
     verify_axioms,
     verify_isomorphism,
+    weight_gtp,
 )
 from sweeps import SPOT_RANK_5_SHAPES, shape_sweep
 
@@ -350,6 +352,51 @@ def test_truncated_witnesses():
             ("phi-step", (Q2, Q1), 1, "98", "99"),
             ("pairing", (Q2,), 2, "phi - epsilon = 0", "99 - 0"),
             ("lower-domain", (Q2,), 2, "image iff phi > 0 (phi = 99)", "False"),
+        ]
+    )
+
+
+def test_raise_domain_witnesses():
+    # e_2 never has an image: the pattern with a 2-string above it names the
+    # missing image, and lowering into it is no longer inverted.
+    broken = replace(pattern_model(3), raise_=lambda p, i: None if i == 2 else raise_gtp(p, i))
+    report = verify_axioms(broken, enumerate_patterns(3, (1,)))
+    assert json.dumps(report.to_dict()) == rendered_report(
+        [
+            ("raise-domain", (Q0,), 2, "image iff epsilon > 0 (epsilon = 1)", "False"),
+            ("inverse", (Q1, Q0), 2, "raising inverts lowering", "None"),
+        ]
+    )
+
+
+def test_weight_step_witnesses():
+    # The weight of Q1 shifted by the all-ones vector keeps every coroot
+    # pairing, so only the weight steps into and out of Q1 see it.
+    patterns = enumerate_patterns(3, (1,))
+    q1 = patterns[1]
+    broken = replace(pattern_model(3), weight=lambda p: tuple(x + (p == q1) for x in weight_gtp(p)))
+    report = verify_axioms(broken, patterns)
+    assert json.dumps(report.to_dict()) == rendered_report(
+        [
+            ("weight-step", (Q1, Q0), 2, "(1, 1, 2)", "(0, 0, 1)"),
+            ("weight-step", (Q2, Q1), 1, "(0, 1, 0)", "(1, 2, 1)"),
+        ]
+    )
+
+
+def test_epsilon_step_witnesses():
+    # epsilon of Q1 is one too large at both labels.
+    patterns = enumerate_patterns(3, (1,))
+    q1 = patterns[1]
+    broken = replace(pattern_model(3), epsilon=lambda p, i: epsilon_gtp(p, i) + (p == q1))
+    report = verify_axioms(broken, patterns)
+    assert json.dumps(report.to_dict()) == rendered_report(
+        [
+            ("pairing", (Q1,), 1, "phi - epsilon = -1", "0 - 2"),
+            ("pairing", (Q1,), 2, "phi - epsilon = 1", "1 - 1"),
+            ("epsilon-step", (Q1, Q0), 2, "2", "1"),
+            ("raise-domain", (Q1,), 2, "image iff epsilon > 0 (epsilon = 1)", "False"),
+            ("epsilon-step", (Q2, Q1), 1, "1", "2"),
         ]
     )
 

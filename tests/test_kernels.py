@@ -139,28 +139,38 @@ def test_tableau_kernels_match_literal_bracketing():
                     assert up == tableau_with(t, r, c, i)
 
 
+LOWER_BROKEN = GTPattern(2, ((0, 5), (0,)))  # unvalidated; A_1 at level 1 is -5
+RAISE_BROKEN = GTPattern(2, ((5, 0), (6,)))  # unvalidated; B_1 at level 1 is -1
+LOWER_MESSAGE = "negative lowering string length -5 at level 1 indicates a bug"
+RAISE_MESSAGE = "negative raising string length -1 at level 1 indicates a bug"
+
+
 def test_negative_string_length_raises():
-    broken = GTPattern(2, ((0, 5), (0,)))  # unvalidated; A_1 at level 1 is -5
-    with pytest.raises(RuntimeError, match="negative lowering string length -5"):
-        phi_gtp(broken, 1)
-    with pytest.raises(RuntimeError, match="negative lowering string length -5"):
-        lower_gtp(broken, 1)
+    for operator in (phi_gtp, lower_gtp):
+        with pytest.raises(RuntimeError, match=f"^{LOWER_MESSAGE}$"):
+            operator(LOWER_BROKEN, 1)
+    for operator in (epsilon_gtp, raise_gtp):
+        with pytest.raises(RuntimeError, match=f"^{RAISE_MESSAGE}$"):
+            operator(RAISE_BROKEN, 1)
 
 
 def test_negative_string_length_raises_under_optimization():
     script = (
-        "from gtcrystal import GTPattern, phi_gtp\n"
-        "try:\n"
-        "    phi_gtp(GTPattern(2, ((0, 5), (0,))), 1)\n"
-        "except RuntimeError as exc:\n"
-        "    print('raised', exc)\n"
-        "else:\n"
-        "    print('returned')\n"
+        "from gtcrystal import GTPattern, epsilon_gtp, phi_gtp, lower_gtp, raise_gtp\n"
+        f"for operator, p in ((phi_gtp, {LOWER_BROKEN!r}), (lower_gtp, {LOWER_BROKEN!r}),\n"
+        f"                    (epsilon_gtp, {RAISE_BROKEN!r}), (raise_gtp, {RAISE_BROKEN!r})):\n"
+        "    try:\n"
+        "        operator(p, 1)\n"
+        "    except RuntimeError as exc:\n"
+        "        print('raised', exc)\n"
+        "    else:\n"
+        "        print('returned')\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     command = [sys.executable, "-O", "-c", script]
     out = subprocess.run(command, env=env, capture_output=True, text=True, check=True, timeout=60)
-    assert out.stdout.startswith("raised negative lowering string length -5"), out.stdout + out.stderr
+    expected = [f"raised {message}" for message in (LOWER_MESSAGE,) * 2 + (RAISE_MESSAGE,) * 2]
+    assert out.stdout.splitlines() == expected, out.stdout + out.stderr
 
 
 @pytest.mark.parametrize(

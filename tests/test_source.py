@@ -71,3 +71,31 @@ def test_no_module_reads_another_modules_private_names():
             and node.attr.startswith("_")
         ]
     assert found == []
+
+
+def test_every_reported_rule_is_named_by_a_test():
+    # Each rule that verify_axioms or verify_isomorphism can report appears as
+    # a string in some other test file, so a test pins at least one witness of
+    # it.  A rule is the first argument of ``report.add``: a literal, or a
+    # loop variable bound from a tuple of (literal, ...) rows.
+    tree = ast.parse((PACKAGE / "crystal.py").read_text(encoding="utf-8"))
+    names = ("verify_axioms", "verify_isomorphism")
+    checks = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in names]
+    rules = set()
+    for node in (sub for check in checks for sub in ast.walk(check)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "add":
+            first = node.args[0]
+            assert isinstance(first, (ast.Constant, ast.Name)), ast.dump(first)
+            if isinstance(first, ast.Constant):
+                rules.add(first.value)
+        if isinstance(node, ast.For) and isinstance(node.iter, ast.Tuple):
+            rules.update(row.elts[0].value for row in node.iter.elts)
+    assert len(checks) == 2 and len(rules) == 16
+    named = {
+        node.value
+        for path in sorted(ROOT.glob("tests/*.py"))
+        if path.name != Path(__file__).name
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    assert sorted(rules - named) == []

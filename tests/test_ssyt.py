@@ -233,6 +233,8 @@ def test_enumerate_tableaux_counts_and_order():
     assert len(enumerate_tableaux(2, ())) == 1
     with pytest.raises(ShapeError, match="alphabet bound must be a positive integer"):
         enumerate_tableaux(0, ())
+    with pytest.raises(ShapeError, match=r"^shape \(1, 1, 1\) has more than 2 rows$"):
+        enumerate_tableaux(2, (1, 1, 1))
 
 
 def test_serialization_round_trip(reference):
