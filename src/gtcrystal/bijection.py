@@ -8,6 +8,8 @@ with zeros to i entries.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from .core import ShapeError
 from .gtpattern import GTPattern, validate_pattern
 from .ssyt import Tableau, validate_tableau
@@ -44,12 +46,12 @@ def pattern_to_tableau(pattern: GTPattern) -> Tableau:
 def tableau_to_pattern(tableau: Tableau) -> GTPattern:
     """Row i of the pattern is the shape of the letters at most i, padded to i entries.
 
-    Rows weakly increase, so the count per row is a prefix length.
+    Rows weakly increase, so the letters at most i form a prefix, found by bisection.
     """
     n = tableau.n
     rows = []
     for i in range(n, 0, -1):
-        shape_i = [sum(1 for x in row if x <= i) for row in tableau.rows]
+        shape_i = [bisect_right(row, i) for row in tableau.rows]
         shape_i = [count for count in shape_i if count > 0]
         rows.append(tuple(shape_i) + (0,) * (i - len(shape_i)))
     return validate_pattern(n, rows)

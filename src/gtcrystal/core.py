@@ -7,7 +7,7 @@ an explicit operation.  All arithmetic is exact integer arithmetic.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable
 
 Partition = tuple[int, ...]
 Weight = tuple[int, ...]
@@ -52,7 +52,8 @@ def as_partition(parts: Iterable[int]) -> Partition:
     """Canonicalize a sequence into a partition (trailing zeros stripped).
 
     Raises ShapeError if the sequence is not weakly decreasing or contains a
-    negative or non-integer entry.
+    negative or non-integer entry.  Those checks put every zero at the end, so
+    one slice strips them.
     """
     seq = tuple(parts)
     for x in seq:
@@ -63,9 +64,7 @@ def as_partition(parts: Iterable[int]) -> Partition:
     for k in range(len(seq) - 1):
         if seq[k] < seq[k + 1]:
             raise ShapeError(f"parts must be weakly decreasing, got {seq[k]} < {seq[k+1]} at position {k+1}")
-    while seq and seq[-1] == 0:
-        seq = seq[:-1]
-    return seq
+    return seq[: len(seq) - seq.count(0)]
 
 
 def pad(parts: Partition, n: int) -> tuple[int, ...]:
@@ -80,17 +79,17 @@ def weyl_dimension(n: int, lam: Partition) -> int:
     """Dimension of the irreducible gl_n module with highest weight ``lam``.
 
     Product over pairs 1 <= i < j <= n of (lam_i - lam_j + j - i) / (j - i),
-    computed as an exact integer quotient.  Used only as an independent
-    counting oracle for pattern enumeration.
+    an exact integer quotient; a pair of equal parts gives 1 and is skipped.
+    Used only as an independent counting oracle for pattern enumeration.
     """
     require_positive(n, "row count")
     padded = pad(lam, n)
-    num = 1
-    den = 1
+    num = den = 1
     for i in range(n):
         for j in range(i + 1, n):
-            num *= padded[i] - padded[j] + j - i
-            den *= j - i
+            if padded[i] != padded[j]:
+                num *= padded[i] - padded[j] + j - i
+                den *= j - i
     if num % den:
         raise RuntimeError(f"Weyl quotient {num}/{den} is not exact")
     return num // den
@@ -107,20 +106,13 @@ def partitions_up_to(max_size: int, max_parts: int) -> list[Partition]:
     """All partitions with at most ``max_parts`` parts and size at most ``max_size``.
 
     Includes the empty partition.  Ordered by size, then descending
-    lexicographically within each size.
+    lexicographically within each size.  The walk adds one part per level,
+    never more than the last part or the size left, for at most
+    min(max_parts, max_size) levels, since no part is below 1.
     """
-
-    def gen(remaining: int, bound: int, parts_left: int) -> Iterator[Partition]:
-        if remaining == 0:
-            yield ()
-            return
-        if parts_left == 0:
-            return
-        for first in range(min(remaining, bound), 0, -1):
-            for rest in gen(remaining - first, first, parts_left - 1):
-                yield (first,) + rest
-
-    out: list[Partition] = []
-    for total in range(max_size + 1):
-        out.extend(gen(total, total, max_parts))
-    return out
+    level: list[Partition] = [()]
+    found = [()] if max_size >= 0 else []
+    for _ in range(min(max_parts, max_size)):
+        level = [p + (k,) for p in level for k in range(1, min(p[-1:] + (max_size - sum(p),)) + 1)]
+        found += level
+    return sorted(found, key=lambda p: (sum(p), [-x for x in p]))

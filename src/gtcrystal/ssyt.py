@@ -118,16 +118,17 @@ class ReadingWord:
 
 
 def far_east_reading(tableau: Tableau) -> ReadingWord:
-    """Read columns right to left, each column top to bottom."""
+    """Read columns right to left, each top to bottom, up to the first row too short (lengths weakly decrease)."""
     rows = tableau.rows
     letters: list[int] = []
     origin: list[tuple[int, int]] = []
     width = len(rows[0]) if rows else 0
     for c in range(width, 0, -1):
         for r, row in enumerate(rows, start=1):
-            if len(row) >= c:
-                letters.append(row[c - 1])
-                origin.append((r, c))
+            if len(row) < c:
+                break
+            letters.append(row[c - 1])
+            origin.append((r, c))
     return ReadingWord(tuple(letters), tuple(origin))
 
 

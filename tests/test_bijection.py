@@ -3,6 +3,7 @@ from hypothesis import given
 
 from conftest import tableau_st
 from gtcrystal import (
+    GTPattern,
     diamond_a,
     diamond_b,
     enumerate_patterns,
@@ -27,6 +28,11 @@ def worked():
 
 def test_pattern_to_tableau_worked_example(worked):
     assert pattern_to_tableau(worked).rows == ((1, 1, 2), (2,))
+    # Unvalidated: row 1 of the pattern is not interleaved, so the fill breaks a column.
+    message = "bijection produced an invalid tableau: column 2 does not increase at (2,2): 2 >= 2"
+    with pytest.raises(RuntimeError) as err:
+        pattern_to_tableau(GTPattern(2, ((2, 2), (1,))))
+    assert str(err.value) == message
 
 
 def test_pattern_to_tableau_second_vertex():
@@ -71,6 +77,9 @@ def test_letter_count_in_row_worked_example(worked):
     assert letter_count_in_row(worked, 1, 3) == 0  # below the letter's row
     with pytest.raises(IndexError):
         letter_count_in_row(worked, 4, 1)
+    with pytest.raises(IndexError) as err:
+        letter_count_in_row(worked, 1, 4)
+    assert str(err.value) == "row 4 out of range 1..3"
 
 
 def test_counting_identities_exhaustive():

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -209,6 +210,26 @@ def test_verify_single_shape(capsys):
     code, out, _ = run(capsys, "verify", "-n", "3", "-l", "3,1,0")
     assert code == 0
     assert "PASS" in out
+
+
+def test_verify_colors_status_on_a_terminal(monkeypatch, capsys):
+    monkeypatch.delenv("NO_COLOR", raising=False)
+    monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
+    code, out, _ = run(capsys, "verify", "-n", "3", "-l", "2,1")
+    green = "\x1b[32mPASS\x1b[0m"
+    assert (code, out) == (0, f"{green} n=3 shape=2,1 elements=8\n{green} 1 shape(s) verified\n")
+    monkeypatch.setenv("NO_COLOR", "1")
+    code, out, _ = run(capsys, "verify", "-n", "3", "-l", "2,1")
+    assert (code, out) == (0, "PASS n=3 shape=2,1 elements=8\nPASS 1 shape(s) verified\n")
+
+
+def test_closed_stdout_exits_zero(monkeypatch):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert cli.main(["dim", "-n", "3", "-l", "2,1"]) == 0
 
 
 def test_verify_sweep_json_report(capsys):
@@ -491,6 +512,60 @@ def test_deep_walks_run(capsys, argv, last_line):
     if argv[0] == "enumerate":
         assert len(out.splitlines()) == 1
         assert len(json.loads(out)["rows"]) == 1000
+
+
+def compact(doc):
+    return json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
+
+
+HOOK_WIDTH, HOOK_ROWS = 300_000, 5000
+WIDE_WIDTH, WIDE_N = 1_600_000, 1000
+
+# Inputs in the order their validators check, each a second's work when the
+# helpers read that order.  A rescan per trailing zero, per row and column, or
+# per letter and cell, would take over a minute on each.
+LONG_ORDERED_INPUTS = {
+    "zero-tail shape": lambda: (
+        ("biject", "--ssyt"),
+        {"n": 1, "shape": [1] + [0] * 250_000, "rows": [[1]]},
+        compact({"n": 1, "rows": [[1]]}),
+    ),
+    "hook": lambda: (
+        ("apply", "f", "1", "--ssyt"),
+        {
+            "n": HOOK_ROWS,
+            "shape": [HOOK_WIDTH] + [1] * (HOOK_ROWS - 1),
+            "rows": [[1] * HOOK_WIDTH] + [[r] for r in range(2, HOOK_ROWS + 1)],
+        },
+        compact(
+            {
+                "n": HOOK_ROWS,
+                "shape": [HOOK_WIDTH] + [1] * (HOOK_ROWS - 1),
+                "rows": [[1] * (HOOK_WIDTH - 1) + [2]] + [[r] for r in range(2, HOOK_ROWS + 1)],
+            }
+        ),
+    ),
+    "wide row": lambda: (
+        ("biject", "--ssyt"),
+        {"n": WIDE_N, "shape": [WIDE_WIDTH], "rows": [[1] * WIDE_WIDTH]},
+        compact({"n": WIDE_N, "rows": [[WIDE_WIDTH] + [0] * (i - 1) for i in range(WIDE_N, 0, -1)]}),
+    ),
+    "dim of the empty shape at n=3000": lambda: (("dim", "-n", "3000", "-l", ""), None, "1\n"),
+}
+
+
+@pytest.mark.parametrize("case", list(LONG_ORDERED_INPUTS))
+def test_long_ordered_inputs_run(tmp_path, case):
+    argv, payload, expected = LONG_ORDERED_INPUTS[case]()
+    if payload is not None:
+        path = tmp_path / "payload.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        argv += (str(path),)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    command = [sys.executable, "-m", "gtcrystal.cli", *argv]
+    out = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout == expected
 
 
 @pytest.mark.parametrize("where", ["inline", "file"])

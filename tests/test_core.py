@@ -1,3 +1,5 @@
+from itertools import combinations_with_replacement
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -115,3 +117,16 @@ def test_partitions_up_to_counts():
         by_size.setdefault(sum(p), []).append(p)
     assert len(by_size[4]) == 5
     assert len(by_size[6]) == 9  # partitions of 6 with at most 4 parts
+    assert partitions_up_to(4, 2) == [(), (1,), (2,), (1, 1), (3,), (2, 1), (4,), (3, 1), (2, 2)]
+    assert partitions_up_to(-1, 2) == []
+    assert partitions_up_to(3, 10**9) == partitions_up_to(3, 3)  # at most max_size levels
+    # Brute force: multisets of positive parts, then by size and descending within a size.
+    every = [c[::-1] for k in range(9) for c in combinations_with_replacement(range(1, 16), k) if sum(c) <= 15]
+    for max_size in range(-1, 16):
+        for max_parts in range(9):
+            expected = [
+                p
+                for size in range(max_size + 1)
+                for p in sorted((q for q in every if sum(q) == size and len(q) <= max_parts), reverse=True)
+            ]
+            assert partitions_up_to(max_size, max_parts) == expected

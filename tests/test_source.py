@@ -50,6 +50,24 @@ def test_every_public_definition_is_used():
     assert unused == TEST_REFERENCES
 
 
+def test_no_package_function_calls_itself():
+    # Every walk is a loop, so no input meets Python's recursion limit: no
+    # function calls itself by its bare name.  A call through an attribute
+    # (``e.to_dict()`` inside ``Violation.to_dict``, ``super().__init__``)
+    # reaches another object's method and does not count.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                found += [
+                    f"{path.name}:{node.lineno} {func.name}"
+                    for node in ast.walk(func)
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == func.name
+                ]
+    assert found == []
+
+
 def test_no_module_reads_another_modules_private_names():
     # A ``_``-prefixed name is private to its module: no other package module
     # imports it or reads it as an attribute of the module.
