@@ -2,11 +2,16 @@
 
 Subcommands: enumerate, apply, biject, graph, verify, dim, string-datum.
 Streams are line-delimited JSON; graphs and reports are single JSON or DOT
-documents.  Exit codes: 0 for success (including an absent operator image,
-printed as the literal ``none``), 1 for a verification failure, 2 for an
-input error, such as a payload nested too deeply, 3 for any other exception:
-an internal error, such as a guard rejecting an operator image or, in
-``graph``, a lowering image outside the crystal.  NO_COLOR suppresses color.
+documents.  ``enumerate`` and ``graph`` render their JSON from one
+%-template per crystal, made from its first element by ``render_key`` (the
+key) and ``json.dumps`` (a graph's vertex and edge), and filled from each
+element's rows.  They write their output as they make it, after every
+check, and never hold a whole document.  Exit codes: 0 for success
+(including an absent operator image, printed as the literal ``none``), 1
+for a verification failure, 2 for an input error, such as a payload nested
+too deeply, 3 for any other exception: an internal error, such as a guard
+rejecting an operator image or, in ``graph``, a lowering image outside the
+crystal.  NO_COLOR suppresses color.
 """
 
 from __future__ import annotations
@@ -15,7 +20,9 @@ import argparse
 import json
 import os
 import sys
-from typing import Any, Optional, Sequence
+from itertools import chain
+from json.encoder import encode_basestring_ascii
+from typing import Any, Iterable, Optional, Sequence
 
 from . import bijection, crystal, gtpattern, ssyt
 from .crystal import render_key
@@ -61,16 +68,59 @@ def _status(ok: bool) -> str:
     return word
 
 
+def _placeholder(first: Any) -> dict:
+    """``first.to_dict()`` with each row entry replaced by the marker ``"%d"``.
+
+    Every element of one crystal has the n, shape and row lengths of its
+    first, so the JSON of this placeholder, made by ``render_key`` or
+    ``json.dumps`` and passed through ``_unmark``, is a %-template of the
+    JSON of each element, filled by ``_entries``.
+    """
+    data = first.to_dict()
+    data["rows"] = [["%d"] * len(row) for row in data["rows"]]
+    return data
+
+
+def _unmark(text: str) -> str:
+    """Turn the quoted markers ``"%d"`` and ``"%s"`` into %-fields; nothing else in the JSON holds a ``%``."""
+    return text.replace('"%d"', "%d").replace('"%s"', "%s")
+
+
+def _entries(element: Any) -> tuple[int, ...]:
+    """The row entries in reading order (``chain``, not ``sum(rows, ())``, which is quadratic in the rows)."""
+    return tuple(chain.from_iterable(element.rows))
+
+
+def _item(doc: dict) -> str:
+    """The %-template of ``doc`` as ``json.dumps(indent=2, sort_keys=True)`` lays out an item of a top-level array."""
+    return _unmark("    " + json.dumps(doc, indent=2, sort_keys=True).replace("\n", "\n    "))
+
+
+def _write_array(template: str, fills: Iterable[tuple]) -> None:
+    """Write the ``template % fill`` items as the array value of a top-level field, laid out as by ``json.dumps``."""
+    write = sys.stdout.write
+    sep = "["
+    for fill in fills:
+        write(f"{sep}\n{template % fill}")
+        sep = ","
+    write("[]" if sep == "[" else "\n  ]")
+
+
 def cmd_enumerate(args: argparse.Namespace) -> int:
     lam = _parse_partition(args.shape)
     patterns = gtpattern.enumerate_patterns(args.n, lam)
-    for p in patterns:
-        element = bijection.pattern_to_tableau(p) if args.model == "ssyt" else p
-        if args.format == "text":
+    # Each tableau is bijected as its line is due, so the first line waits for one.
+    elements = (bijection.pattern_to_tableau(p) for p in patterns) if args.model == "ssyt" else iter(patterns)
+    if args.format == "text":
+        for element in elements:
             print(element.pretty())
             print()
-        else:
-            print(render_key(element.to_dict()))
+        return 0
+    first = next(elements)
+    line = _unmark(render_key(_placeholder(first))) + "\n"
+    write = sys.stdout.write
+    for element in chain((first,), elements):
+        write(line % _entries(element))
     return 0
 
 
@@ -104,30 +154,37 @@ def cmd_graph(args: argparse.Namespace) -> int:
         model = crystal.pattern_model(args.n)
         elements = gtpattern.enumerate_patterns(args.n, lam)
     edges = crystal.build_graph(model, elements)
-    # Vertices keep element order; edges are sorted by (source key, label).
-    data = [e.to_dict() for e in elements]
-    keys = [render_key(d) for d in data]
-    key_of = dict(zip(elements, keys))
+    placeholder = _placeholder(elements[0])
+    key = _unmark(render_key(placeholder))
+    keys = [key % _entries(e) for e in elements]
+    number = {e: k for k, e in enumerate(elements)}
+    # Each edge looks up each end once.  Vertices keep element order; edges
+    # are sorted by (source key, label), a pair that no two edges share.
+    numbered = []
     for u, i, v in edges:
-        if v not in key_of:
-            raise RuntimeError(f"lowering {key_of[u]} along {i} escapes the crystal: {render_key(v.to_dict())}")
-    edges = sorted((key_of[u], i, key_of[v]) for u, i, v in edges)
+        b = number.get(v)
+        if b is None:
+            raise RuntimeError(f"lowering {keys[number[u]]} along {i} escapes the crystal: {render_key(v.to_dict())}")
+        a = number[u]
+        numbered.append((keys[a], i, a, b))
+    numbered.sort()
+    write = sys.stdout.write
     if args.format == "json":
-        doc = {
-            "n": args.n,
-            "vertices": [{"key": key, "element": d} for key, d in zip(keys, data)],
-            "edges": [{"from": u, "i": i, "to": v} for u, i, v in edges],
-        }
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        names = [encode_basestring_ascii(k) for k in keys]
+        write('{\n  "edges": ')
+        edge = _item({"from": "%s", "i": "%d", "to": "%s"})
+        _write_array(edge, ((names[a], i, names[b]) for _, i, a, b in numbered))
+        write(f',\n  "n": {args.n},\n  "vertices": ')
+        vertex = _item({"element": placeholder, "key": "%s"})
+        _write_array(vertex, ((*_entries(e), name) for e, name in zip(elements, names)))
+        write("\n}\n")
         return 0
-    ids = {key: f"v{k}" for k, key in enumerate(keys)}
-    lines = ["digraph crystal {", "  rankdir=TB;", '  node [shape=box, fontname="monospace"];']
-    lines += [f'  {ids[key]} [label="{e.compact()}"];' for key, e in zip(keys, elements)]
-    for u, i, v in edges:
-        color = _PALETTE[(i - 1) % len(_PALETTE)]
-        lines.append(f'  {ids[u]} -> {ids[v]} [label="{i}", color="{color}"];')
-    lines.append("}")
-    print("\n".join(lines))
+    write('digraph crystal {\n  rankdir=TB;\n  node [shape=box, fontname="monospace"];\n')
+    for k, e in enumerate(elements):
+        write(f'  v{k} [label="{e.compact()}"];\n')
+    for _, i, a, b in numbered:
+        write(f'  v{a} -> v{b} [label="{i}", color="{_PALETTE[(i - 1) % len(_PALETTE)]}"];\n')
+    write("}\n")
     return 0
 
 

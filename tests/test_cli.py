@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from gtcrystal import cli, crystal, gtpattern, ssyt
+from gtcrystal import bijection, cli, crystal, gtpattern, ssyt
 
 WORKED = '{"n":3,"rows":[[3,1,0],[3,1],[2]]}'
 WORKED_TAB = '{"n":3,"shape":[3,1],"rows":[[1,1,2],[2]]}'
@@ -155,12 +155,68 @@ def test_graph_json_document(capsys):
 @pytest.mark.parametrize("model, element_type", [("gtp", gtpattern.GTPattern), ("ssyt", ssyt.Tableau)])
 @pytest.mark.parametrize("fmt", ["json", "dot"])
 def test_graph_serializes_each_vertex_once(monkeypatch, capsys, model, element_type, fmt):
+    # No element is serialized twice: one element, the first, is serialized
+    # once per command, for the template that renders every vertex.
     serialized = []
     to_dict = element_type.to_dict
     monkeypatch.setattr(element_type, "to_dict", lambda self: serialized.append(self) or to_dict(self))
     code, _, _ = run(capsys, "graph", "-n", "3", "-l", "3,1,0", "--model", model, "--format", fmt)
     assert code == 0
-    assert len(serialized) == len(set(serialized)) == 15
+    assert len(serialized) == 1
+
+
+# (n, shape): one vertex and no edge, the empty tableau, a one-row shape,
+# shapes at n = 3..5 with edges, and two-digit entries, whose keys differ in
+# length.
+ORACLE_SHAPES = [("1", "4"), ("2", ""), ("3", "3"), ("3", "3,1,0"), ("4", "2,2,1"), ("5", "2,1"), ("3", "10,2")]
+
+
+@pytest.mark.parametrize("model", ["gtp", "ssyt"])
+@pytest.mark.parametrize("n, shape", ORACLE_SHAPES)
+def test_export_matches_document_built_from_to_dict(capsys, model, n, shape):
+    # The oracle builds what graph and enumerate print the plain way: a
+    # document of to_dict data and render_key keys, and one json.dumps.
+    lam = tuple(int(x) for x in shape.split(",")) if shape else ()
+    elements = gtpattern.enumerate_patterns(int(n), lam)
+    graph_model = crystal.pattern_model(int(n))
+    if model == "ssyt":
+        elements = [bijection.pattern_to_tableau(p) for p in elements]
+        graph_model = crystal.tableau_model(int(n))
+    key = {e: crystal.render_key(e.to_dict()) for e in elements}
+    doc = {
+        "n": int(n),
+        "vertices": [{"key": key[e], "element": e.to_dict()} for e in elements],
+        "edges": [
+            {"from": u, "i": i, "to": v}
+            for u, i, v in sorted((key[u], i, key[v]) for u, i, v in crystal.build_graph(graph_model, elements))
+        ],
+    }
+    code, out, _ = run(capsys, "graph", "-n", n, "-l", shape, "--model", model, "--format", "json")
+    assert (code, out) == (0, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    code, out, _ = run(capsys, "enumerate", "-n", n, "-l", shape, "--model", model)
+    assert (code, out.splitlines()) == (0, [key[e] for e in elements])
+
+
+def test_enumerate_writes_first_tableau_after_one_bijection(monkeypatch):
+    # Tableaux stream: the first line goes out after one bijection, not
+    # after the whole list is built.
+    calls = []
+    biject = bijection.pattern_to_tableau
+    monkeypatch.setattr(bijection, "pattern_to_tableau", lambda p: calls.append(p) or biject(p))
+
+    class Recorder(io.StringIO):
+        calls_at_first_write = None
+
+        def write(self, text):
+            if self.calls_at_first_write is None:
+                self.calls_at_first_write = len(calls)
+            return super().write(text)
+
+    out = Recorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert cli.main(["enumerate", "-n", "4", "-l", "2,1", "--model", "ssyt"]) == 0
+    assert out.calls_at_first_write == 1
+    assert len(out.getvalue().splitlines()) == len(calls) == 20
 
 
 def test_graph_degenerate_shapes(capsys):
