@@ -5,7 +5,8 @@ row i has i entries and consecutive rows interleave.  The crystal data
 (weight, string lengths, raising and lowering operators) are computed from
 max-plus expressions in the pattern entries: signed sums around diamonds of
 four adjacent entries, partial sums of those, and maxima of the partial sums.
-The operators evaluate those maxima in one scan over three adjacent rows;
+One scan over three adjacent rows gives phi (the maximum of the partial sums
+A_j), epsilon = phi - A_0 (as B_j = A_j - A_0) and both tie-broken indices;
 ``diamond_a``, ``diamond_b``, ``sum_a`` and ``sum_b`` keep the literal
 entry-by-entry forms as the reference.
 
@@ -202,58 +203,46 @@ def weight_expressions(pattern: GTPattern) -> tuple[Weight, Weight, Weight]:
     return first, a_form, b_form
 
 
-def _lower_scan(pattern: GTPattern, i: int) -> tuple[int, int]:
-    """(max, largest maximizer) of A_1 .. A_i at level i.
+def _scan(pattern: GTPattern, i: int) -> tuple[int, int, int, int]:
+    """(phi, epsilon, lowering index, raising index) at level i.
 
-    One pass over rows i+1, i and i-1 from j = i down to 1, accumulating
-    A_j = A_{j+1} + a_j; a strict comparison keeps the first (largest) index
-    at which the maximum is reached.  A negative maximum contradicts
-    interleaving and raises RuntimeError.
+    One pass over rows i+1, i and i-1 from j = i down to 1 accumulates
+    A_j = A_{j+1} + a_j and keeps the maximum of A_1 .. A_i, its largest
+    maximizer (the first reached, by ``>``) and its smallest (the last
+    reached, by ``>=``).  Since b_j = -a_{j-1}, B_j = A_j - A_0 for every j,
+    where A_0 = A_1 + entry(i,1) - entry(i+1,1): B_1 .. B_i peak at the same
+    indices as A_1 .. A_i, and epsilon = phi - A_0.  A negative phi or
+    epsilon contradicts interleaving and raises RuntimeError.
     """
     k = pattern.n - i
     up, mid = pattern.rows[k - 1], pattern.rows[k]
     low = pattern.rows[k + 1] if i > 1 else ()
     total = mid[i - 1] - up[i]
-    best, ell = total, i
+    best, lowering, raising = total, i, i
     for j in range(i - 1, 0, -1):
         total += mid[j - 1] - low[j - 1] + mid[j] - up[j]
         if total > best:
-            best, ell = total, j
+            best, lowering, raising = total, j, j
+        elif total == best:
+            raising = j
     if best < 0:
         raise RuntimeError(f"negative lowering string length {best} at level {i} indicates a bug")
-    return best, ell
-
-
-def _raise_scan(pattern: GTPattern, i: int) -> tuple[int, int]:
-    """(max, smallest maximizer) of B_1 .. B_i at level i.
-
-    Mirror of ``_lower_scan``: one pass from j = 1 up to i accumulating
-    B_j = B_{j-1} + b_j, keeping the first (smallest) maximizing index.
-    """
-    k = pattern.n - i
-    up, mid = pattern.rows[k - 1], pattern.rows[k]
-    low = pattern.rows[k + 1] if i > 1 else ()
-    total = up[0] - mid[0]
-    best, ell = total, 1
-    for j in range(2, i + 1):
-        total += up[j - 1] - mid[j - 1] + low[j - 2] - mid[j - 2]
-        if total > best:
-            best, ell = total, j
-    if best < 0:
-        raise RuntimeError(f"negative raising string length {best} at level {i} indicates a bug")
-    return best, ell
+    eps = best - total - mid[0] + up[0]
+    if eps < 0:
+        raise RuntimeError(f"negative raising string length {eps} at level {i} indicates a bug")
+    return best, eps, lowering, raising
 
 
 def phi_gtp(pattern: GTPattern, i: int) -> int:
     """Lowering string length: max of A_1 .. A_i at level i."""
     _check_label(pattern, i)
-    return _lower_scan(pattern, i)[0]
+    return _scan(pattern, i)[0]
 
 
 def epsilon_gtp(pattern: GTPattern, i: int) -> int:
-    """Raising string length: max of B_1 .. B_i at level i (the range ends at i)."""
+    """Raising string length: max of B_1 .. B_i at level i, equal to phi - A_0."""
     _check_label(pattern, i)
-    return _raise_scan(pattern, i)[0]
+    return _scan(pattern, i)[1]
 
 
 def _with_entry_changed(pattern: GTPattern, i: int, j: int, delta: int) -> GTPattern:
@@ -293,7 +282,7 @@ def lower_gtp(pattern: GTPattern, i: int) -> Optional[GTPattern]:
     length is 0.  The result always interleaves, so a failed local check is
     an internal error."""
     _check_label(pattern, i)
-    phi, ell = _lower_scan(pattern, i)
+    phi, _, ell, _ = _scan(pattern, i)
     if phi == 0:
         return None
     return _with_entry_changed(pattern, i, ell, -1)
@@ -301,10 +290,10 @@ def lower_gtp(pattern: GTPattern, i: int) -> Optional[GTPattern]:
 
 def raise_gtp(pattern: GTPattern, i: int) -> Optional[GTPattern]:
     """Raising operator: increment entry (i, l) where l is the smallest
-    index in 1..i at which B_l attains the maximum; None when the string
-    length is 0."""
+    index in 1..i at which B_l attains the maximum, which is the smallest
+    maximizer of A_1 .. A_i; None when the string length is 0."""
     _check_label(pattern, i)
-    eps, ell = _raise_scan(pattern, i)
+    _, eps, _, ell = _scan(pattern, i)
     if eps == 0:
         return None
     return _with_entry_changed(pattern, i, ell, +1)

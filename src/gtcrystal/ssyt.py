@@ -156,13 +156,12 @@ def _check_label(tableau: Tableau, i: int) -> None:
         raise LabelError(f"label {i} out of range 1..{tableau.n - 1}")
 
 
-def _cancel(word: ReadingWord, i: int) -> tuple[list[tuple[int, int]], int, Optional[tuple[int, int]]]:
-    """One stack pass of the i-cancellation over the letters and their cells.
+def _cancel(word: ReadingWord, i: int) -> tuple[int, int, Optional[tuple[int, int]], Optional[tuple[int, int]]]:
+    """(phi, epsilon, lowering cell, raising cell) from one stack pass of the i-cancellation.
 
-    Returns the cells of the uncrossed letters i in word order, the number
-    of uncrossed letters i+1 and the cell of the rightmost one (None when
-    there is none).  A letter i+1 stays uncrossed exactly when no unmatched
-    i precedes it; the openers left on the stack are the uncrossed i.
+    The cells hold the leftmost uncrossed i and the rightmost uncrossed i+1
+    (None when there is none).  A letter i+1 stays uncrossed exactly when no
+    unmatched i precedes it; the openers left on the stack are the uncrossed i.
     """
     opened: list[tuple[int, int]] = []
     closers = 0
@@ -177,13 +176,13 @@ def _cancel(word: ReadingWord, i: int) -> tuple[list[tuple[int, int]], int, Opti
             else:
                 closers += 1
                 last = cell
-    return opened, closers, last
+    return len(opened), closers, opened[0] if opened else None, last
 
 
 def phi_ssyt(tableau: Tableau, i: int) -> int:
     """Number of uncrossed letters i after the i-cancellation."""
     _check_label(tableau, i)
-    return len(_cancel(far_east_reading(tableau), i)[0])
+    return _cancel(far_east_reading(tableau), i)[0]
 
 
 def epsilon_ssyt(tableau: Tableau, i: int) -> int:
@@ -222,22 +221,20 @@ def lower_ssyt(tableau: Tableau, i: int) -> Optional[Tableau]:
     """Lowering operator: change the leftmost uncrossed i in the reading word
     to i+1; None when no uncrossed i exists."""
     _check_label(tableau, i)
-    opened = _cancel(far_east_reading(tableau), i)[0]
-    if not opened:
+    cell = _cancel(far_east_reading(tableau), i)[2]
+    if cell is None:
         return None
-    r, c = opened[0]
-    return _with_cell_changed(tableau, r, c, i + 1)
+    return _with_cell_changed(tableau, *cell, i + 1)
 
 
 def raise_ssyt(tableau: Tableau, i: int) -> Optional[Tableau]:
     """Raising operator: change the rightmost uncrossed i+1 in the reading
     word to i; None when no uncrossed i+1 exists."""
     _check_label(tableau, i)
-    last = _cancel(far_east_reading(tableau), i)[2]
-    if last is None:
+    cell = _cancel(far_east_reading(tableau), i)[3]
+    if cell is None:
         return None
-    r, c = last
-    return _with_cell_changed(tableau, r, c, i)
+    return _with_cell_changed(tableau, *cell, i)
 
 
 def weight_ssyt(tableau: Tableau) -> Weight:

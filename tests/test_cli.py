@@ -486,7 +486,7 @@ def test_graph_with_escaping_lowering_is_internal_error(escaping_lower, capsys, 
 def test_internal_error_exits_three(monkeypatch, capsys):
     # A kernel guard that rejects an operator's image is a defect of the
     # program, not a failed check (1) or bad input (2).
-    monkeypatch.setattr(gtpattern, "_lower_scan", lambda p, i: (1, 1))
+    monkeypatch.setattr(gtpattern, "_scan", lambda p, i: (1, 0, 1, 1))
     code, out, err = run(capsys, "apply", "f", "2", "--gtp", '{"n":3,"rows":[[3,1,0],[3,1],[3]]}')
     assert (code, out) == (3, "")
     prefix = "internal error: crystal operator f_2 on 3,1,0/3,1/3 produced an invalid pattern at (2,1)"
@@ -532,7 +532,7 @@ for exc in (KeyError("rows"), IndexError("tuple index out of range")):
     gtpattern.lower_gtp = lower_gtp
     codes.append(run("verify", "-n", "3", "-l", "2,1"))
 gtpattern.lower_gtp = lower
-gtpattern._lower_scan = lambda p, i: (1, 1)
+gtpattern._scan = lambda p, i: (1, 0, 1, 1)
 codes.append(run("apply", "f", "2", "--gtp", '{{"n":3,"rows":[[3,1,0],[3,1],[3]]}}'))
 print(json.dumps([sys.flags.optimize, codes]))
 """

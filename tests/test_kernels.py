@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
 
 from gtcrystal import (
     GTPattern,
@@ -38,6 +39,7 @@ from gtcrystal import (
 )
 from gtcrystal.gtpattern import _with_entry_changed
 from gtcrystal.ssyt import _with_cell_changed
+from conftest import pattern_st
 from test_acceptance import full_sweep
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -84,31 +86,41 @@ def uncrossed(word, crossed, letter):
     return [pos for pos, x in enumerate(word.letters, start=1) if x == letter and pos not in crossed]
 
 
+def assert_pattern_kernels_match_partial_sums(p):
+    for i in range(1, p.n):
+        a = {j: sum_a(p, i, j) for j in range(1, i + 1)}
+        b = {j: sum_b(p, i, j) for j in range(1, i + 1)}
+        phi, eps = max(a.values()), max(b.values())
+        assert phi_gtp(p, i) == phi
+        assert epsilon_gtp(p, i) == eps
+
+        down = lower_gtp(p, i)
+        if phi == 0:
+            assert down is None
+        else:
+            largest = max(j for j in a if a[j] == phi)  # lowering: largest maximizer
+            assert changed_entry(p, down) == (i, largest, -1)
+            assert down == pattern_with(p, i, largest, -1)
+
+        up = raise_gtp(p, i)
+        if eps == 0:
+            assert up is None
+        else:
+            smallest = min(j for j in b if b[j] == eps)  # raising: smallest maximizer
+            assert changed_entry(p, up) == (i, smallest, +1)
+            assert up == pattern_with(p, i, smallest, +1)
+
+
 def test_pattern_kernels_match_partial_sum_reference():
     for n, lam in full_sweep():
         for p in enumerate_patterns(n, lam):
-            for i in range(1, n):
-                a = {j: sum_a(p, i, j) for j in range(1, i + 1)}
-                b = {j: sum_b(p, i, j) for j in range(1, i + 1)}
-                phi, eps = max(a.values()), max(b.values())
-                assert phi_gtp(p, i) == phi
-                assert epsilon_gtp(p, i) == eps
+            assert_pattern_kernels_match_partial_sums(p)
 
-                down = lower_gtp(p, i)
-                if phi == 0:
-                    assert down is None
-                else:
-                    largest = max(j for j in a if a[j] == phi)  # lowering: largest maximizer
-                    assert changed_entry(p, down) == (i, largest, -1)
-                    assert down == pattern_with(p, i, largest, -1)
 
-                up = raise_gtp(p, i)
-                if eps == 0:
-                    assert up is None
-                else:
-                    smallest = min(j for j in b if b[j] == eps)  # raising: smallest maximizer
-                    assert changed_entry(p, up) == (i, smallest, +1)
-                    assert up == pattern_with(p, i, smallest, +1)
+@given(p=pattern_st(max_n=8, max_part=50))
+def test_pattern_kernels_match_partial_sums_past_desk_scale(p):
+    # Eight rows and entries up to 50 reach far past the desk sweep's shapes.
+    assert_pattern_kernels_match_partial_sums(p)
 
 
 def test_tableau_kernels_match_literal_bracketing():
@@ -146,10 +158,10 @@ RAISE_MESSAGE = "negative raising string length -1 at level 1 indicates a bug"
 
 
 def test_negative_string_length_raises():
-    for operator in (phi_gtp, lower_gtp):
+    # One scan computes both lengths, so every operator checks both.
+    for operator in (phi_gtp, epsilon_gtp, lower_gtp, raise_gtp):
         with pytest.raises(RuntimeError, match=f"^{LOWER_MESSAGE}$"):
             operator(LOWER_BROKEN, 1)
-    for operator in (epsilon_gtp, raise_gtp):
         with pytest.raises(RuntimeError, match=f"^{RAISE_MESSAGE}$"):
             operator(RAISE_BROKEN, 1)
 
@@ -157,19 +169,19 @@ def test_negative_string_length_raises():
 def test_negative_string_length_raises_under_optimization():
     script = (
         "from gtcrystal import GTPattern, epsilon_gtp, phi_gtp, lower_gtp, raise_gtp\n"
-        f"for operator, p in ((phi_gtp, {LOWER_BROKEN!r}), (lower_gtp, {LOWER_BROKEN!r}),\n"
-        f"                    (epsilon_gtp, {RAISE_BROKEN!r}), (raise_gtp, {RAISE_BROKEN!r})):\n"
-        "    try:\n"
-        "        operator(p, 1)\n"
-        "    except RuntimeError as exc:\n"
-        "        print('raised', exc)\n"
-        "    else:\n"
-        "        print('returned')\n"
+        "for operator in (phi_gtp, epsilon_gtp, lower_gtp, raise_gtp):\n"
+        f"    for p in ({LOWER_BROKEN!r}, {RAISE_BROKEN!r}):\n"
+        "        try:\n"
+        "            operator(p, 1)\n"
+        "        except RuntimeError as exc:\n"
+        "            print('raised', exc)\n"
+        "        else:\n"
+        "            print('returned')\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     command = [sys.executable, "-O", "-c", script]
     out = subprocess.run(command, env=env, capture_output=True, text=True, check=True, timeout=60)
-    expected = [f"raised {message}" for message in (LOWER_MESSAGE,) * 2 + (RAISE_MESSAGE,) * 2]
+    expected = [f"raised {message}" for message in (LOWER_MESSAGE, RAISE_MESSAGE) * 4]
     assert out.stdout.splitlines() == expected, out.stdout + out.stderr
 
 

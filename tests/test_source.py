@@ -50,6 +50,28 @@ def test_every_public_definition_is_used():
     assert unused == TEST_REFERENCES
 
 
+def test_every_private_definition_is_used_in_its_module():
+    # A ``_``-prefixed module-level function or class is private to its
+    # module, so code of that module outside its definition must use it.
+    defined = 0
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        statements = ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body
+        for k, node in enumerate(statements):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+                defined += 1
+                used = any(
+                    isinstance(sub, ast.Name) and sub.id == node.name
+                    for m, other in enumerate(statements)
+                    if m != k
+                    for sub in ast.walk(other)
+                )
+                if not used:
+                    unused.append(f"{path.name}:{node.lineno} {node.name}")
+    assert defined > 20
+    assert unused == []
+
+
 def test_no_package_function_calls_itself():
     # Every walk is a loop, so no input meets Python's recursion limit: no
     # function calls itself by its bare name.  A call through an attribute
