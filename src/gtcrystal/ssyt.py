@@ -2,9 +2,11 @@
 
 The crystal data come from the far-eastern reading (columns right to left,
 each column top to bottom) followed by pair cancellation between the letters
-i and i+1.  The operators match the letters in a single stack pass over the
-reading word; ``match_positions`` keeps the literal crossed-position form
-as the reference.  A second, column-scanning
+i and i+1.  The reading walk depends only on the row lengths, so it is made
+once per length tuple (``_reading_plan``), and each reading is one pick from
+the concatenated rows.  The operators match the letters in a single stack
+pass over the reading word; ``match_positions`` keeps the literal
+crossed-position form as the reference.  A second, column-scanning
 implementation of the cancellation is provided and must induce identical
 data; the verification suite checks the two against each other exhaustively
 at desk scale.
@@ -15,8 +17,9 @@ Cells are addressed by 1-based (row, column) pairs throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
-from operator import lt
+from functools import cache
+from itertools import accumulate, chain, combinations_with_replacement
+from operator import itemgetter, lt
 from typing import Any, Optional, Sequence
 
 from .core import LabelError, Partition, ShapeError, Weight, as_partition, as_rows, quote, require_positive
@@ -117,19 +120,42 @@ class ReadingWord:
     origin: tuple[tuple[int, int], ...]
 
 
-def far_east_reading(tableau: Tableau) -> ReadingWord:
-    """Read columns right to left, each top to bottom, up to the first row too short (lengths weakly decrease)."""
-    rows = tableau.rows
-    letters: list[int] = []
+@cache
+def _reading_plan(lengths: tuple[int, ...]) -> tuple[itemgetter, tuple[tuple[int, int], ...]]:
+    """The far-eastern walk over rows of these lengths: (pick, origin).
+
+    Columns right to left, each top to bottom, up to the first row too short.
+    ``pick`` takes the letters in that order from ``[0, 0, *row 1, *row 2,
+    ...]``; its two leading picks of the padding keep the result a tuple for
+    every shape, since ``itemgetter`` returns a bare item for one index and
+    takes no empty index list.  ``origin`` holds the cell of each letter.
+    The cache keeps one small entry per length tuple read.
+    """
+    starts = list(accumulate(lengths, initial=2))
+    picks = [0, 0]
     origin: list[tuple[int, int]] = []
-    width = len(rows[0]) if rows else 0
+    width = lengths[0] if lengths else 0
     for c in range(width, 0, -1):
-        for r, row in enumerate(rows, start=1):
-            if len(row) < c:
+        for r, length in enumerate(lengths, start=1):
+            if length < c:
                 break
-            letters.append(row[c - 1])
+            picks.append(starts[r - 1] + c - 1)
             origin.append((r, c))
-    return ReadingWord(tuple(letters), tuple(origin))
+    return itemgetter(*picks), tuple(origin)
+
+
+def far_east_reading(tableau: Tableau) -> ReadingWord:
+    """Read columns right to left, each top to bottom, up to the first row too short (lengths weakly decrease).
+
+    The walk is the same for every tableau with these row lengths, so
+    ``_reading_plan`` makes it once per length tuple; a reading concatenates
+    the rows and picks its letters in one ``itemgetter`` call.  The key and
+    the concatenation are list displays: a tuple grown from an iterator is
+    resized, and the freed tuples would pile up on the per-size free lists.
+    """
+    rows = tableau.rows
+    pick, origin = _reading_plan(tuple([len(row) for row in rows]))
+    return ReadingWord(pick([0, 0, *chain.from_iterable(rows)])[2:], origin)
 
 
 def match_positions(letters: Sequence[int], i: int) -> frozenset[int]:

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 
 from conftest import tableau_st, word_st
+from gtcrystal import crystal, ssyt
 from gtcrystal import (
     AlphabetError,
     ColumnOrderError,
@@ -81,6 +84,69 @@ def test_far_east_reading_visits_each_cell_once(reference):
 @given(t=tableau_st())
 def test_far_east_reading_visits_each_cell_once_random(t):
     assert_reads_columns_right_to_left(t)
+
+
+@pytest.mark.parametrize(
+    ("t", "letters", "origin"),
+    [
+        (validate_tableau(3, (), []), (), ()),
+        (validate_tableau(3, (1,), [[2]]), (2,), ((1, 1),)),
+        (validate_tableau(3, (3,), [[1, 2, 2]]), (2, 2, 1), ((1, 3), (1, 2), (1, 1))),
+        (validate_tableau(3, (1, 1, 1), [[1], [2], [3]]), (1, 2, 3), ((1, 1), (2, 1), (3, 1))),
+        # Unvalidated ragged rows: the walk stops at the short first row, so
+        # the cell (2,2) is never read.
+        (Tableau(3, ((1,), (2, 3))), (1, 2), ((1, 1), (2, 1))),
+    ],
+    ids=["empty", "one-cell", "one-row", "one-column", "ragged"],
+)
+def test_far_east_reading_edge_shapes(t, letters, origin):
+    word = far_east_reading(t)
+    assert (word.letters, word.origin) == (letters, origin)
+
+
+def test_far_east_reading_same_shape_reads_own_letters():
+    # The walk is shared by every tableau of one shape; the letters are not.
+    first = validate_tableau(3, (2, 1), [[1, 1], [2]])
+    second = validate_tableau(4, (2, 1), [[2, 4], [3]])
+    assert [far_east_reading(t).letters for t in (first, second, first)] == [(1, 1, 2), (4, 2, 3), (1, 1, 2)]
+    assert far_east_reading(first).origin == far_east_reading(second).origin == ((1, 2), (1, 1), (2, 1))
+
+
+def test_each_tableau_query_reads_once(monkeypatch):
+    # Every phi, epsilon, lowering and raising call on a tableau makes exactly
+    # one reading: a cache of words across calls would show up here.
+    calls = {"readings": 0, "queries": 0}
+
+    def counting(key, fn):
+        def counted(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return counted
+
+    monkeypatch.setattr(ssyt, "far_east_reading", counting("readings", ssyt.far_east_reading))
+    for name in ("phi_ssyt", "epsilon_ssyt", "lower_ssyt", "raise_ssyt"):
+        monkeypatch.setattr(ssyt, name, counting("queries", getattr(ssyt, name)))
+    assert crystal.verify_shape(3, (2, 1))["pass"]
+    assert calls["queries"] > 0
+    assert calls["readings"] == calls["queries"]
+
+
+def test_far_east_reading_keeps_no_memory():
+    # A reading builds only tuples of known length.  A tuple grown from an
+    # iterator is resized, and the freed tuples pile up on the interpreter's
+    # per-size free lists: over 100 KB across these 5,000 readings.
+    t = validate_tableau(3, (5, 4, 3), [[1, 1, 1, 1, 2], [2, 2, 2, 3], [3, 3, 3]])
+    far_east_reading(t)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(5000):
+            far_east_reading(t)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 16 * 1024
 
 
 def test_bracketing_reference(reference):
