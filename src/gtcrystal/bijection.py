@@ -38,7 +38,7 @@ def pattern_to_tableau(pattern: GTPattern) -> Tableau:
     while grid and not grid[-1]:
         grid.pop()
     try:
-        return validate_tableau(n, tuple(len(row) for row in grid), grid)
+        return validate_tableau(n, [len(row) for row in grid], grid)
     except ValueError as exc:
         raise RuntimeError(f"bijection produced an invalid tableau: {exc}") from exc
 

@@ -45,7 +45,7 @@ def as_rows(rows: Any) -> tuple[tuple[Any, ...], ...]:
     for r, row in enumerate(rows, start=1):
         if not isinstance(row, (list, tuple)):
             raise ShapeError(f"row {r} must be an array, got {quote(row)}")
-    return tuple(map(tuple, rows))
+    return tuple([tuple(row) for row in rows])
 
 
 def as_partition(parts: Iterable[int]) -> Partition:

@@ -13,6 +13,8 @@ and its callers decide what an image outside the element set means.
 
 ``verify_shape`` is the one verification engine: it runs every check of one
 shape, each into a ``Report``, and returns the record ``verify`` prints.
+``verify_axioms`` and ``verify_isomorphism`` each evaluate a model once per
+(element, label) and check every rule against those values.
 """
 
 from __future__ import annotations
@@ -158,50 +160,51 @@ def verify_axioms(model: CrystalModel, elements: Sequence[Any]) -> Report:
     The string lengths are always plain integers here, so the unbounded case
     of the axioms is vacuous.  An operator image that escapes the element
     set is reported as a ``closure`` violation rather than raised, so
-    mutated models can be diagnosed in full.
+    mutated models can be diagnosed in full.  The model is evaluated once:
+    the weight per element, then phi, epsilon, lower and raise per (element,
+    label), in element and then label order; every rule reads those values.
     """
     report = Report()
-    members = set(elements)
+    # The distinctness check, and the one copy each image in the set is interned to.
+    members = {b: b for b in elements}
     if len(members) != len(elements):
         raise ValueError("elements are not distinct")
-
+    weights = {b: model.weight(b) for b in elements}
+    table = {}
     for b in elements:
-        wt = model.weight(b)
         for i in model.labels:
-            phi = model.phi(b, i)
-            eps = model.epsilon(b, i)
+            phi, eps, down, up = model.phi(b, i), model.epsilon(b, i), model.lower(b, i), model.raise_(b, i)
+            table[b, i] = (phi, eps, members.get(down, down), members.get(up, up))
+    for b in elements:
+        wt = weights[b]
+        for i in model.labels:
+            phi, eps, down, up = table[b, i]
             pairing = coroot_pairing(wt, i)
             if phi - eps != pairing:
                 report.add("pairing", (b,), i, f"phi - epsilon = {pairing}", f"{phi} - {eps}")
-            down = model.lower(b, i)
             if (down is None) != (phi == 0):
                 report.add("lower-domain", (b,), i, f"image iff phi > 0 (phi = {phi})", down is not None)
             if down is not None:
                 if down not in members:
                     report.add("closure", (b, down), i, "lowering image inside the element set", "escaped")
                 else:
-                    back = model.raise_(down, i)
+                    down_phi, down_eps, _, back = table[down, i]
                     if back != b:
                         report.add("inverse", (b, down), i, "raising inverts lowering", back)
-                    expected_wt = list(wt)
-                    expected_wt[i - 1] -= 1
-                    expected_wt[i] += 1
-                    if list(model.weight(down)) != expected_wt:
-                        report.add("weight-step", (b, down), i, tuple(expected_wt), model.weight(down))
-                    if model.epsilon(down, i) != eps + 1:
-                        report.add("epsilon-step", (b, down), i, eps + 1, model.epsilon(down, i))
-                    if model.phi(down, i) != phi - 1:
-                        report.add("phi-step", (b, down), i, phi - 1, model.phi(down, i))
-            up = model.raise_(b, i)
+                    expected_wt = [w - (k == i) + (k == i + 1) for k, w in enumerate(wt, 1)]
+                    if list(weights[down]) != expected_wt:
+                        report.add("weight-step", (b, down), i, tuple(expected_wt), weights[down])
+                    if down_eps != eps + 1:
+                        report.add("epsilon-step", (b, down), i, eps + 1, down_eps)
+                    if down_phi != phi - 1:
+                        report.add("phi-step", (b, down), i, phi - 1, down_phi)
             if (up is None) != (eps == 0):
                 report.add("raise-domain", (b,), i, f"image iff epsilon > 0 (epsilon = {eps})", up is not None)
             if up is not None:
                 if up not in members:
                     report.add("closure", (b, up), i, "raising image inside the element set", "escaped")
-                else:
-                    back = model.lower(up, i)
-                    if back != b:
-                        report.add("inverse", (b, up), i, "lowering inverts raising", back)
+                elif table[up, i][2] != b:
+                    report.add("inverse", (b, up), i, "lowering inverts raising", table[up, i][2])
     return report
 
 
@@ -217,32 +220,29 @@ def verify_isomorphism(
     Verifies injectivity, surjectivity onto ``elements_b`` and images inside
     it, preservation of weight and both string lengths, and that the mapping
     commutes with lowering and raising, with absent images matching absent
-    images.
+    images.  Each side's model is evaluated once per element and once per
+    (element, label), and every rule reads those values.
     """
     report = Report()
     seen_images = set()
-
     for a in elements_a:
         b = mapping(a)
         if b in seen_images:
             report.add("injective", (a, b), None, "distinct images", "duplicate image")
         seen_images.add(b)
-        if model_a.weight(a) != model_b.weight(b):
-            report.add("weight", (a, b), None, model_a.weight(a), model_b.weight(b))
+        weight_a, weight_b = model_a.weight(a), model_b.weight(b)
+        if weight_a != weight_b:
+            report.add("weight", (a, b), None, weight_a, weight_b)
         for i in model_a.labels:
-            if model_a.phi(a, i) != model_b.phi(b, i):
-                report.add("phi", (a, b), i, model_a.phi(a, i), model_b.phi(b, i))
-            if model_a.epsilon(a, i) != model_b.epsilon(b, i):
-                report.add("epsilon", (a, b), i, model_a.epsilon(a, i), model_b.epsilon(b, i))
-            for rule, op_a, op_b in (
-                ("lower-intertwine", model_a.lower, model_b.lower),
-                ("raise-intertwine", model_a.raise_, model_b.raise_),
+            down, up = model_a.lower(a, i), model_a.raise_(a, i)
+            for rule, expected, actual in (
+                ("phi", model_a.phi(a, i), model_b.phi(b, i)),
+                ("epsilon", model_a.epsilon(a, i), model_b.epsilon(b, i)),
+                ("lower-intertwine", None if down is None else mapping(down), model_b.lower(b, i)),
+                ("raise-intertwine", None if up is None else mapping(up), model_b.raise_(b, i)),
             ):
-                image_a = op_a(a, i)
-                direct = op_b(b, i)
-                mapped = None if image_a is None else mapping(image_a)
-                if mapped != direct:
-                    report.add(rule, (a, b), i, mapped, direct)
+                if expected != actual:
+                    report.add(rule, (a, b), i, expected, actual)
     target = set(elements_b)
     for b in sorted(target - seen_images, key=_render):
         report.add("surjective", (b,), None, "covered by the mapping", "not hit")

@@ -50,7 +50,7 @@ class Tableau:
 
     @property
     def shape(self) -> Partition:
-        return tuple(len(row) for row in self.rows)
+        return tuple([len(row) for row in self.rows])
 
     def cell(self, r: int, c: int) -> int:
         return self.rows[r - 1][c - 1]
@@ -91,7 +91,7 @@ def validate_tableau(n: int, shape: Sequence[int], rows: Any) -> Tableau:
         raise ShapeError(f"shape must be an array, got {quote(shape)}")
     shape = as_partition(shape)
     rows = as_rows(rows)
-    if tuple(len(row) for row in rows) != shape:
+    if tuple([len(row) for row in rows]) != shape:
         raise ShapeError(f"row lengths {quote(tuple(map(len, rows)))} do not match shape {quote(shape)}")
     for r, row in enumerate(rows, start=1):
         for c, x in enumerate(row, start=1):

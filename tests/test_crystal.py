@@ -210,6 +210,42 @@ def test_isomorphism_detects_swapped_images(shape310):
     assert any(v.rule.endswith("intertwine") or v.rule in ("phi", "epsilon") for v in report.violations)
 
 
+def counting_model(model):
+    """The model with each of its five crystal data counting its calls."""
+    calls = dict.fromkeys(("weight", "phi", "epsilon", "lower", "raise_"), 0)
+
+    def counting(name):
+        datum = getattr(model, name)
+
+        def call(*args):
+            calls[name] += 1
+            return datum(*args)
+
+        return call
+
+    return replace(model, **{name: counting(name) for name in calls}), calls
+
+
+def test_checks_evaluate_the_model_once_per_element_and_label():
+    # Each check reads the weight once per element and phi, epsilon, lower
+    # and raise once per (element, label), on each side it checks; every
+    # rule then reads those values.
+    n, lam = 4, (2, 1)
+    patterns, tableaux = enumerate_patterns(n, lam), enumerate_tableaux(n, lam)
+
+    def once(elements):
+        pairs = len(elements) * (n - 1)
+        return {"weight": len(elements), "phi": pairs, "epsilon": pairs, "lower": pairs, "raise_": pairs}
+
+    for model, elements in ((pattern_model(n), patterns), (tableau_model(n), tableaux)):
+        counted, calls = counting_model(model)
+        assert verify_axioms(counted, elements).passed
+        assert calls == once(elements)
+    (pm, pattern_calls), (tm, tableau_calls) = counting_model(pattern_model(n)), counting_model(tableau_model(n))
+    assert verify_isomorphism(pm, patterns, tm, pattern_to_tableau, tableaux).passed
+    assert pattern_calls == once(patterns) and tableau_calls == once(tableaux)
+
+
 def test_highest_weight_elements(shape310):
     model, elements = shape310
     found = highest_weight_elements(model, elements)

@@ -19,10 +19,12 @@ from gtcrystal import (
     lower_columns,
     lower_ssyt,
     match_positions,
+    pattern_to_tableau,
     phi_columns,
     phi_ssyt,
     raise_columns,
     raise_ssyt,
+    tableau_to_pattern,
     validate_tableau,
     weight_ssyt,
 )
@@ -147,6 +149,34 @@ def test_far_east_reading_keeps_no_memory():
     finally:
         tracemalloc.stop()
     assert kept < 16 * 1024
+
+
+def test_shape_validation_and_bijection_keep_no_memory():
+    # The shape, the row tuples and the row-length check are built from lists,
+    # whose length is known.  Built from generators, the freed tuples piled up
+    # on the per-size free lists: over 100 KB across 5,000 calls of each.  Each
+    # call reads a 12-cell tableau with its own row count, so that it fills
+    # no free list that another call here reads.
+    three = validate_tableau(3, (5, 4, 3), [[1, 1, 1, 1, 2], [2, 2, 2, 3], [3, 3, 3]])
+    four = [[1, 1, 1, 2], [2, 2, 3], [3, 3, 4], [4, 4]]
+    five = tableau_to_pattern(validate_tableau(5, (3, 3, 2, 2, 2), [[1, 1, 2], [2, 2, 3], [3, 3], [4, 4], [5, 5]]))
+    calls = {
+        "shape": lambda: three.shape,
+        "validate_tableau": lambda: validate_tableau(4, (4, 3, 3, 2), four),
+        "pattern_to_tableau": lambda: pattern_to_tableau(five),
+    }
+    kept = {}
+    for name, call in calls.items():
+        call()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(5000):
+                call()
+            kept[name] = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+    assert all(size < 16 * 1024 for size in kept.values()), kept
 
 
 def test_bracketing_reference(reference):
