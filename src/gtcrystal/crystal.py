@@ -13,8 +13,9 @@ and its callers decide what an image outside the element set means.
 
 ``verify_shape`` is the one verification engine: it runs every check of one
 shape, each into a ``Report``, and returns the record ``verify`` prints.
-``verify_axioms`` and ``verify_isomorphism`` each evaluate a model once per
-(element, label) and check every rule against those values.
+``evaluate`` reads a model once per element and once per (element, label);
+``verify_shape`` evaluates each model once, and ``verify_axioms`` and
+``verify_isomorphism`` check every rule against those values.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from . import bijection
 from . import gtpattern as gtp
@@ -150,7 +151,40 @@ class Report:
         return record
 
 
-def verify_axioms(model: CrystalModel, elements: Sequence[Any]) -> Report:
+class Evaluation(NamedTuple):
+    """One model's crystal data over a set of elements, each value evaluated once.
+
+    ``weights`` maps each element to its weight.  ``rows`` maps each element
+    to a tuple over the labels 1..n-1 of ``(phi, epsilon, lower, raise)``;
+    an image inside the set is the member it equals, so the rows hold no
+    second copy of an element.
+    """
+
+    weights: dict[Any, Weight]
+    rows: dict[Any, tuple[tuple[int, int, Optional[Any], Optional[Any]], ...]]
+
+
+def evaluate(model: CrystalModel, elements: Sequence[Any]) -> Evaluation:
+    """The model's data on each distinct element: every weight first, then
+    phi, epsilon, lower and raise per label, in element and then label order.
+
+    Repeated elements are evaluated once; whether a repeat is an error is the
+    caller's to decide.
+    """
+    # Maps each element to the one copy every image in the set is interned to.
+    members = {b: b for b in elements}
+    weights = {b: model.weight(b) for b in members}
+    rows = {}
+    for b in members:
+        row = []
+        for i in model.labels:
+            phi, eps, down, up = model.phi(b, i), model.epsilon(b, i), model.lower(b, i), model.raise_(b, i)
+            row.append((phi, eps, members.get(down, down), members.get(up, up)))
+        rows[b] = tuple(row)
+    return Evaluation(weights, rows)
+
+
+def verify_axioms(model: CrystalModel, elements: Sequence[Any], evaluation: Optional[Evaluation] = None) -> Report:
     """Check the crystal axioms over a closed element set.
 
     For every element b and label i: lowering and raising are mutually
@@ -160,35 +194,29 @@ def verify_axioms(model: CrystalModel, elements: Sequence[Any]) -> Report:
     The string lengths are always plain integers here, so the unbounded case
     of the axioms is vacuous.  An operator image that escapes the element
     set is reported as a ``closure`` violation rather than raised, so
-    mutated models can be diagnosed in full.  The model is evaluated once:
-    the weight per element, then phi, epsilon, lower and raise per (element,
-    label), in element and then label order; every rule reads those values.
+    mutated models can be diagnosed in full.  The elements must be distinct.
+    Every rule reads ``evaluation``, the model's ``evaluate`` over these
+    elements; the check makes it when none is given.
     """
-    report = Report()
-    # The distinctness check, and the one copy each image in the set is interned to.
-    members = {b: b for b in elements}
-    if len(members) != len(elements):
+    if evaluation is None:
+        evaluation = evaluate(model, elements)
+    weights, rows = evaluation
+    if len(rows) != len(elements):
         raise ValueError("elements are not distinct")
-    weights = {b: model.weight(b) for b in elements}
-    table = {}
-    for b in elements:
-        for i in model.labels:
-            phi, eps, down, up = model.phi(b, i), model.epsilon(b, i), model.lower(b, i), model.raise_(b, i)
-            table[b, i] = (phi, eps, members.get(down, down), members.get(up, up))
+    report = Report()
     for b in elements:
         wt = weights[b]
-        for i in model.labels:
-            phi, eps, down, up = table[b, i]
+        for i, (phi, eps, down, up) in zip(model.labels, rows[b]):
             pairing = coroot_pairing(wt, i)
             if phi - eps != pairing:
                 report.add("pairing", (b,), i, f"phi - epsilon = {pairing}", f"{phi} - {eps}")
             if (down is None) != (phi == 0):
                 report.add("lower-domain", (b,), i, f"image iff phi > 0 (phi = {phi})", down is not None)
             if down is not None:
-                if down not in members:
+                if down not in rows:
                     report.add("closure", (b, down), i, "lowering image inside the element set", "escaped")
                 else:
-                    down_phi, down_eps, _, back = table[down, i]
+                    down_phi, down_eps, _, back = rows[down][i - 1]
                     if back != b:
                         report.add("inverse", (b, down), i, "raising inverts lowering", back)
                     expected_wt = [w - (k == i) + (k == i + 1) for k, w in enumerate(wt, 1)]
@@ -201,10 +229,10 @@ def verify_axioms(model: CrystalModel, elements: Sequence[Any]) -> Report:
             if (up is None) != (eps == 0):
                 report.add("raise-domain", (b,), i, f"image iff epsilon > 0 (epsilon = {eps})", up is not None)
             if up is not None:
-                if up not in members:
+                if up not in rows:
                     report.add("closure", (b, up), i, "raising image inside the element set", "escaped")
-                elif table[up, i][2] != b:
-                    report.add("inverse", (b, up), i, "lowering inverts raising", table[up, i][2])
+                elif rows[up][i - 1][2] != b:
+                    report.add("inverse", (b, up), i, "lowering inverts raising", rows[up][i - 1][2])
     return report
 
 
@@ -214,15 +242,22 @@ def verify_isomorphism(
     model_b: CrystalModel,
     mapping: Callable[[Any], Any],
     elements_b: Sequence[Any],
+    evaluation_a: Optional[Evaluation] = None,
+    evaluation_b: Optional[Evaluation] = None,
 ) -> Report:
     """Check that ``mapping`` is an isomorphism of crystals onto ``elements_b``.
 
     Verifies injectivity, surjectivity onto ``elements_b`` and images inside
     it, preservation of weight and both string lengths, and that the mapping
     commutes with lowering and raising, with absent images matching absent
-    images.  Each side's model is evaluated once per element and once per
-    (element, label), and every rule reads those values.
+    images.  Every rule reads ``evaluation_a`` and ``evaluation_b``, each
+    model's ``evaluate`` over its elements, made here when not given; an
+    image outside ``elements_b`` is evaluated where it is met.
     """
+    if evaluation_a is None:
+        evaluation_a = evaluate(model_a, elements_a)
+    if evaluation_b is None:
+        evaluation_b = evaluate(model_b, elements_b)
     report = Report()
     seen_images = set()
     for a in elements_a:
@@ -230,16 +265,18 @@ def verify_isomorphism(
         if b in seen_images:
             report.add("injective", (a, b), None, "distinct images", "duplicate image")
         seen_images.add(b)
-        weight_a, weight_b = model_a.weight(a), model_b.weight(b)
+        side_b = evaluation_b if b in evaluation_b.rows else evaluate(model_b, [b])
+        weight_a, weight_b = evaluation_a.weights[a], side_b.weights[b]
         if weight_a != weight_b:
             report.add("weight", (a, b), None, weight_a, weight_b)
-        for i in model_a.labels:
-            down, up = model_a.lower(a, i), model_a.raise_(a, i)
+        for i, (phi_a, eps_a, down, up), (phi_b, eps_b, down_b, up_b) in zip(
+            model_a.labels, evaluation_a.rows[a], side_b.rows[b]
+        ):
             for rule, expected, actual in (
-                ("phi", model_a.phi(a, i), model_b.phi(b, i)),
-                ("epsilon", model_a.epsilon(a, i), model_b.epsilon(b, i)),
-                ("lower-intertwine", None if down is None else mapping(down), model_b.lower(b, i)),
-                ("raise-intertwine", None if up is None else mapping(up), model_b.raise_(b, i)),
+                ("phi", phi_a, phi_b),
+                ("epsilon", eps_a, eps_b),
+                ("lower-intertwine", None if down is None else mapping(down), down_b),
+                ("raise-intertwine", None if up is None else mapping(up), up_b),
             ):
                 if expected != actual:
                     report.add(rule, (a, b), i, expected, actual)
@@ -332,12 +369,17 @@ def verify_shape(n: int, lam: Partition) -> dict[str, Any]:
     # Each element is mapped through the bijection once, on first use.
     image = functools.cache(bijection.pattern_to_tableau)
     preimage = functools.cache(bijection.tableau_to_pattern)
+    # Each model is evaluated once, and the three checks over it read that
+    # evaluation.  It is dropped before the other checks run, so that it does
+    # not add to their peak memory.
+    on_patterns, on_tableaux = evaluate(pm, patterns), evaluate(tm, tableaux)
     checks = {
         "dimension": Report(found=int(len(patterns) != weyl_dimension(n, lam))),
-        "axioms-patterns": verify_axioms(pm, patterns),
-        "axioms-tableaux": verify_axioms(tm, tableaux),
-        "isomorphism": verify_isomorphism(pm, patterns, tm, image, tableaux),
+        "axioms-patterns": verify_axioms(pm, patterns, on_patterns),
+        "axioms-tableaux": verify_axioms(tm, tableaux, on_tableaux),
+        "isomorphism": verify_isomorphism(pm, patterns, tm, image, tableaux, on_patterns, on_tableaux),
     }
+    del on_patterns, on_tableaux
     checks["counting-identities"], checks["algebraic-identities"] = _identity_checks(patterns, image)
     round_trip = sum(preimage(image(p)) != p for p in patterns)
     round_trip += sum(image(preimage(t)) != t for t in tableaux)

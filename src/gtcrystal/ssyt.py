@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, chain, combinations_with_replacement
 from operator import itemgetter, lt
-from typing import Any, Optional, Sequence
+from typing import Any, NamedTuple, Optional, Sequence
 
 from .core import LabelError, Partition, ShapeError, Weight, as_partition, as_rows, quote, require_positive
 
@@ -112,9 +112,12 @@ def validate_tableau(n: int, shape: Sequence[int], rows: Any) -> Tableau:
     return Tableau(n, rows)
 
 
-@dataclass(frozen=True)
-class ReadingWord:
-    """Letters in far-eastern order with the originating cell of each letter."""
+class ReadingWord(NamedTuple):
+    """Letters in far-eastern order with the originating cell of each letter.
+
+    A named tuple, not a frozen dataclass: every tableau query builds one, and
+    the dataclass ``__init__`` sets each field through ``object.__setattr__``.
+    """
 
     letters: tuple[int, ...]
     origin: tuple[tuple[int, int], ...]

@@ -246,6 +246,44 @@ def test_checks_evaluate_the_model_once_per_element_and_label():
     assert pattern_calls == once(patterns) and tableau_calls == once(tableaux)
 
 
+def test_verify_shape_evaluates_each_model_once(monkeypatch):
+    # The axiom checks and the isomorphism check read one evaluation of each
+    # model.  connectivity and highest_weight_elements still call the pattern
+    # model's lower and epsilon themselves, so only its other data are pinned.
+    n, lam = 4, (2, 1)
+    calls = {}
+    for name in ("pattern_model", "tableau_model"):
+
+        def factory(n, make=getattr(crystal, name), name=name):
+            model, calls[name] = counting_model(make(n))
+            return model
+
+        monkeypatch.setattr(crystal, name, factory)
+    assert crystal.verify_shape(n, lam)["pass"]
+    elements = len(enumerate_patterns(n, lam))
+    pairs = elements * (n - 1)
+    once = {"weight": elements, "phi": pairs, "epsilon": pairs, "lower": pairs, "raise_": pairs}
+    assert calls["tableau_model"] == once
+    pattern = calls["pattern_model"]
+    assert (pattern["weight"], pattern["phi"], pattern["raise_"]) == (elements, pairs, pairs)
+
+
+def test_isomorphism_keeps_duplicate_inputs():
+    # A repeated pattern (an equal, distinct object) maps onto an image already
+    # seen, which is one injective witness; a repeated tableau in the target
+    # changes nothing.
+    n, lam = 3, (2, 1)
+    pm, tm = pattern_model(n), tableau_model(n)
+    patterns, tableaux = enumerate_patterns(n, lam), enumerate_tableaux(n, lam)
+    again = tableau_to_pattern(pattern_to_tableau(patterns[0]))
+    report = verify_isomorphism(pm, patterns + [again], tm, pattern_to_tableau, tableaux)
+    image = pattern_to_tableau(again)
+    assert report.found == 1
+    assert [(v.rule, v.elements, v.label) for v in report.violations] == [("injective", (again, image), None)]
+    again = pattern_to_tableau(tableau_to_pattern(tableaux[0]))
+    assert verify_isomorphism(pm, patterns, tm, pattern_to_tableau, tableaux + [again]).passed
+
+
 def test_highest_weight_elements(shape310):
     model, elements = shape310
     found = highest_weight_elements(model, elements)

@@ -8,6 +8,7 @@ from gtcrystal import crystal, ssyt
 from gtcrystal import (
     AlphabetError,
     ColumnOrderError,
+    ReadingWord,
     RowOrderError,
     ShapeError,
     Tableau,
@@ -112,6 +113,19 @@ def test_far_east_reading_same_shape_reads_own_letters():
     second = validate_tableau(4, (2, 1), [[2, 4], [3]])
     assert [far_east_reading(t).letters for t in (first, second, first)] == [(1, 1, 2), (4, 2, 3), (1, 1, 2)]
     assert far_east_reading(first).origin == far_east_reading(second).origin == ((1, 2), (1, 1), (2, 1))
+
+
+def test_reading_word_is_an_immutable_value():
+    # Two readings are equal exactly when their letters and their origins are.
+    t = validate_tableau(3, (2, 1), [[1, 2], [3]])
+    word = far_east_reading(t)
+    with pytest.raises(AttributeError):
+        word.letters = (1, 2, 3)
+    same = ReadingWord(word.letters, word.origin)
+    assert word == far_east_reading(validate_tableau(3, (2, 1), [[1, 2], [3]])) == same
+    assert hash(word) == hash(same)
+    assert word != ReadingWord(word.letters[::-1], word.origin)
+    assert word != ReadingWord(word.letters, word.origin[::-1])
 
 
 def test_each_tableau_query_reads_once(monkeypatch):
