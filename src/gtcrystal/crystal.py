@@ -13,9 +13,10 @@ and its callers decide what an image outside the element set means.
 
 ``verify_shape`` is the one verification engine: it runs every check of one
 shape, each into a ``Report``, and returns the record ``verify`` prints.
-``evaluate`` reads a model once per element and once per (element, label);
-``verify_shape`` evaluates each model once, and ``verify_axioms`` and
-``verify_isomorphism`` check every rule against those values.
+``evaluate`` reads a model once per element and once per (element, label).
+``verify_axioms`` and ``verify_isomorphism`` take evaluations, not models,
+and check every rule against their values; the one model read left in a
+check is an image outside the target of ``verify_isomorphism``.
 """
 
 from __future__ import annotations
@@ -84,8 +85,8 @@ def build_graph(model: CrystalModel, elements: Sequence[Any]) -> list[tuple[Any,
     then label order, whether or not the image is one of the elements.
 
     The elements must be distinct.  Each caller decides what an image outside
-    the set means: ``gtcrystal graph`` treats it as a defect, ``connectivity``
-    ignores it, and ``verify_axioms`` reports it through its ``closure`` rule.
+    the set means: ``gtcrystal graph`` treats it as a defect and
+    ``connectivity`` ignores it.
     """
     if len(set(elements)) != len(elements):
         raise ValueError("elements are not distinct")
@@ -152,14 +153,17 @@ class Report:
 
 
 class Evaluation(NamedTuple):
-    """One model's crystal data over a set of elements, each value evaluated once.
+    """One model's crystal data over a sequence of elements, each value evaluated once.
 
-    ``weights`` maps each element to its weight.  ``rows`` maps each element
-    to a tuple over the labels 1..n-1 of ``(phi, epsilon, lower, raise)``;
-    an image inside the set is the member it equals, so the rows hold no
-    second copy of an element.
+    ``model`` and ``elements`` are what it was made from, as given, repeats
+    included.  ``weights`` maps each element to its weight.  ``rows`` maps
+    each element to a tuple over the labels 1..n-1 of ``(phi, epsilon,
+    lower, raise)``; an image inside the set is the member it equals, so the
+    rows hold no second copy of an element.
     """
 
+    model: CrystalModel
+    elements: Sequence[Any]
     weights: dict[Any, Weight]
     rows: dict[Any, tuple[tuple[int, int, Optional[Any], Optional[Any]], ...]]
 
@@ -181,11 +185,11 @@ def evaluate(model: CrystalModel, elements: Sequence[Any]) -> Evaluation:
             phi, eps, down, up = model.phi(b, i), model.epsilon(b, i), model.lower(b, i), model.raise_(b, i)
             row.append((phi, eps, members.get(down, down), members.get(up, up)))
         rows[b] = tuple(row)
-    return Evaluation(weights, rows)
+    return Evaluation(model, elements, weights, rows)
 
 
-def verify_axioms(model: CrystalModel, elements: Sequence[Any], evaluation: Optional[Evaluation] = None) -> Report:
-    """Check the crystal axioms over a closed element set.
+def verify_axioms(evaluation: Evaluation) -> Report:
+    """Check the crystal axioms over the closed element set of ``evaluation``.
 
     For every element b and label i: lowering and raising are mutually
     inverse partial bijections; across a lowering edge the weight drops by
@@ -195,18 +199,15 @@ def verify_axioms(model: CrystalModel, elements: Sequence[Any], evaluation: Opti
     of the axioms is vacuous.  An operator image that escapes the element
     set is reported as a ``closure`` violation rather than raised, so
     mutated models can be diagnosed in full.  The elements must be distinct.
-    Every rule reads ``evaluation``, the model's ``evaluate`` over these
-    elements; the check makes it when none is given.
+    Every rule reads the evaluation; the model is not called.
     """
-    if evaluation is None:
-        evaluation = evaluate(model, elements)
-    weights, rows = evaluation
+    _model, elements, weights, rows = evaluation
     if len(rows) != len(elements):
         raise ValueError("elements are not distinct")
     report = Report()
     for b in elements:
         wt = weights[b]
-        for i, (phi, eps, down, up) in zip(model.labels, rows[b]):
+        for i, (phi, eps, down, up) in enumerate(rows[b], 1):
             pairing = coroot_pairing(wt, i)
             if phi - eps != pairing:
                 report.add("pairing", (b,), i, f"phi - epsilon = {pairing}", f"{phi} - {eps}")
@@ -236,41 +237,30 @@ def verify_axioms(model: CrystalModel, elements: Sequence[Any], evaluation: Opti
     return report
 
 
-def verify_isomorphism(
-    model_a: CrystalModel,
-    elements_a: Sequence[Any],
-    model_b: CrystalModel,
-    mapping: Callable[[Any], Any],
-    elements_b: Sequence[Any],
-    evaluation_a: Optional[Evaluation] = None,
-    evaluation_b: Optional[Evaluation] = None,
-) -> Report:
-    """Check that ``mapping`` is an isomorphism of crystals onto ``elements_b``.
+def verify_isomorphism(side_a: Evaluation, mapping: Callable[[Any], Any], side_b: Evaluation) -> Report:
+    """Check that ``mapping`` is an isomorphism of crystals from the elements
+    of ``side_a`` onto those of ``side_b``.
 
-    Verifies injectivity, surjectivity onto ``elements_b`` and images inside
-    it, preservation of weight and both string lengths, and that the mapping
-    commutes with lowering and raising, with absent images matching absent
-    images.  Every rule reads ``evaluation_a`` and ``evaluation_b``, each
-    model's ``evaluate`` over its elements, made here when not given; an
-    image outside ``elements_b`` is evaluated where it is met.
+    Verifies injectivity, surjectivity onto side b's elements and images
+    inside them, preservation of weight and both string lengths, and that
+    the mapping commutes with lowering and raising, with absent images
+    matching absent images.  Every rule reads the two evaluations; only an
+    image outside side b's elements is evaluated, with side b's model, where
+    it is met.
     """
-    if evaluation_a is None:
-        evaluation_a = evaluate(model_a, elements_a)
-    if evaluation_b is None:
-        evaluation_b = evaluate(model_b, elements_b)
     report = Report()
     seen_images = set()
-    for a in elements_a:
+    for a in side_a.elements:
         b = mapping(a)
         if b in seen_images:
             report.add("injective", (a, b), None, "distinct images", "duplicate image")
         seen_images.add(b)
-        side_b = evaluation_b if b in evaluation_b.rows else evaluate(model_b, [b])
-        weight_a, weight_b = evaluation_a.weights[a], side_b.weights[b]
+        side = side_b if b in side_b.rows else evaluate(side_b.model, [b])
+        weight_a, weight_b = side_a.weights[a], side.weights[b]
         if weight_a != weight_b:
             report.add("weight", (a, b), None, weight_a, weight_b)
-        for i, (phi_a, eps_a, down, up), (phi_b, eps_b, down_b, up_b) in zip(
-            model_a.labels, evaluation_a.rows[a], side_b.rows[b]
+        for i, ((phi_a, eps_a, down, up), (phi_b, eps_b, down_b, up_b)) in enumerate(
+            zip(side_a.rows[a], side.rows[b]), 1
         ):
             for rule, expected, actual in (
                 ("phi", phi_a, phi_b),
@@ -280,7 +270,7 @@ def verify_isomorphism(
             ):
                 if expected != actual:
                     report.add(rule, (a, b), i, expected, actual)
-    target = set(elements_b)
+    target = side_b.rows.keys()
     for b in sorted(target - seen_images, key=_render):
         report.add("surjective", (b,), None, "covered by the mapping", "not hit")
     for b in sorted(seen_images - target, key=_render):
@@ -375,9 +365,9 @@ def verify_shape(n: int, lam: Partition) -> dict[str, Any]:
     on_patterns, on_tableaux = evaluate(pm, patterns), evaluate(tm, tableaux)
     checks = {
         "dimension": Report(found=int(len(patterns) != weyl_dimension(n, lam))),
-        "axioms-patterns": verify_axioms(pm, patterns, on_patterns),
-        "axioms-tableaux": verify_axioms(tm, tableaux, on_tableaux),
-        "isomorphism": verify_isomorphism(pm, patterns, tm, image, tableaux, on_patterns, on_tableaux),
+        "axioms-patterns": verify_axioms(on_patterns),
+        "axioms-tableaux": verify_axioms(on_tableaux),
+        "isomorphism": verify_isomorphism(on_patterns, image, on_tableaux),
     }
     del on_patterns, on_tableaux
     checks["counting-identities"], checks["algebraic-identities"] = _identity_checks(patterns, image)

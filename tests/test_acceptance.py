@@ -22,6 +22,7 @@ from gtcrystal import (
     enumerate_tableaux,
     epsilon_gtp,
     epsilon_ssyt,
+    evaluate,
     far_east_reading,
     highest_weight_elements,
     letter_count_in_row,
@@ -132,7 +133,7 @@ def test_pattern_crystal_axioms_sweep():
     with criterion("pattern crystal axioms over the sweep"):
         start = time.perf_counter()
         for n, lam in full_sweep():
-            report = verify_axioms(pattern_model(n), enumerate_patterns(n, lam))
+            report = verify_axioms(evaluate(pattern_model(n), enumerate_patterns(n, lam)))
             assert report.passed, f"violations at n={n}, shape={lam}: {report.violations[:3]}"
         elapsed = time.perf_counter() - start
         assert elapsed < 60, f"sweep took {elapsed:.1f} s"
@@ -142,11 +143,9 @@ def test_bijection_is_isomorphism_sweep():
     with criterion("bijection intertwines the crystals over the sweep"):
         for n, lam in full_sweep():
             report = verify_isomorphism(
-                pattern_model(n),
-                enumerate_patterns(n, lam),
-                tableau_model(n),
+                evaluate(pattern_model(n), enumerate_patterns(n, lam)),
                 pattern_to_tableau,
-                elements_b=enumerate_tableaux(n, lam),
+                evaluate(tableau_model(n), enumerate_tableaux(n, lam)),
             )
             assert report.passed, f"violations at n={n}, shape={lam}: {report.violations[:3]}"
 
@@ -294,7 +293,7 @@ def test_flipped_tie_breaks_are_detected():
             detected = 0
             for n, lam in shape_sweep():
                 model = replace(pattern_model(n), **{mutated_field: mutated_op})
-                report = verify_axioms(model, enumerate_patterns(n, lam))
+                report = verify_axioms(evaluate(model, enumerate_patterns(n, lam)))
                 if not report.passed:
                     detected += 1
                     if any(v.rule == "inverse" for v in report.violations):

@@ -10,6 +10,7 @@ from gtcrystal import (
     enumerate_patterns,
     enumerate_tableaux,
     epsilon_gtp,
+    evaluate,
     highest_weight_elements,
     pattern_model,
     pattern_to_tableau,
@@ -127,9 +128,9 @@ def test_graphs_by_value_over_the_sweep():
 
 def test_axioms_pass_for_both_models(shape310):
     model, elements = shape310
-    assert verify_axioms(model, elements).passed
+    assert verify_axioms(evaluate(model, elements)).passed
     tmodel = tableau_model(3)
-    assert verify_axioms(tmodel, enumerate_tableaux(3, (3, 1))).passed
+    assert verify_axioms(evaluate(tmodel, enumerate_tableaux(3, (3, 1)))).passed
 
 
 def test_axioms_flag_broken_lowering(shape310):
@@ -145,7 +146,7 @@ def test_axioms_flag_broken_lowering(shape310):
         return gtcrystal.lower_gtp(p, i)
 
     broken = replace(model, lower=broken_lower)
-    report = verify_axioms(broken, elements)
+    report = verify_axioms(evaluate(broken, elements))
     assert not report.passed
     assert any(v.rule == "lower-domain" for v in report.violations)
 
@@ -164,7 +165,7 @@ def test_violation_cap_limits_report(monkeypatch):
     assert len(expected) == 108
     rendered = []
     monkeypatch.setattr(crystal, "render_key", lambda data: rendered.append(data) or render_key(data))
-    report = verify_axioms(replace(model, phi=lambda p, i: 99), elements)
+    report = verify_axioms(evaluate(replace(model, phi=lambda p, i: 99), elements))
     # Witnesses are kept as values: building the report renders no key.
     assert rendered == []
     # Past 100 a report keeps counting: every violation is found, only the
@@ -179,15 +180,15 @@ def test_violation_cap_limits_report(monkeypatch):
 
 def test_isomorphism_passes(shape310):
     model, elements = shape310
-    report = verify_isomorphism(
-        model, elements, tableau_model(3), pattern_to_tableau, elements_b=enumerate_tableaux(3, (3, 1))
-    )
+    side_b = evaluate(tableau_model(3), enumerate_tableaux(3, (3, 1)))
+    report = verify_isomorphism(evaluate(model, elements), pattern_to_tableau, side_b)
     assert report.passed
 
 
 def test_identity_map_is_isomorphism(shape310):
     model, elements = shape310
-    assert verify_isomorphism(model, elements, model, lambda p: p, elements_b=elements).passed
+    side = evaluate(model, elements)
+    assert verify_isomorphism(side, lambda p: p, side).passed
 
 
 def test_isomorphism_detects_swapped_images(shape310):
@@ -205,45 +206,86 @@ def test_isomorphism_detects_swapped_images(shape310):
         image = pattern_to_tableau(p)
         return swap.get(image, image)
 
-    report = verify_isomorphism(model, elements, tmodel, tweaked, elements_b=tabs)
+    report = verify_isomorphism(evaluate(model, elements), tweaked, evaluate(tmodel, tabs))
     assert not report.passed
     assert any(v.rule.endswith("intertwine") or v.rule in ("phi", "epsilon") for v in report.violations)
 
 
 def counting_model(model):
-    """The model with each of its five crystal data counting its calls."""
-    calls = dict.fromkeys(("weight", "phi", "epsilon", "lower", "raise_"), 0)
+    """The model with each of its five crystal data logging the element of
+    every call it answers."""
+    calls = {name: [] for name in ("weight", "phi", "epsilon", "lower", "raise_")}
 
     def counting(name):
         datum = getattr(model, name)
 
-        def call(*args):
-            calls[name] += 1
-            return datum(*args)
+        def call(element, *args):
+            calls[name].append(element)
+            return datum(element, *args)
 
         return call
 
     return replace(model, **{name: counting(name) for name in calls}), calls
 
 
-def test_checks_evaluate_the_model_once_per_element_and_label():
-    # Each check reads the weight once per element and phi, epsilon, lower
-    # and raise once per (element, label), on each side it checks; every
-    # rule then reads those values.
+def counts(calls):
+    """How many calls each datum of a ``counting_model`` answered."""
+    return {name: len(elements) for name, elements in calls.items()}
+
+
+def once(n, elements):
+    """One weight call per element and one call of each operator per (element, label)."""
+    pairs = len(elements) * (n - 1)
+    return {"weight": len(elements), "phi": pairs, "epsilon": pairs, "lower": pairs, "raise_": pairs}
+
+
+def forget(*logs):
+    """Empty the call logs of ``counting_model``s."""
+    for calls in logs:
+        for elements in calls.values():
+            elements.clear()
+
+
+def test_evaluate_reads_the_model_once_per_element_and_label():
+    # The weight once per element, then phi, epsilon, lower and raise once
+    # per (element, label) in element and then label order; a repeat is read
+    # once, and the evaluation keeps its model and elements as given.
     n, lam = 4, (2, 1)
     patterns, tableaux = enumerate_patterns(n, lam), enumerate_tableaux(n, lam)
-
-    def once(elements):
-        pairs = len(elements) * (n - 1)
-        return {"weight": len(elements), "phi": pairs, "epsilon": pairs, "lower": pairs, "raise_": pairs}
-
     for model, elements in ((pattern_model(n), patterns), (tableau_model(n), tableaux)):
         counted, calls = counting_model(model)
-        assert verify_axioms(counted, elements).passed
-        assert calls == once(elements)
+        given = elements + elements[:1]
+        evaluation = evaluate(counted, given)
+        assert counts(calls) == once(n, elements)
+        assert calls["weight"] == elements and calls["phi"] == [b for b in elements for _i in model.labels]
+        assert evaluation.model is counted and evaluation.elements is given
+        assert list(evaluation.weights) == list(evaluation.rows) == elements
+
+
+def test_checks_make_no_model_call_on_a_passing_shape():
+    # Given the evaluations, both axiom checks and the isomorphism check read
+    # every value from them and call neither model.
+    n, lam = 4, (2, 1)
     (pm, pattern_calls), (tm, tableau_calls) = counting_model(pattern_model(n)), counting_model(tableau_model(n))
-    assert verify_isomorphism(pm, patterns, tm, pattern_to_tableau, tableaux).passed
-    assert pattern_calls == once(patterns) and tableau_calls == once(tableaux)
+    side_a, side_b = evaluate(pm, enumerate_patterns(n, lam)), evaluate(tm, enumerate_tableaux(n, lam))
+    forget(pattern_calls, tableau_calls)
+    assert verify_axioms(side_a).passed and verify_axioms(side_b).passed
+    assert verify_isomorphism(side_a, pattern_to_tableau, side_b).passed
+    assert counts(pattern_calls) == counts(tableau_calls) == dict.fromkeys(pattern_calls, 0)
+
+
+def test_checks_call_the_model_only_on_an_image_outside_the_target(shape2):
+    # On the input of test_into_target_witness the one model read left is of
+    # T22, the image outside the target: one weight, one of each operator per label.
+    pm, patterns, tm, tableaux = shape2
+    (pm, pattern_calls), (tm, tableau_calls) = counting_model(pm), counting_model(tm)
+    side_a, side_b = evaluate(pm, patterns), evaluate(tm, tableaux[:2])
+    forget(pattern_calls, tableau_calls)
+    assert verify_axioms(side_a).passed and not verify_axioms(side_b).passed
+    assert not verify_isomorphism(side_a, pattern_to_tableau, side_b).passed
+    outside = tableaux[2]
+    assert counts(pattern_calls) == dict.fromkeys(pattern_calls, 0)
+    assert tableau_calls == {name: [outside] * (1 if name == "weight" else tm.n - 1) for name in tableau_calls}
 
 
 def test_verify_shape_evaluates_each_model_once(monkeypatch):
@@ -260,12 +302,11 @@ def test_verify_shape_evaluates_each_model_once(monkeypatch):
 
         monkeypatch.setattr(crystal, name, factory)
     assert crystal.verify_shape(n, lam)["pass"]
-    elements = len(enumerate_patterns(n, lam))
-    pairs = elements * (n - 1)
-    once = {"weight": elements, "phi": pairs, "epsilon": pairs, "lower": pairs, "raise_": pairs}
-    assert calls["tableau_model"] == once
-    pattern = calls["pattern_model"]
-    assert (pattern["weight"], pattern["phi"], pattern["raise_"]) == (elements, pairs, pairs)
+    elements = enumerate_patterns(n, lam)
+    pairs = len(elements) * (n - 1)
+    assert counts(calls["tableau_model"]) == once(n, elements)
+    pattern = counts(calls["pattern_model"])
+    assert (pattern["weight"], pattern["phi"], pattern["raise_"]) == (len(elements), pairs, pairs)
 
 
 def test_isomorphism_keeps_duplicate_inputs():
@@ -276,12 +317,14 @@ def test_isomorphism_keeps_duplicate_inputs():
     pm, tm = pattern_model(n), tableau_model(n)
     patterns, tableaux = enumerate_patterns(n, lam), enumerate_tableaux(n, lam)
     again = tableau_to_pattern(pattern_to_tableau(patterns[0]))
-    report = verify_isomorphism(pm, patterns + [again], tm, pattern_to_tableau, tableaux)
+    side_b = evaluate(tm, tableaux)
+    report = verify_isomorphism(evaluate(pm, patterns + [again]), pattern_to_tableau, side_b)
     image = pattern_to_tableau(again)
     assert report.found == 1
     assert [(v.rule, v.elements, v.label) for v in report.violations] == [("injective", (again, image), None)]
     again = pattern_to_tableau(tableau_to_pattern(tableaux[0]))
-    assert verify_isomorphism(pm, patterns, tm, pattern_to_tableau, tableaux + [again]).passed
+    side_b = evaluate(tm, tableaux + [again])
+    assert verify_isomorphism(evaluate(pm, patterns), pattern_to_tableau, side_b).passed
 
 
 def test_highest_weight_elements(shape310):
@@ -333,9 +376,11 @@ def test_duplicate_elements_rejected():
     # only the distinctness check can reject it.
     elements = enumerate_patterns(2, (1,))
     repeated = elements + [validate_pattern(2, [list(row) for row in elements[0].rows])]
-    for check in (build_graph, connectivity, verify_axioms):
+    for check in (build_graph, connectivity):
         with pytest.raises(ValueError, match="not distinct"):
             check(pattern_model(2), repeated)
+    with pytest.raises(ValueError, match="not distinct"):
+        verify_axioms(evaluate(pattern_model(2), repeated))
 
 
 # Violation witnesses on the n = 2, shape (2) crystal (and n = 3, shape (1)),
@@ -375,14 +420,14 @@ def shape2():
 
 def test_closure_witnesses(shape2):
     pm, patterns, tm, tableaux = shape2
-    report = verify_axioms(pm, [patterns[0], patterns[2]])
+    report = verify_axioms(evaluate(pm, [patterns[0], patterns[2]]))
     assert json.dumps(report.to_dict()) == rendered_report(
         [
             ("closure", (P0, P1), 1, "raising image inside the element set", "escaped"),
             ("closure", (P2, P1), 1, "lowering image inside the element set", "escaped"),
         ]
     )
-    report = verify_axioms(tm, [tableaux[0], tableaux[2]])
+    report = verify_axioms(evaluate(tm, [tableaux[0], tableaux[2]]))
     assert json.dumps(report.to_dict()) == rendered_report(
         [
             ("closure", (T11, T12), 1, "lowering image inside the element set", "escaped"),
@@ -398,7 +443,7 @@ def test_inverse_witnesses(shape2):
     def raise_to_lowest(p, i):
         return None if raise_gtp(p, i) is None else lowest
 
-    report = verify_axioms(replace(pm, raise_=raise_to_lowest), patterns)
+    report = verify_axioms(evaluate(replace(pm, raise_=raise_to_lowest), patterns))
     assert json.dumps(report.to_dict()) == rendered_report(
         [
             ("inverse", (P0, P0), 1, "lowering inverts raising", "None"),
@@ -411,7 +456,7 @@ def test_inverse_witnesses(shape2):
 
 def test_truncated_witnesses():
     broken = replace(pattern_model(3), phi=lambda p, i: 99)
-    report = verify_axioms(broken, enumerate_patterns(3, (1,)))
+    report = verify_axioms(evaluate(broken, enumerate_patterns(3, (1,))))
     assert json.dumps(report.to_dict()) == rendered_report(
         [
             ("pairing", (Q0,), 1, "phi - epsilon = 0", "99 - 0"),
@@ -434,7 +479,7 @@ def test_raise_domain_witnesses():
     # e_2 never has an image: the pattern with a 2-string above it names the
     # missing image, and lowering into it is no longer inverted.
     broken = replace(pattern_model(3), raise_=lambda p, i: None if i == 2 else raise_gtp(p, i))
-    report = verify_axioms(broken, enumerate_patterns(3, (1,)))
+    report = verify_axioms(evaluate(broken, enumerate_patterns(3, (1,))))
     assert json.dumps(report.to_dict()) == rendered_report(
         [
             ("raise-domain", (Q0,), 2, "image iff epsilon > 0 (epsilon = 1)", "False"),
@@ -449,7 +494,7 @@ def test_weight_step_witnesses():
     patterns = enumerate_patterns(3, (1,))
     q1 = patterns[1]
     broken = replace(pattern_model(3), weight=lambda p: tuple(x + (p == q1) for x in weight_gtp(p)))
-    report = verify_axioms(broken, patterns)
+    report = verify_axioms(evaluate(broken, patterns))
     assert json.dumps(report.to_dict()) == rendered_report(
         [
             ("weight-step", (Q1, Q0), 2, "(1, 1, 2)", "(0, 0, 1)"),
@@ -463,7 +508,7 @@ def test_epsilon_step_witnesses():
     patterns = enumerate_patterns(3, (1,))
     q1 = patterns[1]
     broken = replace(pattern_model(3), epsilon=lambda p, i: epsilon_gtp(p, i) + (p == q1))
-    report = verify_axioms(broken, patterns)
+    report = verify_axioms(evaluate(broken, patterns))
     assert json.dumps(report.to_dict()) == rendered_report(
         [
             ("pairing", (Q1,), 1, "phi - epsilon = -1", "0 - 2"),
@@ -478,7 +523,7 @@ def test_epsilon_step_witnesses():
 def test_injective_and_surjective_witnesses(shape2):
     pm, patterns, tm, tableaux = shape2
     image = pattern_to_tableau(patterns[0])
-    report = verify_isomorphism(pm, patterns, tm, lambda p: image, elements_b=tableaux)
+    report = verify_isomorphism(evaluate(pm, patterns), lambda p: image, evaluate(tm, tableaux))
     assert json.dumps(report.to_dict()) == rendered_report(
         [
             ("raise-intertwine", (P0, T22), 1, T22, T12),
@@ -502,7 +547,7 @@ def test_injective_and_surjective_witnesses(shape2):
 
 def test_into_target_witness(shape2):
     pm, patterns, tm, tableaux = shape2
-    report = verify_isomorphism(pm, patterns, tm, pattern_to_tableau, elements_b=tableaux[:2])
+    report = verify_isomorphism(evaluate(pm, patterns), pattern_to_tableau, evaluate(tm, tableaux[:2]))
     assert json.dumps(report.to_dict()) == rendered_report(
         [("into-target", (T22,), None, "image inside the target set", "outside")]
     )

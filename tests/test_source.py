@@ -139,3 +139,32 @@ def test_every_reported_rule_is_named_by_a_test():
         if isinstance(node, ast.Constant) and isinstance(node.value, str)
     }
     assert sorted(rules - named) == []
+
+
+# A model's crystal data, read as attributes of the model.
+MODEL_DATA = {"weight", "phi", "epsilon", "lower", "raise_"}
+# The crystal.py definitions allowed to read them; every check reads an evaluation.
+MODEL_READERS = {"evaluate", "build_graph", "highest_weight_elements"}
+
+
+def model_data_readers(tree):
+    """The module-level definitions of ``tree`` that read a model datum."""
+    return {
+        getattr(node, "name", None)
+        for node in tree.body
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute) and sub.attr in MODEL_DATA
+    }
+
+
+def test_only_the_evaluation_reads_model_data_in_the_checks():
+    # In crystal.py a model's data are read only by evaluate, build_graph and
+    # highest_weight_elements, so no check reads the model a second time
+    # outside its evaluation.
+    tree = ast.parse((PACKAGE / "crystal.py").read_text(encoding="utf-8"))
+    readers = model_data_readers(tree)
+    assert "evaluate" in readers and readers <= MODEL_READERS
+    # The rule sees a read slipped into a check.
+    check = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "verify_axioms")
+    check.body.insert(0, ast.parse("model.phi(b, 1)").body[0])
+    assert model_data_readers(tree) - MODEL_READERS == {"verify_axioms"}
