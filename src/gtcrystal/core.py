@@ -7,6 +7,7 @@ an explicit operation.  All arithmetic is exact integer arithmetic.
 
 from __future__ import annotations
 
+from math import comb
 from typing import Any, Iterable
 
 Partition = tuple[int, ...]
@@ -79,17 +80,23 @@ def weyl_dimension(n: int, lam: Partition) -> int:
     """Dimension of the irreducible gl_n module with highest weight ``lam``.
 
     Product over pairs 1 <= i < j <= n of (lam_i - lam_j + j - i) / (j - i),
-    an exact integer quotient; a pair of equal parts gives 1 and is skipped.
-    Used only as an independent counting oracle for pattern enumeration.
+    an exact integer quotient.  Only the pairs of the l nonzero parts are
+    multiplied one by one; for each part, the pairs with the n - l zero parts
+    after it telescope to the binomial ratio C(lam_i + n - i, lam_i) /
+    C(lam_i + l - i, lam_i), and pairs of two zero parts give 1.  Used only
+    as an independent counting oracle for pattern enumeration.
     """
     require_positive(n, "row count")
-    padded = pad(lam, n)
+    parts = as_partition(lam)
+    if len(parts) > n:
+        raise LengthError(f"partition has {len(parts)} parts, more than n={n}")
     num = den = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            if padded[i] != padded[j]:
-                num *= padded[i] - padded[j] + j - i
-                den *= j - i
+    for i, part in enumerate(parts):
+        for j in range(i + 1, len(parts)):
+            num *= part - parts[j] + j - i
+            den *= j - i
+        num *= comb(part + n - 1 - i, part)
+        den *= comb(part + len(parts) - 1 - i, part)
     if num % den:
         raise RuntimeError(f"Weyl quotient {num}/{den} is not exact")
     return num // den

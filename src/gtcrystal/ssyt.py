@@ -5,11 +5,7 @@ each column top to bottom) followed by pair cancellation between the letters
 i and i+1.  The reading walk depends only on the row lengths, so it is made
 once per length tuple (``_reading_plan``), and each reading is one pick from
 the concatenated rows.  The operators match the letters in a single stack
-pass over the reading word; ``match_positions`` keeps the literal
-crossed-position form as the reference.  A second, column-scanning
-implementation of the cancellation is provided and must induce identical
-data; the verification suite checks the two against each other exhaustively
-at desk scale.
+pass over the reading word.
 
 Cells are addressed by 1-based (row, column) pairs throughout.
 """
@@ -161,25 +157,6 @@ def far_east_reading(tableau: Tableau) -> ReadingWord:
     return ReadingWord(pick([0, 0, *chain.from_iterable(rows)])[2:], origin)
 
 
-def match_positions(letters: Sequence[int], i: int) -> frozenset[int]:
-    """Crossed-out 1-based positions of the i-cancellation of a word.
-
-    Single pass: each letter i opens, each letter i+1 closes the most recent
-    unmatched opener; matched pairs are crossed out.  Equals the fixpoint of
-    repeatedly crossing the rightmost i that still has an i+1 to its right
-    together with the leftmost such i+1.
-    """
-    crossed: set[int] = set()
-    stack: list[int] = []
-    for pos, letter in enumerate(letters, start=1):
-        if letter == i:
-            stack.append(pos)
-        elif letter == i + 1 and stack:
-            crossed.add(stack.pop())
-            crossed.add(pos)
-    return frozenset(crossed)
-
-
 def _check_label(tableau: Tableau, i: int) -> None:
     if not 1 <= i <= tableau.n - 1:
         raise LabelError(f"label {i} out of range 1..{tableau.n - 1}")
@@ -273,77 +250,6 @@ def weight_ssyt(tableau: Tableau) -> Weight:
         for x in row:
             counts[x - 1] += 1
     return tuple(counts)
-
-
-def bracket_columns(tableau: Tableau, i: int) -> frozenset[tuple[int, int]]:
-    """Crossed cells of the column-scan i-cancellation.
-
-    Scan columns left to right; when a column contains the letter i and some
-    unbracketed i+1 sits in the same column or further left, cross that i
-    together with the rightmost such i+1.  A column holds at most one of
-    each letter, so cells are identified by column position.
-    """
-    _check_label(tableau, i)
-    shape = tableau.shape
-    width = shape[0] if shape else 0
-    crossed: set[tuple[int, int]] = set()
-    open_upper: list[tuple[int, int]] = []  # unbracketed cells holding i+1, ordered by column
-    for c in range(1, width + 1):
-        cell_i = None
-        cell_i1 = None
-        for r in range(1, len(shape) + 1):
-            if shape[r - 1] >= c:
-                if tableau.cell(r, c) == i:
-                    cell_i = (r, c)
-                elif tableau.cell(r, c) == i + 1:
-                    cell_i1 = (r, c)
-        if cell_i1 is not None:
-            open_upper.append(cell_i1)
-        if cell_i is not None and open_upper:
-            crossed.add(cell_i)
-            crossed.add(open_upper.pop())
-    return frozenset(crossed)
-
-
-def _uncrossed_cells(tableau: Tableau, i: int, letter: int) -> list[tuple[int, int]]:
-    crossed = bracket_columns(tableau, i)
-    cells = [
-        (r, c)
-        for r, row in enumerate(tableau.rows, start=1)
-        for c, x in enumerate(row, start=1)
-        if x == letter and (r, c) not in crossed
-    ]
-    return sorted(cells, key=lambda cell: cell[1])
-
-
-def phi_columns(tableau: Tableau, i: int) -> int:
-    """Lowering string length from the column-scan cancellation."""
-    return len(_uncrossed_cells(tableau, i, i))
-
-
-def epsilon_columns(tableau: Tableau, i: int) -> int:
-    """Raising string length from the column-scan cancellation."""
-    return len(_uncrossed_cells(tableau, i, i + 1))
-
-
-def lower_columns(tableau: Tableau, i: int) -> Optional[Tableau]:
-    """Lowering operator from the column-scan cancellation: change the
-    rightmost (largest column) unbracketed i to i+1."""
-    cells = _uncrossed_cells(tableau, i, i)
-    if not cells:
-        return None
-    r, c = cells[-1]
-    return _with_cell_changed(tableau, r, c, i + 1)
-
-
-def raise_columns(tableau: Tableau, i: int) -> Optional[Tableau]:
-    """Raising operator from the column-scan cancellation: change the
-    leftmost (smallest column) unbracketed i+1 to i."""
-    cells = _uncrossed_cells(tableau, i, i + 1)
-    if not cells:
-        return None
-    r, c = cells[0]
-    return _with_cell_changed(tableau, r, c, i)
 
 
 def enumerate_tableaux(n: int, lam: Partition) -> list[Tableau]:

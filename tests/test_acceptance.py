@@ -28,7 +28,6 @@ from gtcrystal import (
     letter_count_in_row,
     lower_gtp,
     lower_ssyt,
-    match_positions,
     pattern_model,
     partitions_up_to,
     pattern_to_tableau,
@@ -48,8 +47,17 @@ from gtcrystal import (
     weyl_dimension,
 )
 from gtcrystal.gtpattern import reduced_long_word
-from gtcrystal.ssyt import epsilon_columns, lower_columns, phi_columns, raise_columns
-from sweeps import SPOT_RANK_5_SHAPES, letter_count, shape_sweep
+from sweeps import (
+    SPOT_RANK_5_SHAPES,
+    epsilon_columns,
+    letter_count,
+    lower_columns,
+    match_positions,
+    phi_columns,
+    raise_columns,
+    recursive_crossing,
+    shape_sweep,
+)
 
 
 @contextmanager
@@ -202,18 +210,29 @@ def test_dimension_cross_check_sweep():
             assert len(enumerate_patterns(n, lam)) == weyl_dimension(n, lam)
 
 
+def dual_route_mismatches():
+    """(tableau, label, datum) wherever the package's word-scan operators and
+    the column-scan oracle disagree, over every tableau of ``shape_sweep()``."""
+    routes = {
+        "phi": (phi_ssyt, phi_columns),
+        "epsilon": (epsilon_ssyt, epsilon_columns),
+        "lower": (lower_ssyt, lower_columns),
+        "raise": (raise_ssyt, raise_columns),
+    }
+    return [
+        (t, i, name)
+        for n, lam in shape_sweep()
+        for t in enumerate_tableaux(n, lam)
+        for i in range(1, n)
+        for name, (word, column) in routes.items()
+        if word(t, i) != column(t, i)
+    ]
+
+
 def test_dual_bracketing_implementations_agree():
     with criterion("word-scan and column-scan crystal data agree"):
-        for n, lam in shape_sweep():
-            for t in enumerate_tableaux(n, lam):
-                for i in range(1, n):
-                    assert phi_columns(t, i) == phi_ssyt(t, i)
-                    assert epsilon_columns(t, i) == epsilon_ssyt(t, i)
-                    assert lower_columns(t, i) == lower_ssyt(t, i)
-                    assert raise_columns(t, i) == raise_ssyt(t, i)
+        assert dual_route_mismatches() == []
     with criterion("single-pass matching equals the recursive crossing rule"):
-        from sweeps import recursive_crossing
-
         words = [()]
         frontier = [()]
         for _ in range(8):

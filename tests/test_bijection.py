@@ -1,15 +1,23 @@
 import pytest
 from hypothesis import given
 
-from conftest import tableau_st
+from conftest import pattern_st, tableau_st
 from gtcrystal import (
     GTPattern,
     diamond_a,
     diamond_b,
     enumerate_patterns,
     enumerate_tableaux,
+    epsilon_gtp,
+    epsilon_ssyt,
     letter_count_in_row,
+    lower_gtp,
+    lower_ssyt,
     pattern_to_tableau,
+    phi_gtp,
+    phi_ssyt,
+    raise_gtp,
+    raise_ssyt,
     sum_a,
     sum_b,
     tableau_to_pattern,
@@ -109,3 +117,18 @@ def test_weight_preserved_exhaustive():
     for n, lam in shape_sweep():
         for p in enumerate_patterns(n, lam):
             assert weight_gtp(p) == weight_ssyt(pattern_to_tableau(p))
+
+
+@given(p=pattern_st(max_n=9, max_part=50))
+def test_bijection_is_a_crystal_isomorphism_past_desk_scale(p):
+    # The paper's theorem on patterns of up to nine rows with entries up to
+    # 50: the bijection keeps the weight and, at every label, phi and epsilon,
+    # and carries each pattern operator's image (None included) onto the
+    # tableau operator's.
+    t = pattern_to_tableau(p)
+    assert weight_ssyt(t) == weight_gtp(p)
+    for i in range(1, p.n):
+        assert (phi_ssyt(t, i), epsilon_ssyt(t, i)) == (phi_gtp(p, i), epsilon_gtp(p, i))
+        for on_pattern, on_tableau in ((lower_gtp, lower_ssyt), (raise_gtp, raise_ssyt)):
+            image = on_pattern(p, i)
+            assert on_tableau(t, i) == (None if image is None else pattern_to_tableau(image))

@@ -607,6 +607,9 @@ LONG_ORDERED_INPUTS = {
         compact({"n": WIDE_N, "rows": [[WIDE_WIDTH] + [0] * (i - 1) for i in range(WIDE_N, 0, -1)]}),
     ),
     "dim of the empty shape at n=3000": lambda: (("dim", "-n", "3000", "-l", ""), None, "1\n"),
+    # The work grows with the nonzero parts, not with the n(n-1)/2 pairs.
+    "dim of the empty shape at n=10^6": lambda: (("dim", "-n", "1000000", "-l", ""), None, "1\n"),
+    "dim of 3,1 at n=10^6": lambda: (("dim", "-n", "1000000", "-l", "3,1"), None, "125000249999874999750000\n"),
 }
 
 

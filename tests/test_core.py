@@ -52,6 +52,27 @@ def test_weyl_dimension_known_values():
     assert weyl_dimension(1, (7,)) == 1
 
 
+def pairwise_dimension(n, lam):
+    """The Weyl product over every pair 1 <= i < j <= n, written out."""
+    parts = pad(lam, n)
+    num = den = 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            num *= parts[i] - parts[j] + j - i
+            den *= j - i
+    assert num % den == 0
+    return num // den
+
+
+def test_weyl_dimension_matches_the_pairwise_product():
+    for n in range(1, 41):
+        for lam in partitions_up_to(5, n):
+            assert weyl_dimension(n, lam) == pairwise_dimension(n, lam), (n, lam)
+    for n in (100, 200):
+        for lam in ((), (1,), (50, 30, 30, 2, 1), (9,) * 12, tuple(range(40, 0, -1)), (200,) * 99 + (1,)):
+            assert weyl_dimension(n, lam) == pairwise_dimension(n, lam), (n, lam)
+
+
 def test_weyl_dimension_rejects_long_partition():
     with pytest.raises(LengthError):
         weyl_dimension(2, (1, 1, 1))

@@ -1,10 +1,12 @@
 """The one-pass operator kernels against the literal reference forms.
 
-The oracles here use only ``sum_a``/``sum_b`` on patterns and
-the positions ``match_positions`` leaves uncrossed in ``far_east_reading(t)``,
-mapped through the reading word's origins, on tableaux; they build the expected images with
-``validate_pattern``/``validate_tableau``, never with the kernels.  The
-guard tests cover each local check that replaced full revalidation.
+The oracles here use only ``sum_a``/``sum_b`` on patterns and, on tableaux,
+the cells of ``uncrossed_cells``: the positions that ``match_positions``
+leaves uncrossed in ``far_east_reading(t)``, mapped through the reading
+word's origins.  Both oracles live in ``tests/sweeps.py``.  The expected
+images are built with ``validate_pattern``/``validate_tableau``, never with
+the kernels.  The guard tests cover each local check that replaced full
+revalidation.
 """
 
 import os
@@ -23,10 +25,8 @@ from gtcrystal import (
     enumerate_tableaux,
     epsilon_gtp,
     epsilon_ssyt,
-    far_east_reading,
     lower_gtp,
     lower_ssyt,
-    match_positions,
     pattern_to_tableau,
     phi_gtp,
     phi_ssyt,
@@ -40,6 +40,7 @@ from gtcrystal import (
 from gtcrystal.gtpattern import _with_entry_changed
 from gtcrystal.ssyt import _with_cell_changed
 from conftest import pattern_st
+from sweeps import tableau_with, uncrossed_cells
 from test_acceptance import full_sweep
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -73,17 +74,6 @@ def pattern_with(p, i, j, delta):
     rows = [list(row) for row in p.rows]
     rows[p.n - i][j - 1] += delta
     return validate_pattern(p.n, rows)
-
-
-def tableau_with(t, r, c, letter):
-    rows = [list(row) for row in t.rows]
-    rows[r - 1][c - 1] = letter
-    return validate_tableau(t.n, t.shape, rows)
-
-
-def uncrossed(word, crossed, letter):
-    """Positions (1-based, increasing) of the uncrossed occurrences of ``letter``."""
-    return [pos for pos, x in enumerate(word.letters, start=1) if x == letter and pos not in crossed]
 
 
 def assert_pattern_kernels_match_partial_sums(p):
@@ -126,11 +116,9 @@ def test_pattern_kernels_match_partial_sums_past_desk_scale(p):
 def test_tableau_kernels_match_literal_bracketing():
     for n, lam in full_sweep():
         for t in enumerate_tableaux(n, lam):
-            word = far_east_reading(t)
             for i in range(1, n):
-                crossed = match_positions(word.letters, i)
-                lows = [word.origin[pos - 1] for pos in uncrossed(word, crossed, i)]
-                highs = [word.origin[pos - 1] for pos in uncrossed(word, crossed, i + 1)]
+                lows = uncrossed_cells(t, i, i)
+                highs = uncrossed_cells(t, i, i + 1)
                 assert phi_ssyt(t, i) == len(lows)
                 assert epsilon_ssyt(t, i) == len(highs)
 

@@ -8,7 +8,9 @@ computed must reproduce each count exactly, and every mutant must fire at
 least one check.  Each mutant in ``GUARDED`` replaces a tableau operator or
 the reading it scans with the opposite choice; its first image is not
 semistandard, so ``verify_shape`` raises the guard's RuntimeError and
-``gtcrystal verify`` exits 3.
+``gtcrystal verify`` exits 3.  A cell write that drops the changes in one
+row must split the package's word-scan operators from the column-scan
+oracle, which builds its images without that write.
 """
 
 import pytest
@@ -23,6 +25,8 @@ from gtcrystal import (
     ssyt,
     validate_tableau,
 )
+from sweeps import uncrossed_cells
+from test_acceptance import dual_route_mismatches
 
 SHAPES = ((3, (2, 1)), (4, (2, 1)), (4, (3, 2, 1)), (5, (2, 1, 1)))
 
@@ -77,17 +81,10 @@ def _pattern_to_tableau(orig):
     return mutant
 
 
-def _uncrossed_cells(t, i, letter):
-    word = ssyt.far_east_reading(t)
-    crossed = ssyt.match_positions(word.letters, i)
-    cells = enumerate(zip(word.letters, word.origin), start=1)
-    return [cell for pos, (x, cell) in cells if x == letter and pos not in crossed]
-
-
 def _lower_ssyt(_orig):
     # Change the rightmost uncrossed i of the reading word instead of the leftmost.
     def mutant(t, i):
-        cells = _uncrossed_cells(t, i, i)
+        cells = uncrossed_cells(t, i, i)
         return ssyt._with_cell_changed(t, *cells[-1], i + 1) if cells else None
 
     return mutant
@@ -96,7 +93,7 @@ def _lower_ssyt(_orig):
 def _raise_ssyt(_orig):
     # Change the leftmost uncrossed i+1 of the reading word instead of the rightmost.
     def mutant(t, i):
-        cells = _uncrossed_cells(t, i, i + 1)
+        cells = uncrossed_cells(t, i, i + 1)
         return ssyt._with_cell_changed(t, *cells[0], i) if cells else None
 
     return mutant
@@ -174,6 +171,19 @@ def test_tableau_mutant_is_an_internal_error(monkeypatch, capsys, name):
     assert str(caught.value) == f"crystal operator {message}"
     assert cli.main(["verify", "-n", "3", "-l", "2,1"]) == 3
     assert capsys.readouterr() == ("", f"internal error: {caught.value}\n")
+
+
+def _with_cell_changed(orig):
+    # Drop every change in row 2: the image is the tableau it was applied to.
+    return lambda t, r, c, letter: t if r == 2 else orig(t, r, c, letter)
+
+
+def test_row_2_cell_write_mutant_splits_the_routes(monkeypatch):
+    monkeypatch.setattr(ssyt, "_with_cell_changed", _with_cell_changed(ssyt._with_cell_changed))
+    mismatches = dual_route_mismatches()
+    # One mismatch per lowering or raising image whose changed cell is in row 2.
+    assert {name for _, _, name in mismatches} == {"lower", "raise"}
+    assert len(mismatches) == 722
 
 
 def counted(monkeypatch, module, names):

@@ -6,9 +6,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gtcrystal"
 
-# Literal reference forms that only the tests compare against.
-TEST_REFERENCES = {"match_positions", "phi_columns", "epsilon_columns", "lower_columns", "raise_columns"}
-
 
 def test_package_has_no_assert_statements():
     # ``python -O`` strips assert statements, so an internal invariant written
@@ -26,8 +23,8 @@ def test_package_has_no_assert_statements():
 
 def test_every_public_definition_is_used():
     # A public module-level function or class must be used by package code
-    # outside its own definition, or be a test reference.  The re-exports in
-    # __init__.py do not count as uses.
+    # outside its own definition: the package ships no test-only reference.
+    # The re-exports in __init__.py do not count as uses.
     paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     statements = [
         node for path in paths for node in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body
@@ -47,7 +44,7 @@ def test_every_public_definition_is_used():
     ]
     assert len(defined) > 50
     unused = {name for k, name in defined if not any(name in names for m, names in enumerate(uses) if m != k)}
-    assert unused == TEST_REFERENCES
+    assert unused == set()
 
 
 def test_every_private_definition_is_used_in_its_module():
@@ -168,3 +165,32 @@ def test_only_the_evaluation_reads_model_data_in_the_checks():
     check = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "verify_axioms")
     check.body.insert(0, ast.parse("model.phi(b, 1)").body[0])
     assert model_data_readers(tree) - MODEL_READERS == {"verify_axioms"}
+
+
+# The crystal operators of both models, which the oracles check.
+OPERATORS = {f"{datum}_{model}" for datum in ("phi", "epsilon", "lower", "raise") for model in ("gtp", "ssyt")}
+
+
+def checked_code_in(tree):
+    """The private names and operators that ``tree`` imports from gtcrystal or reads as an attribute."""
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("gtcrystal")
+        for alias in node.names
+    ]
+    attributes = [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    return {name for name in imported + attributes if name.startswith("_") or name in OPERATORS}
+
+
+def test_the_oracles_share_no_code_they_check():
+    # The reference oracles in tests/sweeps.py reach the package only through
+    # its public values, so a defect in an operator or in a private helper it
+    # uses (the cell write of the tableau operators) cannot reach the oracle.
+    tree = ast.parse((ROOT / "tests" / "sweeps.py").read_text(encoding="utf-8"))
+    assert checked_code_in(tree) == set()
+    # The rule sees the shared cell write, or an operator, slipped into the oracles.
+    tree.body.insert(0, ast.parse("from gtcrystal.ssyt import _with_cell_changed").body[0])
+    assert checked_code_in(tree) == {"_with_cell_changed"}
+    tree.body.insert(0, ast.parse("from gtcrystal import ssyt\nssyt.lower_ssyt").body[1])
+    assert checked_code_in(tree) == {"_with_cell_changed", "lower_ssyt"}

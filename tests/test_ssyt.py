@@ -12,24 +12,27 @@ from gtcrystal import (
     RowOrderError,
     ShapeError,
     Tableau,
-    bracket_columns,
     enumerate_tableaux,
-    epsilon_columns,
     epsilon_ssyt,
     far_east_reading,
-    lower_columns,
     lower_ssyt,
-    match_positions,
     pattern_to_tableau,
-    phi_columns,
     phi_ssyt,
-    raise_columns,
     raise_ssyt,
     tableau_to_pattern,
     validate_tableau,
     weight_ssyt,
 )
-from sweeps import recursive_crossing, shape_sweep
+from sweeps import (
+    bracket_columns,
+    epsilon_columns,
+    lower_columns,
+    match_positions,
+    phi_columns,
+    raise_columns,
+    recursive_crossing,
+    shape_sweep,
+)
 
 
 @pytest.fixture
