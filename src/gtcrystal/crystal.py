@@ -8,8 +8,8 @@ models, runs and processes.  A violation keeps the elements and values it
 found and renders them once, when its report is rendered; the CLI renders
 the keys of the elements and graph vertices it prints.
 
-``build_graph`` is the one lowering walk: it returns every lowering edge,
-and its callers decide what an image outside the element set means.
+``build_graph`` returns every lowering edge for ``gtcrystal graph``; verify
+counts components from the evaluation, one lowering walk per model.
 
 ``verify_shape`` is the one verification engine: it runs every check of one
 shape, each into a ``Report``, and returns the record ``verify`` prints.
@@ -84,9 +84,8 @@ def build_graph(model: CrystalModel, elements: Sequence[Any]) -> list[tuple[Any,
     """Every lowering edge (b, i, f_i b) with an image, in element order and
     then label order, whether or not the image is one of the elements.
 
-    The elements must be distinct.  Each caller decides what an image outside
-    the set means: ``gtcrystal graph`` treats it as a defect and
-    ``connectivity`` ignores it.
+    The elements must be distinct.  Its one caller, ``gtcrystal graph``,
+    treats an image outside the set as a defect.
     """
     if len(set(elements)) != len(elements):
         raise ValueError("elements are not distinct")
@@ -279,26 +278,35 @@ def verify_isomorphism(side_a: Evaluation, mapping: Callable[[Any], Any], side_b
 
 
 def highest_weight_elements(model: CrystalModel, elements: Sequence[Any]) -> list[Any]:
-    """Elements with every raising length zero, in input order."""
+    """Elements with every raising length zero, in input order, read from the
+    model: this read keeps ``perfbench``'s pin that a verify op queries the
+    model more than once per (element, label) until the benchmark counts
+    evaluations (ROADMAP item 1)."""
     return [e for e in elements if all(model.epsilon(e, i) == 0 for i in model.labels)]
 
 
-def connectivity(model: CrystalModel, elements: Sequence[Any]) -> int:
-    """Number of weakly connected components of the ``build_graph`` edges
-    inside ``elements``, counted by popping one component after another from
-    the neighbour map until it is empty.  An edge to an image outside the set
-    is ignored; the ``closure`` rule of ``verify_axioms`` reports it."""
-    neighbors: dict[Any, set[Any]] = {e: set() for e in elements}
-    for element, _i, image in build_graph(model, elements):
-        if image in neighbors:
-            neighbors[element].add(image)
-            neighbors[image].add(element)
-    components = 0
-    while neighbors:
-        components += 1
-        stack = list(neighbors.popitem()[1])
-        while stack:
-            stack.extend(neighbors.pop(stack.pop(), ()))
+def connectivity(evaluation: Evaluation) -> int:
+    """Number of weakly connected components of the lowering edges inside the
+    distinct elements of ``evaluation``, merged with a union-find over the
+    lower image in each row; the model is not called.  An image outside the
+    set is ignored; the ``closure`` rule of ``verify_axioms`` reports it."""
+    _model, elements, _weights, rows = evaluation
+    if len(rows) != len(elements):
+        raise ValueError("elements are not distinct")
+    parent = {b: b for b in rows}
+
+    def find(b: Any) -> Any:
+        while parent[b] is not b:
+            parent[b] = b = parent[parent[b]]
+        return b
+
+    components = len(parent)
+    for b, row in rows.items():
+        top = find(b)  # stays a root: each merge hangs the other root below it
+        for _phi, _eps, down, _up in row:
+            if down in parent and (root := find(down)) is not top:
+                parent[root] = top
+                components -= 1
     return components
 
 
@@ -359,9 +367,9 @@ def verify_shape(n: int, lam: Partition) -> dict[str, Any]:
     # Each element is mapped through the bijection once, on first use.
     image = functools.cache(bijection.pattern_to_tableau)
     preimage = functools.cache(bijection.tableau_to_pattern)
-    # Each model is evaluated once, and the three checks over it read that
-    # evaluation.  It is dropped before the other checks run, so that it does
-    # not add to their peak memory.
+    # Each model is evaluated once; the three checks over it and the
+    # connectivity count read that evaluation.  It is dropped before the
+    # other checks run, so that it does not add to their peak memory.
     on_patterns, on_tableaux = evaluate(pm, patterns), evaluate(tm, tableaux)
     checks = {
         "dimension": Report(found=int(len(patterns) != weyl_dimension(n, lam))),
@@ -369,12 +377,12 @@ def verify_shape(n: int, lam: Partition) -> dict[str, Any]:
         "axioms-tableaux": verify_axioms(on_tableaux),
         "isomorphism": verify_isomorphism(on_patterns, image, on_tableaux),
     }
+    connected = connectivity(on_patterns) == 1
     del on_patterns, on_tableaux
     checks["counting-identities"], checks["algebraic-identities"] = _identity_checks(patterns, image)
     round_trip = sum(preimage(image(p)) != p for p in patterns)
     round_trip += sum(image(preimage(t)) != t for t in tableaux)
     checks["round-trip"] = Report(found=round_trip)
-    connected = connectivity(pm, patterns) == 1
     unique_hw = len(highest_weight_elements(pm, patterns)) == 1
     checks["connected-unique-source"] = Report(found=int(not (connected and unique_hw)))
 

@@ -133,8 +133,8 @@ def test_twin_graphs_for_shape_310():
         assert mapped_edges == set(tedges) and len(mapped_edges) == 18
         assert [p.rows for p in highest_weight_elements(pm, patterns)] == [((3, 1, 0), (3, 1), (3,))]
         assert [t.rows for t in highest_weight_elements(tm, tableaux)] == [((1, 1, 1), (2,))]
-        assert connectivity(pm, patterns) == 1
-        assert connectivity(tm, tableaux) == 1
+        assert connectivity(evaluate(pm, patterns)) == 1
+        assert connectivity(evaluate(tm, tableaux)) == 1
 
 
 def test_pattern_crystal_axioms_sweep():

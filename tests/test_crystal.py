@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -59,7 +60,7 @@ def test_build_graph_returns_escaping_edges(shape310):
         (top[0], 2, validate_pattern(3, [[3, 1, 0], [3, 0], [3]])),
     ]
     assert top[0] == validate_pattern(3, [[3, 1, 0], [3, 1], [3]])
-    assert connectivity(model, top) == 1
+    assert connectivity(evaluate(model, top)) == 1
 
 
 def test_build_graph_order_invariance(shape310):
@@ -78,7 +79,7 @@ def test_bfs_construction_matches(shape310):
     # One component with one source: every element is reached from the
     # highest-weight element.
     model, elements = shape310
-    assert connectivity(model, elements) == 1
+    assert connectivity(evaluate(model, elements)) == 1
     assert len(highest_weight_elements(model, elements)) == 1
 
 
@@ -119,7 +120,7 @@ def test_graphs_by_value_over_the_sweep():
             assert len(set(edges)) == len(edges)
             expected = {(b, i, model.lower(b, i)) for b in elements for i in model.labels}
             assert set(edges) == {edge for edge in expected if edge[2] is not None}
-            assert connectivity(model, elements) == 1
+            assert connectivity(evaluate(model, elements)) == 1
             assert len(highest_weight_elements(model, elements)) == 1
             graphs[model.name] = set(edges)
         mapped = {(pattern_to_tableau(u), i, pattern_to_tableau(v)) for u, i, v in graphs["gtp"]}
@@ -263,14 +264,15 @@ def test_evaluate_reads_the_model_once_per_element_and_label():
 
 
 def test_checks_make_no_model_call_on_a_passing_shape():
-    # Given the evaluations, both axiom checks and the isomorphism check read
-    # every value from them and call neither model.
+    # Given the evaluations, both axiom checks, the isomorphism check and
+    # connectivity read every value from them and call neither model.
     n, lam = 4, (2, 1)
     (pm, pattern_calls), (tm, tableau_calls) = counting_model(pattern_model(n)), counting_model(tableau_model(n))
     side_a, side_b = evaluate(pm, enumerate_patterns(n, lam)), evaluate(tm, enumerate_tableaux(n, lam))
     forget(pattern_calls, tableau_calls)
     assert verify_axioms(side_a).passed and verify_axioms(side_b).passed
     assert verify_isomorphism(side_a, pattern_to_tableau, side_b).passed
+    assert connectivity(side_a) == connectivity(side_b) == 1
     assert counts(pattern_calls) == counts(tableau_calls) == dict.fromkeys(pattern_calls, 0)
 
 
@@ -289,9 +291,9 @@ def test_checks_call_the_model_only_on_an_image_outside_the_target(shape2):
 
 
 def test_verify_shape_evaluates_each_model_once(monkeypatch):
-    # The axiom checks and the isomorphism check read one evaluation of each
-    # model.  connectivity and highest_weight_elements still call the pattern
-    # model's lower and epsilon themselves, so only its other data are pinned.
+    # The axiom checks, the isomorphism check and connectivity read one
+    # evaluation of each model.  highest_weight_elements still calls the
+    # pattern model's epsilon itself, so only its other data are pinned.
     n, lam = 4, (2, 1)
     calls = {}
     for name in ("pattern_model", "tableau_model"):
@@ -303,10 +305,9 @@ def test_verify_shape_evaluates_each_model_once(monkeypatch):
         monkeypatch.setattr(crystal, name, factory)
     assert crystal.verify_shape(n, lam)["pass"]
     elements = enumerate_patterns(n, lam)
-    pairs = len(elements) * (n - 1)
     assert counts(calls["tableau_model"]) == once(n, elements)
     pattern = counts(calls["pattern_model"])
-    assert (pattern["weight"], pattern["phi"], pattern["raise_"]) == (len(elements), pairs, pairs)
+    assert pattern == {**once(n, elements), "epsilon": pattern["epsilon"]}
 
 
 def test_isomorphism_keeps_duplicate_inputs():
@@ -339,14 +340,40 @@ def test_highest_weight_elements(shape310):
 
 def test_connectivity(shape310):
     model, elements = shape310
-    assert connectivity(model, elements) == 1
-    assert connectivity(pattern_model(1), enumerate_patterns(1, (4,))) == 1
+    assert connectivity(evaluate(model, elements)) == 1
+    assert connectivity(evaluate(pattern_model(1), enumerate_patterns(1, (4,)))) == 1
     two_copies = enumerate_patterns(2, (1,)) + enumerate_patterns(2, (2,))
-    assert connectivity(pattern_model(2), two_copies) == 2
+    assert connectivity(evaluate(pattern_model(2), two_copies)) == 2
     # Removing the middle of the string P0 - P1 - P2 splits it; the escaping
     # images are left to the closure rule, not raised.
     ends = enumerate_patterns(2, (2,))[::2]
-    assert connectivity(pattern_model(2), ends) == 2
+    assert connectivity(evaluate(pattern_model(2), ends)) == 2
+    # On subsets of the crystal, which cut strings and leave images outside,
+    # the count equals a plain relabelling over the build_graph edges inside.
+    edges = build_graph(model, elements)
+    for subset in (elements, elements[::2], elements[1::3], elements[::-1], elements[:7] + elements[9:]):
+        label = {b: k for k, b in enumerate(subset)}
+        inside = [(u, v) for u, _i, v in edges if u in label and v in label]
+        while any(label[u] != label[v] for u, v in inside):
+            for u, v in inside:
+                label[u] = label[v] = min(label[u], label[v])
+        assert connectivity(evaluate(model, subset)) == len(set(label.values())), subset
+
+
+def test_connectivity_keeps_little_memory():
+    # The union-find keeps one parent per element, about 54 KB here; a walk
+    # that keeps every lowering edge and a neighbour set per element peaks
+    # near 1,164 KB above the live data on this shape.
+    evaluation = evaluate(pattern_model(5), enumerate_patterns(5, (4, 3, 2, 1)))
+    assert len(evaluation.rows) == 1024
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert connectivity(evaluation) == 1
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * 1024
 
 
 def test_canonical_key_is_injective():
@@ -376,11 +403,11 @@ def test_duplicate_elements_rejected():
     # only the distinctness check can reject it.
     elements = enumerate_patterns(2, (1,))
     repeated = elements + [validate_pattern(2, [list(row) for row in elements[0].rows])]
-    for check in (build_graph, connectivity):
-        with pytest.raises(ValueError, match="not distinct"):
-            check(pattern_model(2), repeated)
     with pytest.raises(ValueError, match="not distinct"):
-        verify_axioms(evaluate(pattern_model(2), repeated))
+        build_graph(pattern_model(2), repeated)
+    for check in (connectivity, verify_axioms):
+        with pytest.raises(ValueError, match="not distinct"):
+            check(evaluate(pattern_model(2), repeated))
 
 
 # Violation witnesses on the n = 2, shape (2) crystal (and n = 3, shape (1)),

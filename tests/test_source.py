@@ -167,6 +167,28 @@ def test_only_the_evaluation_reads_model_data_in_the_checks():
     assert model_data_readers(tree) - MODEL_READERS == {"verify_axioms"}
 
 
+def build_graph_callers(tree):
+    """The module-level definitions of ``tree`` that call ``build_graph``."""
+    return {
+        getattr(node, "name", None)
+        for node in tree.body
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name) and sub.func.id == "build_graph"
+    }
+
+
+def test_verify_walks_no_model_a_second_time():
+    # No definition in crystal.py calls build_graph: verify reads its lowering
+    # edges from the one evaluation of each model, and build_graph's walk
+    # serves only the graph command.
+    tree = ast.parse((PACKAGE / "crystal.py").read_text(encoding="utf-8"))
+    assert build_graph_callers(tree) == set()
+    # The rule sees a walk slipped into connectivity.
+    check = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "connectivity")
+    check.body.insert(0, ast.parse("build_graph(evaluation.model, evaluation.elements)").body[0])
+    assert build_graph_callers(tree) == {"connectivity"}
+
+
 # The crystal operators of both models, which the oracles check.
 OPERATORS = {f"{datum}_{model}" for datum in ("phi", "epsilon", "lower", "raise") for model in ("gtp", "ssyt")}
 

@@ -317,7 +317,7 @@ def test_column_scan_agrees_with_word_scan_cellwise():
                 assert bracket_columns(t, i) == by_word
 
 
-@given(t=tableau_st())
+@given(t=tableau_st(max_n=8, max_size=20))
 def test_column_scan_data_agree_random(t):
     for i in range(1, t.n):
         assert phi_columns(t, i) == phi_ssyt(t, i)
@@ -326,7 +326,7 @@ def test_column_scan_data_agree_random(t):
         assert raise_columns(t, i) == raise_ssyt(t, i)
 
 
-@given(t=tableau_st())
+@given(t=tableau_st(max_n=8, max_size=20))
 def test_operator_round_trip_random(t):
     for i in range(1, t.n):
         down = lower_ssyt(t, i)
