@@ -3,14 +3,13 @@
 A pattern maps to the tableau obtained by filling, for each letter i, the
 cells row i of the pattern adds over row i-1 with the letter i.  The
 inverse records the shape left after deleting letters larger than i, padded
-with zeros to i entries.
+with zeros to i entries.  An invalid triangle raises ``RuntimeError``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 
-from .core import ShapeError
 from .gtpattern import GTPattern, validate_pattern
 from .ssyt import Tableau, validate_tableau
 
@@ -18,8 +17,9 @@ from .ssyt import Tableau, validate_tableau
 def pattern_to_tableau(pattern: GTPattern) -> Tableau:
     """Fill layers bottom-up: letter i gets entry(i, r) - entry(i-1, r) cells in tableau row r.
 
-    A negative layer length means row i-1 of the pattern is not contained in
-    row i and raises ShapeError.
+    The layers of row r telescope to ``rows[0][r]`` and a negative one fills
+    no cells, so the one guard, the validator run against the pattern's top
+    row, raises RuntimeError on every triangle that is not a pattern.
     """
     n = pattern.n
     grid: list[list[int]] = [[] for _ in range(n)]
@@ -27,18 +27,12 @@ def pattern_to_tableau(pattern: GTPattern) -> Tableau:
     for i in range(1, n + 1):
         outer = pattern.rows[n - i]
         for r in range(i):
-            count = outer[r] - (inner[r] if r < i - 1 else 0)
-            if count < 0:
-                raise ShapeError(
-                    f"pattern row {i - 1} is not contained in row {i}: "
-                    f"letter {i} has {count} cells in tableau row {r + 1}"
-                )
-            grid[r].extend([i] * count)
+            grid[r].extend([i] * (outer[r] - (inner[r] if r < i - 1 else 0)))
         inner = outer
     while grid and not grid[-1]:
         grid.pop()
     try:
-        return validate_tableau(n, [len(row) for row in grid], grid)
+        return validate_tableau(n, pattern.rows[0], grid)
     except ValueError as exc:
         raise RuntimeError(f"bijection produced an invalid tableau: {exc}") from exc
 

@@ -42,8 +42,11 @@ def _parse_partition(text: str) -> Partition:
 def _load_payload(text: str) -> Any:
     """Inline JSON when the value starts with '{' or '[', otherwise a file path."""
     if not text.lstrip().startswith(("{", "[")):
-        with open(text, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        try:
+            with open(text, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except OSError as exc:
+            raise OSError(f"cannot read payload file {quote(text)}: {exc.strerror}") from None
     try:
         return json.loads(text)
     except RecursionError:

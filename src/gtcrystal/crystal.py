@@ -13,8 +13,8 @@ counts components from the evaluation, one lowering walk per model.
 
 ``verify_shape`` is the one verification engine: it runs every check of one
 shape, each into a ``Report``, and returns the record ``verify`` prints.
-``evaluate`` reads a model once per element and once per (element, label).
-``verify_axioms`` and ``verify_isomorphism`` take evaluations, not models,
+``evaluate`` reads a model once per element and once per (element, label)
+and rejects repeated elements.  The checks take evaluations, not models,
 and check every rule against their values; the one model read left in a
 check is an image outside the target of ``verify_isomorphism``.
 """
@@ -152,30 +152,28 @@ class Report:
 
 
 class Evaluation(NamedTuple):
-    """One model's crystal data over a sequence of elements, each value evaluated once.
+    """One model's crystal data over distinct elements, each value evaluated once.
 
-    ``model`` and ``elements`` are what it was made from, as given, repeats
-    included.  ``weights`` maps each element to its weight.  ``rows`` maps
-    each element to a tuple over the labels 1..n-1 of ``(phi, epsilon,
-    lower, raise)``; an image inside the set is the member it equals, so the
+    ``model`` is the model it was read from.  ``weights`` maps each element
+    to its weight, and ``rows`` maps each element to a tuple over the labels
+    1..n-1 of ``(phi, epsilon, lower, raise)``; both keep the elements in
+    input order.  An image inside the set is the member it equals, so the
     rows hold no second copy of an element.
     """
 
     model: CrystalModel
-    elements: Sequence[Any]
     weights: dict[Any, Weight]
     rows: dict[Any, tuple[tuple[int, int, Optional[Any], Optional[Any]], ...]]
 
 
 def evaluate(model: CrystalModel, elements: Sequence[Any]) -> Evaluation:
-    """The model's data on each distinct element: every weight first, then
-    phi, epsilon, lower and raise per label, in element and then label order.
-
-    Repeated elements are evaluated once; whether a repeat is an error is the
-    caller's to decide.
-    """
+    """The model's data on each element, in element and then label order:
+    every weight first, then phi, epsilon, lower and raise per label.  The
+    elements must be distinct; a repeat raises before the model is read."""
     # Maps each element to the one copy every image in the set is interned to.
     members = {b: b for b in elements}
+    if len(members) != len(elements):
+        raise ValueError("elements are not distinct")
     weights = {b: model.weight(b) for b in members}
     rows = {}
     for b in members:
@@ -184,7 +182,7 @@ def evaluate(model: CrystalModel, elements: Sequence[Any]) -> Evaluation:
             phi, eps, down, up = model.phi(b, i), model.epsilon(b, i), model.lower(b, i), model.raise_(b, i)
             row.append((phi, eps, members.get(down, down), members.get(up, up)))
         rows[b] = tuple(row)
-    return Evaluation(model, elements, weights, rows)
+    return Evaluation(model, weights, rows)
 
 
 def verify_axioms(evaluation: Evaluation) -> Report:
@@ -197,16 +195,14 @@ def verify_axioms(evaluation: Evaluation) -> Report:
     The string lengths are always plain integers here, so the unbounded case
     of the axioms is vacuous.  An operator image that escapes the element
     set is reported as a ``closure`` violation rather than raised, so
-    mutated models can be diagnosed in full.  The elements must be distinct.
-    Every rule reads the evaluation; the model is not called.
+    mutated models can be diagnosed in full.  Every rule reads the
+    evaluation; the model is not called.
     """
-    _model, elements, weights, rows = evaluation
-    if len(rows) != len(elements):
-        raise ValueError("elements are not distinct")
+    _model, weights, rows = evaluation
     report = Report()
-    for b in elements:
+    for b, row in rows.items():
         wt = weights[b]
-        for i, (phi, eps, down, up) in enumerate(rows[b], 1):
+        for i, (phi, eps, down, up) in enumerate(row, 1):
             pairing = coroot_pairing(wt, i)
             if phi - eps != pairing:
                 report.add("pairing", (b,), i, f"phi - epsilon = {pairing}", f"{phi} - {eps}")
@@ -238,7 +234,7 @@ def verify_axioms(evaluation: Evaluation) -> Report:
 
 def verify_isomorphism(side_a: Evaluation, mapping: Callable[[Any], Any], side_b: Evaluation) -> Report:
     """Check that ``mapping`` is an isomorphism of crystals from the elements
-    of ``side_a`` onto those of ``side_b``.
+    of ``side_a``, in input order, onto those of ``side_b``.
 
     Verifies injectivity, surjectivity onto side b's elements and images
     inside them, preservation of weight and both string lengths, and that
@@ -249,7 +245,7 @@ def verify_isomorphism(side_a: Evaluation, mapping: Callable[[Any], Any], side_b
     """
     report = Report()
     seen_images = set()
-    for a in side_a.elements:
+    for a in side_a.rows:
         b = mapping(a)
         if b in seen_images:
             report.add("injective", (a, b), None, "distinct images", "duplicate image")
@@ -287,13 +283,10 @@ def highest_weight_elements(model: CrystalModel, elements: Sequence[Any]) -> lis
 
 def connectivity(evaluation: Evaluation) -> int:
     """Number of weakly connected components of the lowering edges inside the
-    distinct elements of ``evaluation``, merged with a union-find over the
-    lower image in each row; the model is not called.  An image outside the
-    set is ignored; the ``closure`` rule of ``verify_axioms`` reports it."""
-    _model, elements, _weights, rows = evaluation
-    if len(rows) != len(elements):
-        raise ValueError("elements are not distinct")
-    parent = {b: b for b in rows}
+    elements of ``evaluation``, merged with a union-find over the lower
+    image in each row; the model is not called.  An image outside the set
+    is ignored; the ``closure`` rule of ``verify_axioms`` reports it."""
+    parent = {b: b for b in evaluation.rows}
 
     def find(b: Any) -> Any:
         while parent[b] is not b:
@@ -301,7 +294,7 @@ def connectivity(evaluation: Evaluation) -> int:
         return b
 
     components = len(parent)
-    for b, row in rows.items():
+    for b, row in evaluation.rows.items():
         top = find(b)  # stays a root: each merge hangs the other root below it
         for _phi, _eps, down, _up in row:
             if down in parent and (root := find(down)) is not top:

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given
 
@@ -41,6 +43,27 @@ def test_pattern_to_tableau_worked_example(worked):
     with pytest.raises(RuntimeError) as err:
         pattern_to_tableau(GTPattern(2, ((2, 2), (1,))))
     assert str(err.value) == message
+
+
+def test_the_bijection_guard_is_exact():
+    # Every triangle with n <= 3 and entries in -1..3: the validator inside
+    # pattern_to_tableau raises RuntimeError exactly on the triangles that
+    # validate_pattern rejects, and maps every pattern to its tableau.
+    rejected = mapped = 0
+    for n in range(1, 4):
+        for entries in product(range(-1, 4), repeat=n * (n + 1) // 2):
+            it = iter(entries)
+            rows = tuple(tuple(next(it) for _ in range(width)) for width in range(n, 0, -1))
+            try:
+                pattern = validate_pattern(n, rows)
+            except ValueError:
+                with pytest.raises(RuntimeError, match="^bijection produced an invalid tableau: "):
+                    pattern_to_tableau(GTPattern(n, rows))
+                rejected += 1
+            else:
+                assert tableau_to_pattern(pattern_to_tableau(GTPattern(n, rows))) == pattern
+                mapped += 1
+    assert (rejected, mapped) == (15619, 136)
 
 
 def test_pattern_to_tableau_second_vertex():

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -7,7 +8,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import pattern_st, tableau_st
 from gtcrystal import bijection, cli, crystal, gtpattern, ssyt
 
 WORKED = '{"n":3,"rows":[[3,1,0],[3,1],[2]]}'
@@ -113,6 +117,11 @@ def test_apply_reads_payload_from_file(tmp_path, capsys):
 def test_apply_missing_file_is_input_error(tmp_path, capsys):
     code, _, _ = run(capsys, "apply", "f", "1", "--gtp", str(tmp_path / "missing.json"))
     assert code == 2
+    # The path is quoted like any offending value: by its repr up to 40
+    # characters, else by its type and length.
+    for payload, shown in (("no-such-payload.json", "'no-such-payload.json'"), ("x" * 100, "str of length 100")):
+        code, out, err = run(capsys, "biject", "--gtp", payload)
+        assert (code, out, err) == (2, "", f"error: cannot read payload file {shown}: No such file or directory\n")
 
 
 def test_biject_round_trip(capsys):
@@ -681,3 +690,54 @@ def test_golden_stdout_digest(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]
+
+
+# Payloads for the fuzz property: junk JSON, and the JSON of a valid pattern
+# or tableau (n <= 4, at most 10 cells) with one entry changed to -2..5.
+JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10) | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(("n", "rows", "shape")) | st.text(max_size=3), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+@st.composite
+def changed_element(draw):
+    kind = draw(st.sampled_from(("gtp", "ssyt")))
+    if kind == "gtp":
+        element = draw(pattern_st(max_n=4, max_part=5).filter(lambda p: sum(p.rows[0]) <= 10))
+    else:
+        element = draw(tableau_st(max_n=4, max_size=10))
+    data = element.to_dict()
+    # One slot, a list and an index in it, gets a new value.
+    slots = [(data["rows"][r], c) for r in range(len(data["rows"])) for c in range(len(data["rows"][r]))]
+    slots += [(data["shape"], k) for k in range(len(data.get("shape", ())))]
+    target, index = draw(st.sampled_from(slots + [(data, "n")]))
+    target[index] = draw(st.integers(-2, 4 if index == "n" else 5))
+    return kind, json.dumps(data)
+
+
+@st.composite
+def fuzzed_argv(draw):
+    kind, payload = draw(changed_element() | st.tuples(st.sampled_from(("gtp", "ssyt")), JUNK.map(json.dumps)))
+    command = draw(st.sampled_from(("apply", "biject", "verify", "string-datum")))
+    head = [command]
+    if command == "apply":
+        head += [draw(st.sampled_from("fe")), str(draw(st.integers(-1, 5)))]
+    return head + [f"--{'gtp' if command == 'string-datum' else kind}", payload]
+
+
+@settings(deadline=None)
+@given(argv=fuzzed_argv())
+def test_fuzzed_payloads_exit_with_a_documented_code(argv):
+    # apply, biject, verify and string-datum on junk or one-entry-changed
+    # payloads exit 0, 1 or 2, never 3; an input error is one short stderr
+    # line, except argparse usage text for a payload that starts with "-".
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2), err.getvalue()
+    if code == 2 and not (argv[-1].startswith("-") and err.getvalue().startswith("usage:")):
+        line = err.getvalue()
+        assert line.endswith("\n") and line.count("\n") == 1 and len(line[:-1].encode()) <= 120, line

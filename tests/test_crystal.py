@@ -249,18 +249,21 @@ def forget(*logs):
 
 def test_evaluate_reads_the_model_once_per_element_and_label():
     # The weight once per element, then phi, epsilon, lower and raise once
-    # per (element, label) in element and then label order; a repeat is read
-    # once, and the evaluation keeps its model and elements as given.
+    # per (element, label) in element and then label order; the evaluation
+    # keeps its model.  A repeated element raises before any model read.
     n, lam = 4, (2, 1)
     patterns, tableaux = enumerate_patterns(n, lam), enumerate_tableaux(n, lam)
     for model, elements in ((pattern_model(n), patterns), (tableau_model(n), tableaux)):
         counted, calls = counting_model(model)
-        given = elements + elements[:1]
-        evaluation = evaluate(counted, given)
+        evaluation = evaluate(counted, elements)
         assert counts(calls) == once(n, elements)
         assert calls["weight"] == elements and calls["phi"] == [b for b in elements for _i in model.labels]
-        assert evaluation.model is counted and evaluation.elements is given
+        assert evaluation.model is counted
         assert list(evaluation.weights) == list(evaluation.rows) == elements
+        forget(calls)
+        with pytest.raises(ValueError, match="not distinct"):
+            evaluate(counted, elements + elements[:1])
+        assert counts(calls) == dict.fromkeys(calls, 0)
 
 
 def test_checks_make_no_model_call_on_a_passing_shape():
@@ -310,22 +313,20 @@ def test_verify_shape_evaluates_each_model_once(monkeypatch):
     assert pattern == {**once(n, elements), "epsilon": pattern["epsilon"]}
 
 
-def test_isomorphism_keeps_duplicate_inputs():
-    # A repeated pattern (an equal, distinct object) maps onto an image already
-    # seen, which is one injective witness; a repeated tableau in the target
-    # changes nothing.
+def test_evaluate_rejects_repeated_elements():
+    # A repeated pattern or tableau (an equal, distinct object) makes evaluate
+    # raise, so no check sees a repeat.  The injective rule stays pinned by
+    # test_injective_and_surjective_witnesses, with a non-injective mapping.
     n, lam = 3, (2, 1)
-    pm, tm = pattern_model(n), tableau_model(n)
     patterns, tableaux = enumerate_patterns(n, lam), enumerate_tableaux(n, lam)
     again = tableau_to_pattern(pattern_to_tableau(patterns[0]))
-    side_b = evaluate(tm, tableaux)
-    report = verify_isomorphism(evaluate(pm, patterns + [again]), pattern_to_tableau, side_b)
-    image = pattern_to_tableau(again)
-    assert report.found == 1
-    assert [(v.rule, v.elements, v.label) for v in report.violations] == [("injective", (again, image), None)]
+    assert again == patterns[0] and again is not patterns[0]
+    with pytest.raises(ValueError, match="not distinct"):
+        evaluate(pattern_model(n), patterns + [again])
     again = pattern_to_tableau(tableau_to_pattern(tableaux[0]))
-    side_b = evaluate(tm, tableaux + [again])
-    assert verify_isomorphism(evaluate(pm, patterns), pattern_to_tableau, side_b).passed
+    assert again == tableaux[0] and again is not tableaux[0]
+    with pytest.raises(ValueError, match="not distinct"):
+        evaluate(tableau_model(n), tableaux + [again])
 
 
 def test_highest_weight_elements(shape310):
@@ -400,14 +401,13 @@ def test_duplicate_elements_rejected():
     with pytest.raises(ValueError):
         build_graph(pattern_model(2), [p, p])
     # A closed set with one element repeated (as an equal, distinct object):
-    # only the distinctness check can reject it.
+    # only the distinctness check can reject it, in build_graph and in the
+    # evaluation every other check reads.
     elements = enumerate_patterns(2, (1,))
     repeated = elements + [validate_pattern(2, [list(row) for row in elements[0].rows])]
-    with pytest.raises(ValueError, match="not distinct"):
-        build_graph(pattern_model(2), repeated)
-    for check in (connectivity, verify_axioms):
+    for walk in (build_graph, evaluate):
         with pytest.raises(ValueError, match="not distinct"):
-            check(evaluate(pattern_model(2), repeated))
+            walk(pattern_model(2), repeated)
 
 
 # Violation witnesses on the n = 2, shape (2) crystal (and n = 3, shape (1)),

@@ -19,7 +19,6 @@ from hypothesis import given
 
 from gtcrystal import (
     GTPattern,
-    ShapeError,
     Tableau,
     enumerate_patterns,
     enumerate_tableaux,
@@ -213,9 +212,13 @@ def test_tableau_local_guard(n, rows, cell, letter, witness, reason):
 
 
 def test_bijection_rejects_a_negative_layer():
-    broken = GTPattern(2, ((1, 0), (2,)))  # unvalidated; row 1 is not contained in row 2
-    with pytest.raises(ShapeError, match="letter 2 has -1 cells in tableau row 1"):
+    # Unvalidated; row 1 is not contained in row 2.  The negative layer fills
+    # no cells, so tableau row 1 outgrows the top row and the validator rejects it.
+    broken = GTPattern(2, ((1, 0), (2,)))
+    message = "bijection produced an invalid tableau: row lengths (2,) do not match shape (1,)"
+    with pytest.raises(RuntimeError) as err:
         pattern_to_tableau(broken)
+    assert str(err.value) == message
 
 
 def test_local_guards_share_unchanged_rows():

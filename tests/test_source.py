@@ -185,8 +185,31 @@ def test_verify_walks_no_model_a_second_time():
     assert build_graph_callers(tree) == set()
     # The rule sees a walk slipped into connectivity.
     check = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "connectivity")
-    check.body.insert(0, ast.parse("build_graph(evaluation.model, evaluation.elements)").body[0])
+    check.body.insert(0, ast.parse("build_graph(evaluation.model, list(evaluation.rows))").body[0])
     assert build_graph_callers(tree) == {"connectivity"}
+
+
+def distinctness_checkers(tree):
+    """The module-level definitions of ``tree`` that raise "elements are not distinct"."""
+    return {
+        getattr(node, "name", None)
+        for node in tree.body
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Raise)
+        and any(isinstance(c, ast.Constant) and c.value == "elements are not distinct" for c in ast.walk(sub))
+    }
+
+
+def test_distinctness_is_checked_where_the_elements_come_in():
+    # In crystal.py only evaluate and build_graph, the two definitions that
+    # take raw elements, reject a repeat; every check reads an evaluation,
+    # whose elements evaluate has already found distinct.
+    tree = ast.parse((PACKAGE / "crystal.py").read_text(encoding="utf-8"))
+    assert distinctness_checkers(tree) == {"evaluate", "build_graph"}
+    # The rule sees the check slipped into verify_axioms.
+    check = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "verify_axioms")
+    check.body.insert(0, ast.parse('raise ValueError("elements are not distinct")').body[0])
+    assert distinctness_checkers(tree) == {"evaluate", "build_graph", "verify_axioms"}
 
 
 # The crystal operators of both models, which the oracles check.
