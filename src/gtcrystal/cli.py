@@ -6,12 +6,15 @@ documents.  ``enumerate`` and ``graph`` render their JSON from one
 %-template per crystal, made from its first element by ``render_key`` (the
 key) and ``json.dumps`` (a graph's vertex and edge), and filled from each
 element's rows.  They write their output as they make it, after every
-check, and never hold a whole document.  Exit codes: 0 for success
-(including an absent operator image, printed as the literal ``none``), 1
-for a verification failure, 2 for an input error, such as a payload nested
-too deeply, 3 for any other exception: an internal error, such as a guard
-rejecting an operator image or, in ``graph``, a lowering image outside the
-crystal.  NO_COLOR suppresses color.
+check, and never hold a whole document; ``enumerate`` reads the lazy
+enumerators, so its first line goes out after one element is made.  Exit
+codes: 0 for success (including an absent operator image, printed as the
+literal ``none``), 1 for a verification failure, 2 for an input error, such
+as a payload nested too deeply or a ``--report`` file that cannot be
+written (found before any shape is verified), 3 for any other exception: an
+internal error, such as a guard rejecting an operator image or, in
+``graph``, a lowering image outside the crystal.  NO_COLOR suppresses
+color.
 """
 
 from __future__ import annotations
@@ -20,9 +23,10 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence, TextIO
 
 from . import bijection, crystal, gtpattern, ssyt
 from .crystal import render_key
@@ -51,6 +55,14 @@ def _load_payload(text: str) -> Any:
         return json.loads(text)
     except RecursionError:
         raise ValueError("payload nests too deeply") from None
+
+
+def _open_report(path: str) -> TextIO:
+    """The ``--report`` file, opened for writing; the error names the path as ``core.quote`` shows it."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise OSError(f"cannot write report file {quote(path)}: {exc.strerror}") from None
 
 
 def _element_from_args(args: argparse.Namespace):
@@ -112,8 +124,8 @@ def _write_array(template: str, fills: Iterable[tuple]) -> None:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     lam = _parse_partition(args.shape)
     patterns = gtpattern.enumerate_patterns(args.n, lam)
-    # Each tableau is bijected as its line is due, so the first line waits for one.
-    elements = (bijection.pattern_to_tableau(p) for p in patterns) if args.model == "ssyt" else iter(patterns)
+    # Each element is made as its line is due, so the first line waits for one pattern (and its tableau).
+    elements = map(bijection.pattern_to_tableau, patterns) if args.model == "ssyt" else patterns
     if args.format == "text":
         for element in elements:
             print(element.pretty())
@@ -155,7 +167,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
         elements = [bijection.pattern_to_tableau(p) for p in gtpattern.enumerate_patterns(args.n, lam)]
     else:
         model = crystal.pattern_model(args.n)
-        elements = gtpattern.enumerate_patterns(args.n, lam)
+        elements = list(gtpattern.enumerate_patterns(args.n, lam))
     edges = crystal.build_graph(model, elements)
     placeholder = _placeholder(elements[0])
     key = _unmark(render_key(placeholder))
@@ -228,13 +240,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise ValueError("verify needs -n and -l, or --all-upto, or an element payload")
         shapes = [(args.n, _parse_partition(args.shape))]
 
-    records = [crystal.verify_shape(n, lam) for n, lam in shapes]
-    all_pass = all(record["pass"] for record in records)
-    report = {"shapes": records, "pass": all_pass}
-    text = json.dumps(report, indent=2, sort_keys=True) if args.json or args.report else ""
-
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
+    # The report file is opened before the first shape, so a bad path fails at once.
+    with _open_report(args.report) if args.report else nullcontext() as handle:
+        records = [crystal.verify_shape(n, lam) for n, lam in shapes]
+        all_pass = all(record["pass"] for record in records)
+        report = {"shapes": records, "pass": all_pass}
+        text = json.dumps(report, indent=2, sort_keys=True) if args.json or args.report else ""
+        if handle is not None:
             handle.write(text + "\n")
     if args.json:
         print(text)

@@ -14,6 +14,14 @@ Partition = tuple[int, ...]
 Weight = tuple[int, ...]
 
 
+# The lazy enumerators nest one iterator stage per row they fill, and taking
+# an element recurses through every stage in C, where no recursion limit
+# applies: some tens of thousands of stages overflow the C stack and crash
+# the interpreter.  They refuse more rows than this, far below that depth; a
+# pattern with this many rows already has 500,500 entries.
+MAX_LEVELS = 1000
+
+
 class ShapeError(ValueError):
     """A sequence is not a valid partition, or two shapes are incompatible."""
 

@@ -352,8 +352,8 @@ def _identity_checks(
 
 def verify_shape(n: int, lam: Partition) -> dict[str, Any]:
     """Run every check for one shape; returns the machine-readable record."""
-    patterns = gtp.enumerate_patterns(n, lam)
-    tableaux = ssyt.enumerate_tableaux(n, lam)
+    patterns = list(gtp.enumerate_patterns(n, lam))
+    tableaux = list(ssyt.enumerate_tableaux(n, lam))
     pm = pattern_model(n)
     tm = tableau_model(n)
 

@@ -20,10 +20,22 @@ and builds rows in that order too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Any, Optional
+from functools import partial
+from itertools import chain, product
+from typing import Any, Iterator, Optional
 
-from .core import LabelError, Partition, ShapeError, Weight, as_partition, as_rows, pad, quote, require_positive
+from .core import (
+    MAX_LEVELS,
+    LabelError,
+    Partition,
+    ShapeError,
+    Weight,
+    as_partition,
+    as_rows,
+    pad,
+    quote,
+    require_positive,
+)
 
 
 class NonNegativityError(ValueError):
@@ -299,23 +311,35 @@ def raise_gtp(pattern: GTPattern, i: int) -> Optional[GTPattern]:
     return _with_entry_changed(pattern, i, ell, +1)
 
 
-def enumerate_patterns(n: int, lam: Partition) -> list[GTPattern]:
-    """All patterns with n rows and top row ``lam``, each exactly once.
+def _rows_below(stack: tuple[tuple[int, ...], ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """``stack`` extended by each row that interleaves with its last row, in lexicographic order.
+
+    Entry j of the new row ranges over the closed interval [upper[j+1],
+    upper[j]] of the last row ``upper``, so no candidate is filtered out;
+    ``zip`` wraps each row in the 1-tuple that ``stack.__add__`` appends.
+    """
+    upper = stack[-1]
+    return map(stack.__add__, zip(product(*(range(low, high + 1) for low, high in zip(upper[1:], upper)))))
+
+
+def enumerate_patterns(n: int, lam: Partition) -> Iterator[GTPattern]:
+    """All patterns with n rows and top row ``lam``, each exactly once, lazily.
 
     Order: lexicographically increasing on the concatenation of rows read
-    top-down, left-to-right.  The walk goes level by level down from the
-    fixed top row: entry j of the row below row ``upper`` ranges over the
-    closed interval [upper[j+1], upper[j]], so no candidate is filtered out.
+    top-down, left-to-right.  The arguments are checked when the function is
+    called, so a bad ``n`` or ``lam``, or ``n`` above ``core.MAX_LEVELS``,
+    raises before any pattern is taken.  The returned iterator walks depth
+    first, level by level down from the fixed top row (``_rows_below``), so
+    it holds one partial pattern per level, never the list of all patterns;
+    callers that need a sequence take ``list(...)``.
     """
     require_positive(n, "row count")
-    stacks = [(pad(lam, n),)]
+    if n > MAX_LEVELS:
+        raise ShapeError(f"row count must be at most {MAX_LEVELS}, got {n}")
+    stacks: Iterator[tuple[tuple[int, ...], ...]] = iter([(pad(lam, n),)])
     for _ in range(n - 1):
-        stacks = [
-            stack + (row,)
-            for stack in stacks
-            for row in product(*(range(low, high + 1) for low, high in zip(stack[-1][1:], stack[-1])))
-        ]
-    return [GTPattern(n, stack) for stack in stacks]
+        stacks = chain.from_iterable(map(_rows_below, stacks))
+    return map(partial(GTPattern, n), stacks)
 
 
 def reduced_long_word(n: int) -> tuple[int, ...]:

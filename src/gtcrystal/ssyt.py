@@ -13,12 +13,12 @@ Cells are addressed by 1-based (row, column) pairs throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from itertools import accumulate, chain, combinations_with_replacement
 from operator import itemgetter, lt
-from typing import Any, NamedTuple, Optional, Sequence
+from typing import Any, Iterator, NamedTuple, Optional, Sequence
 
-from .core import LabelError, Partition, ShapeError, Weight, as_partition, as_rows, quote, require_positive
+from .core import MAX_LEVELS, LabelError, Partition, ShapeError, Weight, as_partition, as_rows, quote, require_positive
 
 
 class TableauError(ValueError):
@@ -252,25 +252,32 @@ def weight_ssyt(tableau: Tableau) -> Weight:
     return tuple(counts)
 
 
-def enumerate_tableaux(n: int, lam: Partition) -> list[Tableau]:
-    """All semistandard tableaux of the given shape with letters in 1..n.
+def _stack_row(rows: list[tuple[int, ...]], filling: tuple[tuple[int, ...], ...]) -> list[tuple[tuple[int, ...], ...]]:
+    """``filling`` extended by each of ``rows`` that exceeds its last row strictly in every column, in order."""
+    return [filling + (row,) for row in rows if not filling or all(map(lt, filling[-1], row))]
+
+
+def enumerate_tableaux(n: int, lam: Partition) -> Iterator[Tableau]:
+    """All semistandard tableaux of the given shape with letters in 1..n, lazily.
 
     Order: lexicographically increasing on the concatenation of rows read
-    top-down, left-to-right.  The walk goes row by row: each weakly
-    increasing row of letters r..n extends the partial fillings whose last
-    row it exceeds strictly in every column.
+    top-down, left-to-right.  The arguments are checked when the function is
+    called, so a bad ``n`` or shape, or a shape with more rows than
+    ``core.MAX_LEVELS``, raises before any tableau is taken.  The
+    returned iterator walks depth first, row by row (``_stack_row``): each
+    weakly increasing row of letters r..n extends the partial fillings whose
+    last row it exceeds strictly in every column.  It holds the candidate
+    rows and, per row, the extensions of one partial filling, never the list
+    of all tableaux; callers that need a sequence take ``list(...)``.
     """
     require_positive(n, "alphabet bound")
     lam = as_partition(lam)
     if len(lam) > n:
         raise ShapeError(f"shape {lam} has more than {n} rows")
-    fillings: list[tuple[tuple[int, ...], ...]] = [()]
+    if len(lam) > MAX_LEVELS:
+        raise ShapeError(f"shape has {len(lam)} rows, more than {MAX_LEVELS}")
+    fillings: Iterator[tuple[tuple[int, ...], ...]] = iter([()])
     for r, part in enumerate(lam, start=1):
         rows = list(combinations_with_replacement(range(r, n + 1), part))
-        fillings = [
-            filling + (row,)
-            for filling in fillings
-            for row in rows
-            if not filling or all(map(lt, filling[-1], row))
-        ]
-    return [Tableau(n, filling) for filling in fillings]
+        fillings = chain.from_iterable(map(partial(_stack_row, rows), fillings))
+    return map(partial(Tableau, n), fillings)

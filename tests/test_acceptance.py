@@ -123,8 +123,8 @@ def test_reference_tableau_reading_and_bracketing():
 def test_twin_graphs_for_shape_310():
     with criterion("twin crystal graphs for shape (3,1,0)"):
         pm, tm = pattern_model(3), tableau_model(3)
-        patterns = enumerate_patterns(3, (3, 1))
-        tableaux = enumerate_tableaux(3, (3, 1))
+        patterns = list(enumerate_patterns(3, (3, 1)))
+        tableaux = list(enumerate_tableaux(3, (3, 1)))
         pedges = build_graph(pm, patterns)
         tedges = build_graph(tm, tableaux)
         assert len(patterns) == 15 and len(pedges) == 18
@@ -141,7 +141,7 @@ def test_pattern_crystal_axioms_sweep():
     with criterion("pattern crystal axioms over the sweep"):
         start = time.perf_counter()
         for n, lam in full_sweep():
-            report = verify_axioms(evaluate(pattern_model(n), enumerate_patterns(n, lam)))
+            report = verify_axioms(evaluate(pattern_model(n), list(enumerate_patterns(n, lam))))
             assert report.passed, f"violations at n={n}, shape={lam}: {report.violations[:3]}"
         elapsed = time.perf_counter() - start
         assert elapsed < 60, f"sweep took {elapsed:.1f} s"
@@ -151,9 +151,9 @@ def test_bijection_is_isomorphism_sweep():
     with criterion("bijection intertwines the crystals over the sweep"):
         for n, lam in full_sweep():
             report = verify_isomorphism(
-                evaluate(pattern_model(n), enumerate_patterns(n, lam)),
+                evaluate(pattern_model(n), list(enumerate_patterns(n, lam))),
                 pattern_to_tableau,
-                evaluate(tableau_model(n), enumerate_tableaux(n, lam)),
+                evaluate(tableau_model(n), list(enumerate_tableaux(n, lam))),
             )
             assert report.passed, f"violations at n={n}, shape={lam}: {report.violations[:3]}"
 
@@ -204,10 +204,10 @@ def test_algebraic_identities_sweep():
 
 def test_dimension_cross_check_sweep():
     with criterion("enumeration count equals the dimension formula"):
-        assert len(enumerate_patterns(3, (3, 1))) == weyl_dimension(3, (3, 1)) == 15
-        assert len(enumerate_patterns(3, (2, 1))) == weyl_dimension(3, (2, 1)) == 8
+        assert len(list(enumerate_patterns(3, (3, 1)))) == weyl_dimension(3, (3, 1)) == 15
+        assert len(list(enumerate_patterns(3, (2, 1)))) == weyl_dimension(3, (2, 1)) == 8
         for n, lam in full_sweep():
-            assert len(enumerate_patterns(n, lam)) == weyl_dimension(n, lam)
+            assert len(list(enumerate_patterns(n, lam))) == weyl_dimension(n, lam)
 
 
 def dual_route_mismatches():
@@ -312,7 +312,7 @@ def test_flipped_tie_breaks_are_detected():
             detected = 0
             for n, lam in shape_sweep():
                 model = replace(pattern_model(n), **{mutated_field: mutated_op})
-                report = verify_axioms(evaluate(model, enumerate_patterns(n, lam)))
+                report = verify_axioms(evaluate(model, list(enumerate_patterns(n, lam))))
                 if not report.passed:
                     detected += 1
                     if any(v.rule == "inverse" for v in report.violations):

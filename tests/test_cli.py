@@ -186,7 +186,7 @@ def test_export_matches_document_built_from_to_dict(capsys, model, n, shape):
     # The oracle builds what graph and enumerate print the plain way: a
     # document of to_dict data and render_key keys, and one json.dumps.
     lam = tuple(int(x) for x in shape.split(",")) if shape else ()
-    elements = gtpattern.enumerate_patterns(int(n), lam)
+    elements = list(gtpattern.enumerate_patterns(int(n), lam))
     graph_model = crystal.pattern_model(int(n))
     if model == "ssyt":
         elements = [bijection.pattern_to_tableau(p) for p in elements]
@@ -206,26 +206,52 @@ def test_export_matches_document_built_from_to_dict(capsys, model, n, shape):
     assert (code, out.splitlines()) == (0, [key[e] for e in elements])
 
 
+class FirstWriteRecorder(io.StringIO):
+    """A stdout that keeps the value of ``probe()`` at its first write."""
+
+    def __init__(self, probe):
+        super().__init__()
+        self.probe = probe
+        self.at_first_write = None
+
+    def write(self, text):
+        if self.at_first_write is None:
+            self.at_first_write = self.probe()
+        return super().write(text)
+
+
 def test_enumerate_writes_first_tableau_after_one_bijection(monkeypatch):
     # Tableaux stream: the first line goes out after one bijection, not
     # after the whole list is built.
     calls = []
     biject = bijection.pattern_to_tableau
     monkeypatch.setattr(bijection, "pattern_to_tableau", lambda p: calls.append(p) or biject(p))
-
-    class Recorder(io.StringIO):
-        calls_at_first_write = None
-
-        def write(self, text):
-            if self.calls_at_first_write is None:
-                self.calls_at_first_write = len(calls)
-            return super().write(text)
-
-    out = Recorder()
+    out = FirstWriteRecorder(lambda: len(calls))
     monkeypatch.setattr(sys, "stdout", out)
     assert cli.main(["enumerate", "-n", "4", "-l", "2,1", "--model", "ssyt"]) == 0
-    assert out.calls_at_first_write == 1
+    assert out.at_first_write == 1
     assert len(out.getvalue().splitlines()) == len(calls) == 20
+
+
+@pytest.mark.parametrize(
+    "argv, elements",
+    [
+        (["-n", "6", "-l", "5,3,2,1"], 22050),
+        (["-n", "4", "-l", "3,1", "--format", "text"], 45),
+        (["-n", "4", "-l", "2,1", "--model", "ssyt", "--format", "text"], 20),
+    ],
+)
+def test_enumerate_writes_first_line_after_one_pattern(monkeypatch, argv, elements):
+    # Patterns stream too, in both formats and under both models: the first
+    # write comes after one pattern is built, not after the whole crystal.
+    made = []
+    pattern = gtpattern.GTPattern
+    monkeypatch.setattr(gtpattern, "GTPattern", lambda *args: made.append(args) or pattern(*args))
+    out = FirstWriteRecorder(lambda: len(made))
+    monkeypatch.setattr(sys, "stdout", out)
+    assert cli.main(["enumerate", *argv]) == 0
+    assert out.at_first_write == 1
+    assert len(made) == elements
 
 
 def test_graph_degenerate_shapes(capsys):
@@ -315,6 +341,29 @@ def test_verify_report_file(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "-n", "3", "-l", "2,1", "--json", "--report", str(target))
     assert code == 0
     assert target.read_bytes() == out.encode()
+
+
+def test_enumerate_refuses_more_rows_than_it_can_nest(capsys):
+    for command in ("enumerate", "graph", "verify"):
+        code, out, err = run(capsys, command, "-n", "50000", "-l", "1")
+        assert (code, out, err) == (2, "", "error: row count must be at most 1000, got 50000\n")
+
+
+def test_verify_report_path_is_checked_before_any_shape(monkeypatch, tmp_path, capsys):
+    # An unwritable --report path fails at once, before any shape is
+    # verified, with one short line that quotes the path like any offending
+    # value.
+    shapes = []
+    verify_shape = crystal.verify_shape
+    monkeypatch.setattr(crystal, "verify_shape", lambda n, lam: shapes.append(lam) or verify_shape(n, lam))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "verify", "-n", "3", "--all-upto", "3", "--report", "missing/" + "r" * 100)
+    assert (code, out, shapes) == (2, "", [])
+    assert err == "error: cannot write report file str of length 108: No such file or directory\n"
+    assert len(err.encode()) <= 120
+    (tmp_path / "out").mkdir()
+    code, _, err = run(capsys, "verify", "-n", "2", "-l", "1", "--report", "out")
+    assert (code, err, shapes) == (2, "error: cannot write report file 'out': Is a directory\n", [])
 
 
 def test_verify_shape_from_element_payload(capsys):

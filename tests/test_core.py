@@ -96,7 +96,7 @@ def test_row_count_and_alphabet_bound_must_be_positive_integers():
 def test_weyl_dimension_matches_enumeration():
     for n in range(1, 5):
         for lam in partitions_up_to(6, n):
-            assert weyl_dimension(n, lam) == len(enumerate_patterns(n, lam))
+            assert weyl_dimension(n, lam) == len(list(enumerate_patterns(n, lam)))
 
 
 def test_coroot_pairing_values():

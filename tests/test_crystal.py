@@ -29,7 +29,7 @@ from sweeps import SPOT_RANK_5_SHAPES, shape_sweep
 
 @pytest.fixture
 def shape310():
-    elements = enumerate_patterns(3, (3, 1))
+    elements = list(enumerate_patterns(3, (3, 1)))
     return pattern_model(3), elements
 
 
@@ -42,9 +42,9 @@ def test_build_graph_counts(shape310):
 
 
 def test_build_graph_degenerate_cases():
-    elements = enumerate_patterns(1, (4,))
+    elements = list(enumerate_patterns(1, (4,)))
     assert (len(elements), build_graph(pattern_model(1), elements)) == (1, [])
-    elements = enumerate_patterns(2, (1,))
+    elements = list(enumerate_patterns(2, (1,)))
     edges = build_graph(pattern_model(2), elements)
     assert (len(elements), len(edges)) == (2, 1)
     assert edges[0][1] == 1
@@ -113,7 +113,7 @@ def test_graphs_by_value_over_the_sweep():
     # (the twin graphs).
     for n, lam in shape_sweep() + [(5, lam) for lam in SPOT_RANK_5_SHAPES]:
         pm, tm = pattern_model(n), tableau_model(n)
-        patterns, tableaux = enumerate_patterns(n, lam), enumerate_tableaux(n, lam)
+        patterns, tableaux = list(enumerate_patterns(n, lam)), list(enumerate_tableaux(n, lam))
         graphs = {}
         for model, elements in ((pm, patterns), (tm, tableaux)):
             edges = build_graph(model, elements)
@@ -131,7 +131,7 @@ def test_axioms_pass_for_both_models(shape310):
     model, elements = shape310
     assert verify_axioms(evaluate(model, elements)).passed
     tmodel = tableau_model(3)
-    assert verify_axioms(evaluate(tmodel, enumerate_tableaux(3, (3, 1)))).passed
+    assert verify_axioms(evaluate(tmodel, list(enumerate_tableaux(3, (3, 1))))).passed
 
 
 def test_axioms_flag_broken_lowering(shape310):
@@ -156,7 +156,7 @@ def test_violation_cap_limits_report(monkeypatch):
     # With phi = 99 every (element, label) pair fails twice: the pairing, and
     # the lower domain where no image exists or the phi step where one does.
     model = pattern_model(3)
-    elements = enumerate_patterns(3, (4, 2))
+    elements = list(enumerate_patterns(3, (4, 2)))
     expected = []
     for b in elements:
         for i in model.labels:
@@ -181,7 +181,7 @@ def test_violation_cap_limits_report(monkeypatch):
 
 def test_isomorphism_passes(shape310):
     model, elements = shape310
-    side_b = evaluate(tableau_model(3), enumerate_tableaux(3, (3, 1)))
+    side_b = evaluate(tableau_model(3), list(enumerate_tableaux(3, (3, 1))))
     report = verify_isomorphism(evaluate(model, elements), pattern_to_tableau, side_b)
     assert report.passed
 
@@ -194,7 +194,7 @@ def test_identity_map_is_isomorphism(shape310):
 
 def test_isomorphism_detects_swapped_images(shape310):
     model, elements = shape310
-    tabs = enumerate_tableaux(3, (3, 1))
+    tabs = list(enumerate_tableaux(3, (3, 1)))
     # swap two same-weight images: breaks intertwining but not the weight check
     tmodel = tableau_model(3)
     by_weight = {}
@@ -252,7 +252,7 @@ def test_evaluate_reads_the_model_once_per_element_and_label():
     # per (element, label) in element and then label order; the evaluation
     # keeps its model.  A repeated element raises before any model read.
     n, lam = 4, (2, 1)
-    patterns, tableaux = enumerate_patterns(n, lam), enumerate_tableaux(n, lam)
+    patterns, tableaux = list(enumerate_patterns(n, lam)), list(enumerate_tableaux(n, lam))
     for model, elements in ((pattern_model(n), patterns), (tableau_model(n), tableaux)):
         counted, calls = counting_model(model)
         evaluation = evaluate(counted, elements)
@@ -271,7 +271,7 @@ def test_checks_make_no_model_call_on_a_passing_shape():
     # connectivity read every value from them and call neither model.
     n, lam = 4, (2, 1)
     (pm, pattern_calls), (tm, tableau_calls) = counting_model(pattern_model(n)), counting_model(tableau_model(n))
-    side_a, side_b = evaluate(pm, enumerate_patterns(n, lam)), evaluate(tm, enumerate_tableaux(n, lam))
+    side_a, side_b = evaluate(pm, list(enumerate_patterns(n, lam))), evaluate(tm, list(enumerate_tableaux(n, lam)))
     forget(pattern_calls, tableau_calls)
     assert verify_axioms(side_a).passed and verify_axioms(side_b).passed
     assert verify_isomorphism(side_a, pattern_to_tableau, side_b).passed
@@ -307,7 +307,7 @@ def test_verify_shape_evaluates_each_model_once(monkeypatch):
 
         monkeypatch.setattr(crystal, name, factory)
     assert crystal.verify_shape(n, lam)["pass"]
-    elements = enumerate_patterns(n, lam)
+    elements = list(enumerate_patterns(n, lam))
     assert counts(calls["tableau_model"]) == once(n, elements)
     pattern = counts(calls["pattern_model"])
     assert pattern == {**once(n, elements), "epsilon": pattern["epsilon"]}
@@ -318,7 +318,7 @@ def test_evaluate_rejects_repeated_elements():
     # raise, so no check sees a repeat.  The injective rule stays pinned by
     # test_injective_and_surjective_witnesses, with a non-injective mapping.
     n, lam = 3, (2, 1)
-    patterns, tableaux = enumerate_patterns(n, lam), enumerate_tableaux(n, lam)
+    patterns, tableaux = list(enumerate_patterns(n, lam)), list(enumerate_tableaux(n, lam))
     again = tableau_to_pattern(pattern_to_tableau(patterns[0]))
     assert again == patterns[0] and again is not patterns[0]
     with pytest.raises(ValueError, match="not distinct"):
@@ -333,21 +333,21 @@ def test_highest_weight_elements(shape310):
     model, elements = shape310
     found = highest_weight_elements(model, elements)
     assert [p.rows for p in found] == [((3, 1, 0), (3, 1), (3,))]
-    tfound = highest_weight_elements(tableau_model(3), enumerate_tableaux(3, (3, 1)))
+    tfound = highest_weight_elements(tableau_model(3), list(enumerate_tableaux(3, (3, 1))))
     assert [t.rows for t in tfound] == [((1, 1, 1), (2,))]
-    single = enumerate_patterns(1, (4,))
+    single = list(enumerate_patterns(1, (4,)))
     assert highest_weight_elements(pattern_model(1), single) == single
 
 
 def test_connectivity(shape310):
     model, elements = shape310
     assert connectivity(evaluate(model, elements)) == 1
-    assert connectivity(evaluate(pattern_model(1), enumerate_patterns(1, (4,)))) == 1
-    two_copies = enumerate_patterns(2, (1,)) + enumerate_patterns(2, (2,))
+    assert connectivity(evaluate(pattern_model(1), list(enumerate_patterns(1, (4,))))) == 1
+    two_copies = list(enumerate_patterns(2, (1,))) + list(enumerate_patterns(2, (2,)))
     assert connectivity(evaluate(pattern_model(2), two_copies)) == 2
     # Removing the middle of the string P0 - P1 - P2 splits it; the escaping
     # images are left to the closure rule, not raised.
-    ends = enumerate_patterns(2, (2,))[::2]
+    ends = list(enumerate_patterns(2, (2,)))[::2]
     assert connectivity(evaluate(pattern_model(2), ends)) == 2
     # On subsets of the crystal, which cut strings and leave images outside,
     # the count equals a plain relabelling over the build_graph edges inside.
@@ -365,7 +365,7 @@ def test_connectivity_keeps_little_memory():
     # The union-find keeps one parent per element, about 54 KB here; a walk
     # that keeps every lowering edge and a neighbour set per element peaks
     # near 1,164 KB above the live data on this shape.
-    evaluation = evaluate(pattern_model(5), enumerate_patterns(5, (4, 3, 2, 1)))
+    evaluation = evaluate(pattern_model(5), list(enumerate_patterns(5, (4, 3, 2, 1))))
     assert len(evaluation.rows) == 1024
     tracemalloc.start()
     try:
@@ -403,7 +403,7 @@ def test_duplicate_elements_rejected():
     # A closed set with one element repeated (as an equal, distinct object):
     # only the distinctness check can reject it, in build_graph and in the
     # evaluation every other check reads.
-    elements = enumerate_patterns(2, (1,))
+    elements = list(enumerate_patterns(2, (1,)))
     repeated = elements + [validate_pattern(2, [list(row) for row in elements[0].rows])]
     for walk in (build_graph, evaluate):
         with pytest.raises(ValueError, match="not distinct"):
@@ -438,8 +438,8 @@ def rendered_report(violations):
 
 @pytest.fixture
 def shape2():
-    patterns = enumerate_patterns(2, (2,))
-    tableaux = enumerate_tableaux(2, (2,))
+    patterns = list(enumerate_patterns(2, (2,)))
+    tableaux = list(enumerate_tableaux(2, (2,)))
     assert [p.rows[1] for p in patterns] == [(0,), (1,), (2,)]
     assert [t.rows for t in tableaux] == [((1, 1),), ((1, 2),), ((2, 2),)]
     return pattern_model(2), patterns, tableau_model(2), tableaux
@@ -483,7 +483,7 @@ def test_inverse_witnesses(shape2):
 
 def test_truncated_witnesses():
     broken = replace(pattern_model(3), phi=lambda p, i: 99)
-    report = verify_axioms(evaluate(broken, enumerate_patterns(3, (1,))))
+    report = verify_axioms(evaluate(broken, list(enumerate_patterns(3, (1,)))))
     assert json.dumps(report.to_dict()) == rendered_report(
         [
             ("pairing", (Q0,), 1, "phi - epsilon = 0", "99 - 0"),
@@ -506,7 +506,7 @@ def test_raise_domain_witnesses():
     # e_2 never has an image: the pattern with a 2-string above it names the
     # missing image, and lowering into it is no longer inverted.
     broken = replace(pattern_model(3), raise_=lambda p, i: None if i == 2 else raise_gtp(p, i))
-    report = verify_axioms(evaluate(broken, enumerate_patterns(3, (1,))))
+    report = verify_axioms(evaluate(broken, list(enumerate_patterns(3, (1,)))))
     assert json.dumps(report.to_dict()) == rendered_report(
         [
             ("raise-domain", (Q0,), 2, "image iff epsilon > 0 (epsilon = 1)", "False"),
@@ -518,7 +518,7 @@ def test_raise_domain_witnesses():
 def test_weight_step_witnesses():
     # The weight of Q1 shifted by the all-ones vector keeps every coroot
     # pairing, so only the weight steps into and out of Q1 see it.
-    patterns = enumerate_patterns(3, (1,))
+    patterns = list(enumerate_patterns(3, (1,)))
     q1 = patterns[1]
     broken = replace(pattern_model(3), weight=lambda p: tuple(x + (p == q1) for x in weight_gtp(p)))
     report = verify_axioms(evaluate(broken, patterns))
@@ -532,7 +532,7 @@ def test_weight_step_witnesses():
 
 def test_epsilon_step_witnesses():
     # epsilon of Q1 is one too large at both labels.
-    patterns = enumerate_patterns(3, (1,))
+    patterns = list(enumerate_patterns(3, (1,)))
     q1 = patterns[1]
     broken = replace(pattern_model(3), epsilon=lambda p, i: epsilon_gtp(p, i) + (p == q1))
     report = verify_axioms(evaluate(broken, patterns))

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from itertools import islice, product
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from conftest import pattern_st
 from gtcrystal import (
     GTPattern,
     InterleaveError,
+    LengthError,
     NonNegativityError,
     ShapeError,
     TableauError,
@@ -37,6 +39,7 @@ from gtcrystal import (
     weight_expressions,
     weight_gtp,
 )
+from gtcrystal.core import MAX_LEVELS
 from sweeps import shape_sweep
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -177,18 +180,18 @@ def test_highest_weight_pattern_shape():
         (2, (2,), ((2, 0), (2,)), ((1, 1),)),
         (1, (4,), ((4,),), ((1, 1, 1, 1),)),
     ):
-        patterns = highest_weight_elements(pattern_model(n), enumerate_patterns(n, lam))
+        patterns = highest_weight_elements(pattern_model(n), list(enumerate_patterns(n, lam)))
         assert [p.rows for p in patterns] == [pattern_rows]
-        tableaux = highest_weight_elements(tableau_model(n), enumerate_tableaux(n, lam))
+        tableaux = highest_weight_elements(tableau_model(n), list(enumerate_tableaux(n, lam)))
         assert [t.rows for t in tableaux] == [tableau_rows]
 
 
 def test_enumerate_counts():
-    assert len(enumerate_patterns(2, (2,))) == 3
-    assert len(enumerate_patterns(3, (3, 1))) == 15
-    assert len(enumerate_patterns(3, (2, 1))) == 8
-    assert len(enumerate_patterns(3, ())) == 1
-    assert len(enumerate_patterns(1, (4,))) == 1
+    assert len(list(enumerate_patterns(2, (2,)))) == 3
+    assert len(list(enumerate_patterns(3, (3, 1)))) == 15
+    assert len(list(enumerate_patterns(3, (2, 1)))) == 8
+    assert len(list(enumerate_patterns(3, ()))) == 1
+    assert len(list(enumerate_patterns(1, (4,)))) == 1
 
 
 def test_enumerate_order_is_lexicographic_on_concatenation():
@@ -217,7 +220,7 @@ def test_enumerators_match_brute_force():
                 patterns.append(validate_pattern(n, rows))
             except InterleaveError:
                 pass
-        assert enumerate_patterns(n, lam) == patterns, (n, lam)
+        assert list(enumerate_patterns(n, lam)) == patterns, (n, lam)
         tableaux = []
         for flat in product(range(1, n + 1), repeat=sum(lam)):
             letters = iter(flat)
@@ -226,7 +229,52 @@ def test_enumerators_match_brute_force():
                 tableaux.append(validate_tableau(n, lam, rows))
             except TableauError:
                 pass
-        assert enumerate_tableaux(n, lam) == tableaux, (n, lam)
+        assert list(enumerate_tableaux(n, lam)) == tableaux, (n, lam)
+
+
+def test_enumerators_check_their_arguments_when_called():
+    # The walks are lazy, but a bad argument raises when the enumerator is
+    # called, before any element is taken.
+    with pytest.raises(LengthError, match="more than n=2"):
+        enumerate_patterns(2, (1, 1, 1))
+    with pytest.raises(ShapeError, match="alphabet bound"):
+        enumerate_tableaux(0, ())
+    with pytest.raises(ShapeError, match="more than 2 rows"):
+        enumerate_tableaux(2, (1, 1, 1))
+    # Each row is one nested stage of the walk, so the row count is capped
+    # far below the depth that overflows the C stack (about 50,000 crashed).
+    with pytest.raises(ShapeError, match=f"row count must be at most {MAX_LEVELS}, got {MAX_LEVELS + 1}"):
+        enumerate_patterns(MAX_LEVELS + 1, ())
+    with pytest.raises(ShapeError, match=f"shape has {MAX_LEVELS + 1} rows, more than {MAX_LEVELS}"):
+        enumerate_tableaux(MAX_LEVELS + 1, (1,) * (MAX_LEVELS + 1))
+
+
+def test_the_deepest_walk_makes_its_element():
+    # MAX_LEVELS rows nest MAX_LEVELS - 1 stages, and taking the first
+    # element recurses through all of them.
+    assert [len(row) for row in next(enumerate_patterns(MAX_LEVELS, (1,))).rows] == list(range(MAX_LEVELS, 0, -1))
+
+
+@pytest.mark.parametrize(
+    "enumerator, first_rows",
+    [
+        (enumerate_patterns, ((5, 4, 3, 2, 1, 0), (4, 3, 2, 1, 0), (3, 2, 1, 0), (2, 1, 0), (1, 0), (0,))),
+        (enumerate_tableaux, ((1, 1, 1, 1, 1), (2, 2, 2, 2), (3, 3, 3), (4, 4), (5,))),
+    ],
+    ids=["patterns", "tableaux"],
+)
+def test_first_element_is_made_without_the_rest(enumerator, first_rows):
+    # (5,4,3,2,1) at n = 6 has 32,768 elements; a list of them peaks at
+    # several megabytes, while the depth-first walk holds one partial
+    # element per level and, for tableaux, the candidate rows.
+    tracemalloc.start()
+    try:
+        first = next(enumerator(6, (5, 4, 3, 2, 1)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first.rows == first_rows
+    assert peak < 200_000
 
 
 def test_enumerate_yields_distinct_valid_patterns():
@@ -371,6 +419,6 @@ def test_pretty_renders_triangle(worked):
 
 def test_degenerate_rank_one():
     p = validate_pattern(1, [[3]])
-    assert enumerate_patterns(1, (3,)) == [p]
+    assert list(enumerate_patterns(1, (3,))) == [p]
     with pytest.raises(IndexError):
         phi_gtp(p, 1)

@@ -203,8 +203,8 @@ def counted(monkeypatch, module, names):
 
 def test_each_reference_value_is_computed_once(monkeypatch):
     n, lam = 5, (2, 1, 1)
-    patterns = enumerate_patterns(n, lam)
-    tableaux = enumerate_tableaux(n, lam)
+    patterns = list(enumerate_patterns(n, lam))
+    tableaux = list(enumerate_tableaux(n, lam))
     images = counted(monkeypatch, bijection, ["pattern_to_tableau", "tableau_to_pattern"])
     literals = counted(monkeypatch, gtpattern, ["diamond_a", "diamond_b", "sum_a", "sum_b"])
     rendering = counted(monkeypatch, crystal, ["render_key"])
@@ -218,7 +218,7 @@ def test_each_reference_value_is_computed_once(monkeypatch):
 def test_build_graph_renders_no_key(monkeypatch):
     n, lam = 5, (2, 1, 1)
     rendering = counted(monkeypatch, crystal, ["render_key"])
-    edges = crystal.build_graph(crystal.pattern_model(n), enumerate_patterns(n, lam))
-    edges += crystal.build_graph(crystal.tableau_model(n), enumerate_tableaux(n, lam))
+    edges = crystal.build_graph(crystal.pattern_model(n), list(enumerate_patterns(n, lam)))
+    edges += crystal.build_graph(crystal.tableau_model(n), list(enumerate_tableaux(n, lam)))
     assert len(edges) > 0
     assert rendering == {"render_key": 0}
