@@ -6,6 +6,7 @@ from hypothesis import given
 from conftest import pattern_st, tableau_st
 from gtcrystal import (
     GTPattern,
+    bijection,
     diamond_a,
     diamond_b,
     enumerate_patterns,
@@ -45,25 +46,117 @@ def test_pattern_to_tableau_worked_example(worked):
     assert str(err.value) == message
 
 
+def filled_by_definition(n, rows):
+    # Row r of the tableau holds entry(i, r) - entry(i-1, r) cells of each
+    # letter i = r..n, read straight off the triangle, and the tableau ends at
+    # its last non-empty row.
+    grid = []
+    for r in range(1, n + 1):
+        row = []
+        below = 0  # entry(r-1, r), outside the triangle
+        for i in range(r, n + 1):
+            here = rows[n - i][r - 1]
+            row += [i] * (here - below)
+            below = here
+        grid.append(row)
+    while grid and not grid[-1]:
+        grid.pop()
+    return grid
+
+
+def triangles(n, values):
+    for entries in product(values, repeat=n * (n + 1) // 2):
+        it = iter(entries)
+        yield tuple(tuple(next(it) for _ in range(width)) for width in range(n, 0, -1))
+
+
+def by_definition(n, rows):
+    """What pattern_to_tableau should give: validate_tableau's tableau for the
+    filling of the definition against the top row, or the RuntimeError message
+    that wraps the validator's."""
+    try:
+        return validate_tableau(n, rows[0], filled_by_definition(n, rows))
+    except ValueError as exc:
+        return f"bijection produced an invalid tableau: {exc}"
+
+
+def by_bijection(n, rows):
+    try:
+        return pattern_to_tableau(GTPattern(n, rows))
+    except RuntimeError as err:
+        return str(err)
+
+
 def test_the_bijection_guard_is_exact():
-    # Every triangle with n <= 3 and entries in -1..3: the validator inside
-    # pattern_to_tableau raises RuntimeError exactly on the triangles that
-    # validate_pattern rejects, and maps every pattern to its tableau.
+    # Every triangle with n <= 3 and entries in -1..3, and every one with
+    # n = 4, entries in 0..2 and a weakly decreasing top row, where the shape
+    # passes and the filling decides: pattern_to_tableau raises RuntimeError
+    # exactly on the triangles that validate_pattern rejects, and maps every
+    # pattern to its tableau.  All 59,049 triangles with n = 4 and entries in
+    # 0..2 took 3-4 s on a shared 2-vCPU machine, so only that slice runs.
+    slices = [triangles(n, range(-1, 4)) for n in range(1, 4)]
+    slices.append(rows for rows in triangles(4, range(3)) if sorted(rows[0], reverse=True) == list(rows[0]))
     rejected = mapped = 0
-    for n in range(1, 4):
-        for entries in product(range(-1, 4), repeat=n * (n + 1) // 2):
-            it = iter(entries)
-            rows = tuple(tuple(next(it) for _ in range(width)) for width in range(n, 0, -1))
+    for found in slices:
+        for rows in found:
+            n = len(rows)
+            outcome = by_bijection(n, rows)
+            assert outcome == by_definition(n, rows)
             try:
                 pattern = validate_pattern(n, rows)
             except ValueError:
-                with pytest.raises(RuntimeError, match="^bijection produced an invalid tableau: "):
-                    pattern_to_tableau(GTPattern(n, rows))
+                assert isinstance(outcome, str)
                 rejected += 1
             else:
-                assert tableau_to_pattern(pattern_to_tableau(GTPattern(n, rows))) == pattern
+                assert tableau_to_pattern(outcome) == pattern
                 mapped += 1
-    assert (rejected, mapped) == (15619, 136)
+    # n <= 3: 15,619 rejected and 136 mapped; n = 4: 10,809 and 126.
+    assert (rejected, mapped) == (26428, 262)
+    # Odd-typed triangles, none of them a pattern.  A bool on top or as n, a
+    # zero n and a top row that is not a tuple or list are rejected with the
+    # validator's message; a True below the top row counts as 1 in the fill.
+    # A float count fails the fill itself.
+    odd = [
+        (2, ((True, 0), (1,))),
+        (2, ((2, False), (1,))),
+        (True, ((1,),)),
+        (0, ((0,),)),
+        (2, (range(1, -1, -1), (1,))),
+        (2, ((1, 0), (True,))),
+        (3, ((2, 1, 0), (2, 1), (True,))),
+    ]
+    outcomes = [by_bijection(n, rows) for n, rows in odd]
+    assert outcomes == [by_definition(n, rows) for n, rows in odd]
+    assert [o if isinstance(o, str) else o.rows for o in outcomes] == [
+        "bijection produced an invalid tableau: partition entries must be integers, got True",
+        "bijection produced an invalid tableau: partition entries must be integers, got False",
+        "bijection produced an invalid tableau: alphabet bound must be a positive integer, got True",
+        "bijection produced an invalid tableau: alphabet bound must be a positive integer, got 0",
+        "bijection produced an invalid tableau: shape must be an array, got range(1, -1, -1)",
+        ((1,),),
+        ((1, 2), (2,)),
+    ]
+    with pytest.raises(TypeError, match="^can't multiply sequence by non-int of type 'float'$"):
+        pattern_to_tableau(GTPattern(2, ((2.0, 0), (1,))))
+
+
+class ReachedTheValidator(Exception):
+    pass
+
+
+def test_patterns_never_reach_the_validator(monkeypatch):
+    # The one semistandard pass accepts the filling of every pattern, so only
+    # a triangle that is not a pattern reaches validate_tableau, which words
+    # its error.  A guard that fell back to the validator on patterns would
+    # keep every output and lose the speed-up.
+    def validator(*args):
+        raise ReachedTheValidator(args)
+
+    monkeypatch.setattr(bijection, "validate_tableau", validator)
+    mapped = [pattern_to_tableau(p) for n, lam in shape_sweep() for p in enumerate_patterns(n, lam)]
+    assert len(mapped) > 1000
+    with pytest.raises(ReachedTheValidator):
+        pattern_to_tableau(GTPattern(2, ((2, 2), (1,))))
 
 
 def test_pattern_to_tableau_second_vertex():

@@ -2,6 +2,7 @@ import tracemalloc
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import tableau_st, word_st
 from gtcrystal import crystal, ssyt
@@ -55,6 +56,54 @@ def test_validate_rejects_each_violation():
         validate_tableau(2, (1,), [[3]])
     with pytest.raises(ShapeError):
         validate_tableau(2, (2,), [[1, 1], [2]])
+
+
+@pytest.mark.parametrize(
+    ("rows", "error", "message"),
+    [
+        ([[1, 2], [1, 3], [4]], AlphabetError, "letter 4 at (3,1) outside 1..3"),
+        ([[1, 2], [1, 3], [True]], ShapeError, "letters must be integers, got True at (3,1)"),
+        ([[1, 2], [1, 3], [3, 2]], RowOrderError, "row 3 decreases at (3,2): 3 > 2"),
+    ],
+    ids=["alphabet", "type", "row"],
+)
+def test_validate_words_the_first_fault_in_scan_order(rows, error, message):
+    # Each filling also breaks column 1 in row 2, the first fault one pass
+    # over the cells meets.  The validator scans every cell for its type and
+    # alphabet first, then every row, then every column, so it reports the
+    # fault in row 3.
+    with pytest.raises(error) as err:
+        validate_tableau(3, [len(row) for row in rows], rows)
+    assert str(err.value) == message
+
+
+@st.composite
+def ragged_filling_st(draw):
+    """A letter bound and up to four rows of up to four letters: ints in
+    -1..n+1, bools, floats and strings, or a sorted row of ints in 1..n."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    letter = st.one_of(
+        st.integers(min_value=-1, max_value=n + 1),
+        st.booleans(),
+        st.sampled_from([1.0, 2.5, "1", "a"]),
+    )
+    row = st.one_of(
+        st.lists(letter, max_size=4),
+        st.lists(st.integers(min_value=1, max_value=n), min_size=1, max_size=4).map(sorted),
+    )
+    return n, draw(st.lists(row, max_size=4))
+
+
+@given(case=ragged_filling_st())
+def test_semistandard_is_exactly_what_validate_tableau_accepts(case):
+    n, rows = case
+    try:
+        validate_tableau(n, [len(row) for row in rows], rows)
+    except ValueError:
+        accepted = False
+    else:
+        accepted = True
+    assert ssyt.semistandard(n, rows) is accepted
 
 
 def test_far_east_reading_reference(reference):
