@@ -3,44 +3,26 @@
 A pattern maps to the tableau obtained by filling, for each letter i, the
 cells row i of the pattern adds over row i-1 with the letter i.  The
 inverse records the shape left after deleting letters larger than i, padded
-with zeros to i entries.  An invalid triangle raises ``RuntimeError`` with
-the message ``validate_tableau`` gives for its filling against its top row.
+with zeros to i entries.  Each map's one guard is its image's validator;
+an invalid triangle raises ``RuntimeError`` with the message
+``validate_tableau`` gives for its filling against its top row.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Any
 
 from .gtpattern import GTPattern, validate_pattern
-from .ssyt import Tableau, semistandard, validate_tableau
-
-
-def _is_padded_shape_of(top: Any, grid: list[list[int]]) -> bool:
-    """Whether ``top`` is a tuple of plain ints: the row lengths of ``grid``, then zeros.
-
-    ``top`` has at least as many entries as ``grid`` has rows: the fill read
-    one entry of it per row.  When ``grid`` is semistandard its row lengths
-    are positive and weakly decrease, so ``top`` then passes every shape
-    check of ``validate_tableau``.
-    """
-    if type(top) is not tuple:
-        return False
-    for k, x in enumerate(top):
-        if type(x) is not int or x != (len(grid[k]) if k < len(grid) else 0):
-            return False
-    return True
+from .ssyt import Tableau, validate_tableau
 
 
 def pattern_to_tableau(pattern: GTPattern) -> Tableau:
     """Fill layers bottom-up: letter i gets entry(i, r) - entry(i-1, r) cells in tableau row r.
 
     The layers of row r telescope to ``rows[0][r]`` and a negative one fills
-    no cells.  The filling is returned when ``semistandard`` accepts it, ``n``
-    is a positive int and the top row is its row lengths padded with zeros:
-    exactly the fillings ``validate_tableau`` accepts against the top row.
-    Any other triangle goes to ``validate_tableau``, whose error is raised as
-    RuntimeError.
+    no cells.  The filling is checked against the top row by
+    ``validate_tableau``, whose one walk accepts the filling of every
+    pattern; its error on any other triangle is raised as RuntimeError.
     """
     n = pattern.n
     grid: list[list[int]] = [[] for _ in range(n)]
@@ -52,11 +34,8 @@ def pattern_to_tableau(pattern: GTPattern) -> Tableau:
         inner = outer
     while grid and not grid[-1]:
         grid.pop()
-    top = pattern.rows[0]
-    if type(n) is int and n > 0 and _is_padded_shape_of(top, grid) and semistandard(n, grid):
-        return Tableau(n, tuple([tuple(row) for row in grid]))
     try:
-        return validate_tableau(n, top, grid)
+        return validate_tableau(n, pattern.rows[0], grid)
     except ValueError as exc:
         raise RuntimeError(f"bijection produced an invalid tableau: {exc}") from exc
 

@@ -100,6 +100,8 @@ def validate_pattern(n: int, rows: Any) -> GTPattern:
     positions left to right: a malformed triangle raises ShapeError, a
     negative entry NonNegativityError, and a broken interleaving inequality
     InterleaveError carrying the (i, j) coordinates of the offending entry.
+    The scans read the row tuples, where row k is level n - k; the pattern
+    is built once every check has passed.
     """
     require_positive(n, "row count")
     rows = as_rows(rows)
@@ -111,21 +113,19 @@ def validate_pattern(n: int, rows: Any) -> GTPattern:
         for x in row:
             if not isinstance(x, int) or isinstance(x, bool):
                 raise ShapeError(f"entries must be integers, got {quote(x)}")
-    pattern = GTPattern(n, rows)
-    for i in range(n, 0, -1):
-        for j in range(1, i + 1):
-            if pattern.entry(i, j) < 0:
-                raise NonNegativityError(f"entry ({i},{j}) = {pattern.entry(i, j)} is negative")
-    for i in range(n - 1, 0, -1):
-        for j in range(1, i + 1):
-            upper = pattern.entry(i + 1, j)
-            mid = pattern.entry(i, j)
-            lower = pattern.entry(i + 1, j + 1)
+    for k, row in enumerate(rows):
+        for j, x in enumerate(row, start=1):
+            if x < 0:
+                raise NonNegativityError(f"entry ({n - k},{j}) = {x} is negative")
+    for k in range(1, n):
+        i = n - k
+        above = rows[k - 1]
+        for j, (mid, upper, lower) in enumerate(zip(rows[k], above, above[1:]), start=1):
             if mid > upper:
                 raise InterleaveError(i, j, f"entry ({i},{j}) = {mid} exceeds entry ({i+1},{j}) = {upper}")
             if mid < lower:
                 raise InterleaveError(i, j, f"entry ({i},{j}) = {mid} is below entry ({i+1},{j+1}) = {lower}")
-    return pattern
+    return GTPattern(n, rows)
 
 
 def _check_label(pattern: GTPattern, i: int) -> None:

@@ -5,9 +5,9 @@ each column top to bottom) followed by pair cancellation between the letters
 i and i+1.  The reading walk depends only on the row lengths, so it is made
 once per length tuple (``_reading_plan``), and each reading is one pick from
 the concatenated rows.  The operators match the letters in a single stack
-pass over the reading word.  A filling is accepted in one walk over its
-cells (``semistandard``); ``validate_tableau`` words the first fault of one
-that the walk rejects.
+pass over the reading word.  ``validate_tableau`` accepts a plain-typed
+filling in one walk over its cells (``semistandard``) and words the first
+fault of any other input.
 
 Cells are addressed by 1-based (row, column) pairs throughout.
 """
@@ -80,11 +80,11 @@ def semistandard(n: int, rows: Sequence[Sequence[Any]]) -> bool:
     """Whether ``rows`` is a semistandard filling with letters in 1..n, in one walk over its cells.
 
     ``n`` is a positive integer and ``rows`` a list or tuple of lists or
-    tuples.  True exactly when ``validate_tableau(n, row lengths, rows)``
-    returns: every row is non-empty and no longer than the row above it,
-    every letter is a plain ``int`` (not a bool) in 1..n, every row weakly
-    increases and every column strictly increases.  The type test comes
-    first for each cell, so no letter of another type is ever compared.
+    tuples.  True when every row is non-empty and no longer than the row
+    above it, every letter is a plain ``int`` (not a bool) in 1..n, every
+    row weakly increases and every column strictly increases.  The type test
+    comes first for each cell, so no letter of another type is ever
+    compared.  Only ``validate_tableau`` calls it, as its first step.
     """
     above: Sequence[int] = [0] * len(rows[0]) if rows else []
     for row in rows:
@@ -101,18 +101,35 @@ def semistandard(n: int, rows: Sequence[Sequence[Any]]) -> bool:
     return True
 
 
+def _is_shape_of(shape: Any, rows: Any) -> bool:
+    """Whether ``shape``, ``rows`` and each row are arrays, and ``shape`` is plain ints: the row lengths, then zeros."""
+    if not isinstance(shape, (list, tuple)) or not isinstance(rows, (list, tuple)) or len(shape) < len(rows):
+        return False
+    for x, row in zip(shape, rows):
+        if type(x) is not int or not isinstance(row, (list, tuple)) or x != len(row):
+            return False
+    for x in shape[len(rows) :]:
+        if type(x) is not int or x:
+            return False
+    return True
+
+
 def validate_tableau(n: int, shape: Sequence[int], rows: Any) -> Tableau:
     """Validate a filling against a shape and return the tableau.
 
-    Raises ShapeError on a malformed shape or filling or a mismatch between
+    A filling is accepted in one walk when ``n`` is a plain positive int,
+    ``shape``, ``rows`` and every row are lists or tuples, ``shape`` is the
+    row lengths followed by zeros, all plain ints, and ``semistandard``
+    holds.  Any other input goes through the checks that word its first
+    fault: ShapeError on a malformed shape or filling or a mismatch between
     them, AlphabetError for letters outside 1..n, RowOrderError and
     ColumnOrderError for ordering violations, each reporting the first
-    offending cell.  Once the shape and the row lengths have passed, a
-    filling that ``semistandard`` accepts is returned; the three loops that
-    follow only word the fault of a rejected one.  They scan every cell for
-    its type and alphabet first, then every row, then every column, so a
-    filling with several faults reports the first in that order.
+    offending cell.  Those checks scan every cell for its type and alphabet
+    first, then every row, then every column, so a filling with several
+    faults reports the first in that order.
     """
+    if type(n) is int and n > 0 and _is_shape_of(shape, rows) and semistandard(n, rows):
+        return Tableau(n, tuple([tuple(row) for row in rows]))
     require_positive(n, "alphabet bound")
     if not isinstance(shape, (list, tuple)):
         raise ShapeError(f"shape must be an array, got {quote(shape)}")
@@ -120,8 +137,6 @@ def validate_tableau(n: int, shape: Sequence[int], rows: Any) -> Tableau:
     rows = as_rows(rows)
     if tuple([len(row) for row in rows]) != shape:
         raise ShapeError(f"row lengths {quote(tuple(map(len, rows)))} do not match shape {quote(shape)}")
-    if semistandard(n, rows):
-        return Tableau(n, rows)
     for r, row in enumerate(rows, start=1):
         for c, x in enumerate(row, start=1):
             if not isinstance(x, int) or isinstance(x, bool):

@@ -151,3 +151,20 @@ def letter_count(tableau, letter, row):
     if not 1 <= row <= len(tableau.rows):
         return 0
     return sum(1 for x in tableau.rows[row - 1] if x == letter)
+
+
+def walk_along(element, word, step):
+    """(step counts, element reached): apply ``step`` with each letter's label of ``word`` until it returns None.
+
+    phi and epsilon are never read, so a closed form of the string exponents
+    is checked against the operators alone.
+    """
+    out = []
+    current = element
+    for letter in word:
+        steps = 0
+        while (moved := step(current, letter)) is not None:
+            current = moved
+            steps += 1
+        out.append(steps)
+    return tuple(out), current

@@ -57,6 +57,7 @@ from sweeps import (
     raise_columns,
     recursive_crossing,
     shape_sweep,
+    walk_along,
 )
 
 
@@ -243,26 +244,11 @@ def test_dual_bracketing_implementations_agree():
                 assert match_positions(letters, i) == recursive_crossing(letters, i)
 
 
-def exponents(pattern, word, step):
-    # Apply ``step`` with each letter's label until it returns None; phi and
-    # epsilon are never read, so the closed form is checked against the
-    # operators alone.
-    out = []
-    current = pattern
-    for letter in word:
-        steps = 0
-        while (moved := step(current, letter)) is not None:
-            current = moved
-            steps += 1
-        out.append(steps)
-    return tuple(out)
-
-
 def test_string_exponent_table_matches_operator_iteration():
     with criterion("closed-form string exponents match operator iteration"):
         word3 = reduced_long_word(3)
         rows = [
-            (string_datum(p), exponents(p, word3, raise_gtp), exponents(p, word3, lower_gtp))
+            (string_datum(p), walk_along(p, word3, raise_gtp)[0], walk_along(p, word3, lower_gtp)[0])
             for lam in partitions_up_to(6, 3)
             for p in enumerate_patterns(3, lam)
         ]
@@ -280,7 +266,48 @@ def test_string_exponent_table_matches_operator_iteration():
         patterns4 = [p for lam in partitions_up_to(5, 4) for p in enumerate_patterns(4, lam)]
         assert len(patterns4) == 441
         for p in patterns4:
-            assert along_word(string_datum(p), 4) == exponents(p, word4, raise_gtp)
+            assert along_word(string_datum(p), 4) == walk_along(p, word4, raise_gtp)[0]
+
+
+def truncated_datum(pattern):
+    # Mutant of string_datum: each sum runs to column j - i + 1, one too far.
+    n = pattern.n
+    return {
+        (i, j): sum(pattern.entry(j, m) - pattern.entry(j - 1, m) for m in range(1, j - i + 2))
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+    }
+
+
+def reversed_blocks(datum, n):
+    # Mutant of along_word: the letters of each block read as (1, ..., k), not (k, ..., 1).
+    return tuple(datum[k + 1 - letter, k + 1] for k in range(1, n) for letter in range(1, k + 1))
+
+
+def test_string_exponents_match_the_bracketing_rule_through_the_bijection():
+    # The independent route: carry each pattern through the bijection and
+    # raise its tableau maximally along the reduced word with the bracketing
+    # rule.  The step counts are along_word's reading of string_datum, the
+    # walk ends at the shape's highest-weight tableau (row r holds only r),
+    # and no two patterns of one shape share a datum.
+    with criterion("string exponents match the tableau operators through the bijection"):
+        walks = []
+        for n, max_boxes in ((4, 6), (5, 6), (6, 5)):
+            word = reduced_long_word(n)
+            for lam in partitions_up_to(max_boxes, n):
+                top = validate_tableau(n, lam, [[r] * part for r, part in enumerate(lam, start=1)])
+                data = []
+                for p in enumerate_patterns(n, lam):
+                    steps, end = walk_along(pattern_to_tableau(p), word, raise_ssyt)
+                    datum = string_datum(p)
+                    assert (along_word(datum, n), end) == (steps, top), p
+                    walks.append((p, steps))
+                    data.append(tuple(datum.items()))
+                assert len(set(data)) == len(data)
+        assert len(walks) == 6660
+        # Each mutant of the closed form or of its alignment breaks the match.
+        assert any(along_word(truncated_datum(p), p.n) != steps for p, steps in walks)
+        assert any(reversed_blocks(string_datum(p), p.n) != steps for p, steps in walks)
 
 
 def flipped_lower(pattern, i):

@@ -6,7 +6,7 @@ from hypothesis import given
 from conftest import pattern_st, tableau_st
 from gtcrystal import (
     GTPattern,
-    bijection,
+    along_word,
     diamond_a,
     diamond_b,
     enumerate_patterns,
@@ -21,6 +21,9 @@ from gtcrystal import (
     phi_ssyt,
     raise_gtp,
     raise_ssyt,
+    reduced_long_word,
+    ssyt,
+    string_datum,
     sum_a,
     sum_b,
     tableau_to_pattern,
@@ -29,7 +32,7 @@ from gtcrystal import (
     weight_gtp,
     weight_ssyt,
 )
-from sweeps import letter_count, shape_sweep
+from sweeps import letter_count, shape_sweep, walk_along
 
 
 @pytest.fixture
@@ -140,22 +143,22 @@ def test_the_bijection_guard_is_exact():
         pattern_to_tableau(GTPattern(2, ((2.0, 0), (1,))))
 
 
-class ReachedTheValidator(Exception):
+class ReachedTheWordingPath(Exception):
     pass
 
 
 def test_patterns_never_reach_the_validator(monkeypatch):
-    # The one semistandard pass accepts the filling of every pattern, so only
-    # a triangle that is not a pattern reaches validate_tableau, which words
-    # its error.  A guard that fell back to the validator on patterns would
-    # keep every output and lose the speed-up.
-    def validator(*args):
-        raise ReachedTheValidator(args)
+    # validate_tableau accepts the filling of every pattern in its one walk,
+    # so only a triangle that is not a pattern reaches the checks that word
+    # a fault, which open with require_positive.  A guard that sent patterns
+    # down that path would keep every output and lose the fast accept.
+    def wording(*args):
+        raise ReachedTheWordingPath(args)
 
-    monkeypatch.setattr(bijection, "validate_tableau", validator)
+    monkeypatch.setattr(ssyt, "require_positive", wording)
     mapped = [pattern_to_tableau(p) for n, lam in shape_sweep() for p in enumerate_patterns(n, lam)]
     assert len(mapped) > 1000
-    with pytest.raises(ReachedTheValidator):
+    with pytest.raises(ReachedTheWordingPath):
         pattern_to_tableau(GTPattern(2, ((2, 2), (1,))))
 
 
@@ -248,3 +251,15 @@ def test_bijection_is_a_crystal_isomorphism_past_desk_scale(p):
         for on_pattern, on_tableau in ((lower_gtp, lower_ssyt), (raise_gtp, raise_ssyt)):
             image = on_pattern(p, i)
             assert on_tableau(t, i) == (None if image is None else pattern_to_tableau(image))
+
+
+@given(p=pattern_st(max_n=8, max_part=30))
+def test_string_exponents_match_the_bracketing_rule_past_desk_scale(p):
+    # The string parametrization through the independent route on patterns of
+    # up to eight rows with entries up to 30: raising the pattern's tableau
+    # maximally along the reduced word with the bracketing rule takes
+    # along_word's reading of string_datum steps, and ends at the shape's
+    # highest-weight tableau, whose row r holds only r.
+    steps, end = walk_along(pattern_to_tableau(p), reduced_long_word(p.n), raise_ssyt)
+    assert steps == along_word(string_datum(p), p.n)
+    assert end.rows == tuple((r,) * part for r, part in enumerate(p.shape, start=1))

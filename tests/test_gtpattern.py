@@ -79,6 +79,31 @@ def test_validate_rejects_malformed_triangle():
         validate_pattern(2, [[2.5, 0], [1]])
 
 
+@pytest.mark.parametrize(
+    ("rows", "error", "message", "ij"),
+    [
+        ([[3, -1, 0], [3, 1], [True]], ShapeError, "entries must be integers, got True", None),
+        ([[3, 1, 0], [4, 1], [-1]], NonNegativityError, "entry (1,1) = -1 is negative", None),
+        ([[3, -1, 0], [3, 1], [-2]], NonNegativityError, "entry (3,2) = -1 is negative", None),
+        ([[3, 1, 0], [3, 2], [4]], InterleaveError, "entry (2,2) = 2 exceeds entry (3,2) = 1", (2, 2)),
+        ([[3, 1, 0], [4, 2], [2]], InterleaveError, "entry (2,1) = 4 exceeds entry (3,1) = 3", (2, 1)),
+        ([[3, 1, 0], [0, 2], [0]], InterleaveError, "entry (2,1) = 0 is below entry (3,2) = 1", (2, 1)),
+        ([[1, 3, 0], [2, 0], [0]], InterleaveError, "entry (2,1) = 2 exceeds entry (3,1) = 1", (2, 1)),
+    ],
+    ids=["type", "negative", "upper-negative", "upper-pair", "left-entry", "below", "exceeds-before-below"],
+)
+def test_validate_words_the_first_fault_in_scan_order(rows, error, message, ij):
+    # The validator checks the form and type of every row first, then every
+    # entry's sign, then the interleaving of each row pair top-down, left to
+    # right, and at one entry "exceeds" before "is below": each triangle also
+    # holds a later fault, which the first one hides.
+    with pytest.raises(error) as err:
+        validate_pattern(3, rows)
+    assert str(err.value) == message
+    if ij is not None:
+        assert (err.value.i, err.value.j) == ij
+
+
 def test_diamond_a_worked_example(worked):
     assert diamond_a(worked, 1, 1) == 1  # 2 - 0 + 0 - 1
     assert diamond_a(worked, 2, 1) == 1

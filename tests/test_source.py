@@ -239,3 +239,55 @@ def test_the_oracles_share_no_code_they_check():
     assert checked_code_in(tree) == {"_with_cell_changed"}
     tree.body.insert(0, ast.parse("from gtcrystal import ssyt\nssyt.lower_ssyt").body[1])
     assert checked_code_in(tree) == {"_with_cell_changed", "lower_ssyt"}
+
+
+
+def definition(tree, name):
+    """The module-level function ``name`` of ``tree``."""
+    return next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def semistandard_callers(trees):
+    """The package modules, by file name, whose code calls ``semistandard`` by name or as an attribute."""
+    return {
+        name
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "semistandard" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    }
+
+
+def test_only_the_tableau_validator_runs_the_semistandard_walk():
+    # Only ssyt.py calls semistandard, as validate_tableau's first step; the
+    # bijection reaches it only through the validator, so the rule for "this
+    # filling is a tableau of this shape" has one home.
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+    assert semistandard_callers(trees) == {"ssyt.py"}
+    # The rule sees the walk slipped into the bijection.
+    mapper = definition(trees["bijection.py"], "pattern_to_tableau")
+    mapper.body.insert(0, ast.parse("ssyt.semistandard(n, grid)").body[0])
+    assert semistandard_callers(trees) == {"ssyt.py", "bijection.py"}
+
+
+def pattern_reads(function):
+    """(entry() reads, GTPattern builds outside the last statement) in ``function``."""
+    last = set(ast.walk(function.body[-1]))
+    reads = builds = 0
+    for node in ast.walk(function):
+        if isinstance(node, ast.Attribute) and node.attr == "entry":
+            reads += 1
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "GTPattern" and node not in last:
+            builds += 1
+    return reads, builds
+
+
+def test_validate_pattern_reads_rows_and_builds_the_pattern_last():
+    # validate_pattern scans the row tuples, not a half-built pattern through
+    # its bounds-checked entry(), and builds the GTPattern only in its last
+    # statement, once every check has passed.
+    validator = definition(ast.parse((PACKAGE / "gtpattern.py").read_text(encoding="utf-8")), "validate_pattern")
+    assert pattern_reads(validator) == (0, 0)
+    # The rule sees an early build and an entry read slipped in.
+    validator.body[-1:-1] = ast.parse("pattern = GTPattern(n, rows)\npattern.entry(1, 1)").body
+    assert pattern_reads(validator) == (1, 1)

@@ -77,6 +77,66 @@ def test_validate_words_the_first_fault_in_scan_order(rows, error, message):
     assert str(err.value) == message
 
 
+FILLING = [[1, 2], [2]]
+
+
+@pytest.mark.parametrize(
+    ("n", "shape", "rows", "outcome"),
+    [
+        (3, (2, 1), FILLING, ((1, 2), (2,))),
+        (3, [2, 1], FILLING, ((1, 2), (2,))),
+        (3, (2, 1, 0, 0), FILLING, ((1, 2), (2,))),
+        (3, [2, 1], ((1, 2), (2,)), ((1, 2), (2,))),
+        (3, (2, 1, 1), FILLING, "ShapeError: row lengths (2, 1) do not match shape (2, 1, 1)"),
+        (3, (2,), FILLING, "ShapeError: row lengths (2, 1) do not match shape (2,)"),
+        (3, (2, True), FILLING, "ShapeError: partition entries must be integers, got True"),
+        (3, (2, 1.0), FILLING, "ShapeError: partition entries must be integers, got 1.0"),
+        (3, (2, 1, False), FILLING, "ShapeError: partition entries must be integers, got False"),
+        (3, "21", FILLING, "ShapeError: shape must be an array, got '21'"),
+        (True, (2, 1), FILLING, "ShapeError: alphabet bound must be a positive integer, got True"),
+        (3, (), "", "ShapeError: rows must be an array, got ''"),
+        (3, (2, 1), [[1, 2], "2"], "ShapeError: row 2 must be an array, got '2'"),
+        (1, (1,), [{1: "a"}], "ShapeError: row 1 must be an array, got {1: 'a'}"),
+        (3, (2, 0), [[1, 2], []], "ShapeError: row lengths (2, 0) do not match shape (2,)"),
+    ],
+    ids=[
+        "tuple-shape",
+        "list-shape",
+        "trailing-zeros",
+        "tuple-rows",
+        "entry-past-last-row",
+        "shape-shorter",
+        "bool-in-shape",
+        "float-in-shape",
+        "bool-zero",
+        "string-shape",
+        "bool-n",
+        "string-rows",
+        "string-row",
+        "dict-row",
+        "empty-row",
+    ],
+)
+def test_validate_accepts_in_one_walk_or_words_the_fault(monkeypatch, n, shape, rows, outcome):
+    # A plain-typed filling whose shape is its row lengths, then zeros, is
+    # returned by the first step, before the checks that word a fault, which
+    # open with require_positive; every other input is worded there.  The
+    # empty string has the length of an empty filling, and the dict row
+    # iterates as the letter 1, so only the type tests of the filling and of
+    # each row keep the one walk from accepting them.
+    if isinstance(outcome, tuple):
+
+        def wording(*args):
+            raise AssertionError(f"reached the wording path with {args}")
+
+        monkeypatch.setattr(ssyt, "require_positive", wording)
+        assert validate_tableau(n, shape, rows).rows == outcome
+    else:
+        with pytest.raises(ValueError) as err:
+            validate_tableau(n, shape, rows)
+        assert f"{type(err.value).__name__}: {err.value}" == outcome
+
+
 @st.composite
 def ragged_filling_st(draw):
     """A letter bound and up to four rows of up to four letters: ints in
