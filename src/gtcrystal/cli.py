@@ -7,7 +7,10 @@ documents.  ``enumerate`` and ``graph`` render their JSON from one
 key) and ``json.dumps`` (a graph's vertex and edge), and filled from each
 element's rows.  They write their output as they make it, after every
 check, and never hold a whole document; ``enumerate`` reads the lazy
-enumerators, so its first line goes out after one element is made.  Exit
+enumerators, so its first line goes out after one element is made.
+``graph`` holds each vertex once and no operator image: it numbers each
+edge of the lazy lowering walk as it arrives and keeps only its label and
+vertex numbers.  Exit
 codes: 0 for success (including an absent operator image, printed as the
 literal ``none``), 1 for a verification failure, 2 for an input error, such
 as a payload nested too deeply or a ``--report`` file that cannot be
@@ -173,8 +176,10 @@ def cmd_graph(args: argparse.Namespace) -> int:
     key = _unmark(render_key(placeholder))
     keys = [key % _entries(e) for e in elements]
     number = {e: k for k, e in enumerate(elements)}
-    # Each edge looks up each end once.  Vertices keep element order; edges
-    # are sorted by (source key, label), a pair that no two edges share.
+    # Each edge is numbered as the lazy walk makes it, looking up each end
+    # once, and its image is then dropped: only vertex numbers are kept.
+    # Vertices keep element order; edges are sorted by (source key, label),
+    # a pair that no two edges share.
     numbered = []
     for u, i, v in edges:
         b = number.get(v)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -539,6 +540,44 @@ def test_graph_with_escaping_lowering_is_internal_error(escaping_lower, capsys, 
     assert (code, out) == (3, "")
     source = '{"n":3,"rows":[[2,1,0],[1,0],[1]]}'
     assert err == f"internal error: lowering {source} along 1 escapes the crystal: {ESCAPED}\n"
+
+
+@pytest.mark.parametrize(
+    "model, module, name", [("gtp", gtpattern, "lower_gtp"), ("ssyt", ssyt, "lower_ssyt")], ids=["gtp", "ssyt"]
+)
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_graph_keeps_no_lowering_image(monkeypatch, capsys, model, module, name, fmt):
+    # graph numbers each edge as the lazy walk makes it and then drops its
+    # image, so when the next image is made at most the last one or two are
+    # still alive, not every image made so far.
+    lower = getattr(module, name)
+    images = []
+    alive = []
+
+    def tracked(element, i):
+        alive.append(sum(ref() is not None for ref in images))
+        image = lower(element, i)
+        if image is not None:
+            images.append(weakref.ref(image))
+        return image
+
+    monkeypatch.setattr(module, name, tracked)
+    code, out, _ = run(capsys, "graph", "-n", "4", "-l", "3,1", "--model", model, "--format", fmt)
+    assert code == 0 and out
+    assert len(images) > 40
+    assert max(alive) <= 2
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_graph_with_rejected_tableau_image_is_internal_error(monkeypatch, capsys, fmt):
+    # A tableau operator whose guard rejects its image stops graph before
+    # any byte is written: a defect of the program (3), not bad input (2).
+    cancel = ssyt._cancel
+    monkeypatch.setattr(ssyt, "_cancel", lambda word, i: (*cancel(word, i)[:2], (1, 1), None))
+    code, out, err = run(capsys, "graph", "-n", "3", "-l", "3,1,0", "--model", "ssyt", "--format", fmt)
+    assert (code, out) == (3, "")
+    problem = "f_2 on 2,3,3/3 produced an invalid tableau at (1,1): cell below holds 3 <= 3"
+    assert err == f"internal error: crystal operator {problem}\n"
 
 
 def test_internal_error_exits_three(monkeypatch, capsys):

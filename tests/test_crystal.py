@@ -35,7 +35,7 @@ def shape310():
 
 def test_build_graph_counts(shape310):
     model, elements = shape310
-    edges = build_graph(model, elements)
+    edges = list(build_graph(model, elements))
     assert {u for u, _i, _v in edges} | {v for _u, _i, v in edges} == set(elements)
     assert len(elements) == 15
     assert len(edges) == 18
@@ -43,9 +43,9 @@ def test_build_graph_counts(shape310):
 
 def test_build_graph_degenerate_cases():
     elements = list(enumerate_patterns(1, (4,)))
-    assert (len(elements), build_graph(pattern_model(1), elements)) == (1, [])
+    assert (len(elements), list(build_graph(pattern_model(1), elements))) == (1, [])
     elements = list(enumerate_patterns(2, (1,)))
-    edges = build_graph(pattern_model(2), elements)
+    edges = list(build_graph(pattern_model(2), elements))
     assert (len(elements), len(edges)) == (2, 1)
     assert edges[0][1] == 1
 
@@ -55,7 +55,7 @@ def test_build_graph_returns_escaping_edges(shape310):
     # set; connectivity ignores it.
     model, elements = shape310
     top = highest_weight_elements(model, elements)
-    assert build_graph(model, top) == [
+    assert list(build_graph(model, top)) == [
         (top[0], 1, validate_pattern(3, [[3, 1, 0], [3, 1], [2]])),
         (top[0], 2, validate_pattern(3, [[3, 1, 0], [3, 0], [3]])),
     ]
@@ -67,10 +67,10 @@ def test_build_graph_order_invariance(shape310):
     # Edges come in element order, then label order; the edge set does not
     # depend on the order of the elements.
     model, elements = shape310
-    straight = build_graph(model, elements)
+    straight = list(build_graph(model, elements))
     expected = [(b, i, model.lower(b, i)) for b in elements for i in model.labels if model.lower(b, i) is not None]
     assert straight == expected
-    shuffled = build_graph(model, list(reversed(elements)))
+    shuffled = list(build_graph(model, list(reversed(elements))))
     assert shuffled != straight
     assert set(shuffled) == set(straight) and len(shuffled) == len(straight)
 
@@ -85,7 +85,7 @@ def test_bfs_construction_matches(shape310):
 
 def test_edges_form_label_disjoint_paths(shape310):
     model, elements = shape310
-    edges = build_graph(model, elements)
+    edges = list(build_graph(model, elements))
     for label in model.labels:
         outgoing = [u for u, i, _v in edges if i == label]
         incoming = [v for _u, i, v in edges if i == label]
@@ -116,7 +116,7 @@ def test_graphs_by_value_over_the_sweep():
         patterns, tableaux = list(enumerate_patterns(n, lam)), list(enumerate_tableaux(n, lam))
         graphs = {}
         for model, elements in ((pm, patterns), (tm, tableaux)):
-            edges = build_graph(model, elements)
+            edges = list(build_graph(model, elements))
             assert len(set(edges)) == len(edges)
             expected = {(b, i, model.lower(b, i)) for b in elements for i in model.labels}
             assert set(edges) == {edge for edge in expected if edge[2] is not None}
@@ -351,7 +351,7 @@ def test_connectivity(shape310):
     assert connectivity(evaluate(pattern_model(2), ends)) == 2
     # On subsets of the crystal, which cut strings and leave images outside,
     # the count equals a plain relabelling over the build_graph edges inside.
-    edges = build_graph(model, elements)
+    edges = list(build_graph(model, elements))
     for subset in (elements, elements[::2], elements[1::3], elements[::-1], elements[:7] + elements[9:]):
         label = {b: k for k, b in enumerate(subset)}
         inside = [(u, v) for u, _i, v in edges if u in label and v in label]
@@ -396,10 +396,19 @@ def test_canonical_key_is_injective():
         assert len(key_of_value) == len(value_of_key) > 100
 
 
+def counting_lower(model, calls):
+    """``model`` with a lowering that appends each (element, label) it is asked for to ``calls``."""
+    return replace(model, lower=lambda b, i: calls.append((b, i)) or model.lower(b, i))
+
+
 def test_duplicate_elements_rejected():
+    # build_graph's walk is lazy, but its distinctness check is not: a
+    # repeat raises at the call, before the model is read.
     p = validate_pattern(2, [[1, 0], [1]])
-    with pytest.raises(ValueError):
-        build_graph(pattern_model(2), [p, p])
+    calls = []
+    with pytest.raises(ValueError, match="elements are not distinct"):
+        build_graph(counting_lower(pattern_model(2), calls), [p, p])
+    assert calls == []
     # A closed set with one element repeated (as an equal, distinct object):
     # only the distinctness check can reject it, in build_graph and in the
     # evaluation every other check reads.
@@ -408,6 +417,22 @@ def test_duplicate_elements_rejected():
     for walk in (build_graph, evaluate):
         with pytest.raises(ValueError, match="not distinct"):
             walk(pattern_model(2), repeated)
+
+
+def test_build_graph_is_lazy(shape310):
+    # Nothing is lowered at the call; the first edge, from the
+    # highest-weight element put first, costs at most one lowering per
+    # label.  Drawn to the end, the walk lowers each element once per label.
+    model, elements = shape310
+    elements = elements[::-1]
+    assert highest_weight_elements(model, elements) == elements[:1]
+    calls = []
+    edges = build_graph(counting_lower(model, calls), elements)
+    assert calls == []
+    assert next(edges)[0] == elements[0]
+    assert 1 <= len(calls) <= model.n - 1
+    assert len(list(edges)) == 17
+    assert len(calls) == len(elements) * (model.n - 1)
 
 
 # Violation witnesses on the n = 2, shape (2) crystal (and n = 3, shape (1)),

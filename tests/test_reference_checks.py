@@ -218,7 +218,7 @@ def test_each_reference_value_is_computed_once(monkeypatch):
 def test_build_graph_renders_no_key(monkeypatch):
     n, lam = 5, (2, 1, 1)
     rendering = counted(monkeypatch, crystal, ["render_key"])
-    edges = crystal.build_graph(crystal.pattern_model(n), list(enumerate_patterns(n, lam)))
-    edges += crystal.build_graph(crystal.tableau_model(n), list(enumerate_tableaux(n, lam)))
+    edges = list(crystal.build_graph(crystal.pattern_model(n), list(enumerate_patterns(n, lam))))
+    edges += list(crystal.build_graph(crystal.tableau_model(n), list(enumerate_tableaux(n, lam))))
     assert len(edges) > 0
     assert rendering == {"render_key": 0}
