@@ -6,18 +6,18 @@ documents.  ``enumerate`` and ``graph`` render their JSON from one
 %-template per crystal, made from its first element by ``render_key`` (the
 key) and ``json.dumps`` (a graph's vertex and edge), and filled from each
 element's rows.  They write their output as they make it, after every
-check, and never hold a whole document; ``enumerate`` reads the lazy
-enumerators, so its first line goes out after one element is made.
-``graph`` holds each vertex once and no operator image: it numbers each
-edge of the lazy lowering walk as it arrives and keeps only its label and
-vertex numbers.  Exit
-codes: 0 for success (including an absent operator image, printed as the
-literal ``none``), 1 for a verification failure, 2 for an input error, such
-as a payload nested too deeply or a ``--report`` file that cannot be
-written (found before any shape is verified), 3 for any other exception: an
+check, and never hold a whole document.  Both read one element stream,
+``_elements``: ``enumerate`` reads it lazily, so its first line goes out
+after one element is made.  ``graph`` holds each vertex once and no
+operator image: it lowers each element along each label itself, looks the
+image up once and keeps only the label and vertex numbers.  Exit codes: 0
+for success (including an absent operator image, printed as the literal
+``none``), 1 for a verification failure, 2 for an input error, such as a
+payload nested too deeply or a ``--report`` file that cannot be written
+(found before any shape is verified), 3 for any other exception: an
 internal error, such as a guard rejecting an operator image or, in
-``graph``, a lowering image outside the crystal.  NO_COLOR suppresses
-color.
+``graph``, a lowering image outside the crystal or a repeated element.
+NO_COLOR suppresses color.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import sys
 from contextlib import nullcontext
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Any, Iterable, Optional, Sequence, TextIO
+from typing import Any, Iterable, Iterator, Optional, Sequence, TextIO
 
 from . import bijection, crystal, gtpattern, ssyt
 from .crystal import render_key
@@ -124,11 +124,15 @@ def _write_array(template: str, fills: Iterable[tuple]) -> None:
     write("[]" if sep == "[" else "\n  ]")
 
 
+def _elements(args: argparse.Namespace) -> Iterator[Any]:
+    """The crystal of ``-n`` and ``-l``, lazily: its patterns, or with ``--model ssyt`` their tableaux."""
+    patterns = gtpattern.enumerate_patterns(args.n, _parse_partition(args.shape))
+    return map(bijection.pattern_to_tableau, patterns) if args.model == "ssyt" else patterns
+
+
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    lam = _parse_partition(args.shape)
-    patterns = gtpattern.enumerate_patterns(args.n, lam)
     # Each element is made as its line is due, so the first line waits for one pattern (and its tableau).
-    elements = map(bijection.pattern_to_tableau, patterns) if args.model == "ssyt" else patterns
+    elements = _elements(args)
     if args.format == "text":
         for element in elements:
             print(element.pretty())
@@ -163,30 +167,27 @@ def cmd_biject(args: argparse.Namespace) -> int:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    lam = _parse_partition(args.shape)
-    model: crystal.CrystalModel
-    if args.model == "ssyt":
-        model = crystal.tableau_model(args.n)
-        elements = [bijection.pattern_to_tableau(p) for p in gtpattern.enumerate_patterns(args.n, lam)]
-    else:
-        model = crystal.pattern_model(args.n)
-        elements = list(gtpattern.enumerate_patterns(args.n, lam))
-    edges = crystal.build_graph(model, elements)
+    elements = list(_elements(args))
+    model = crystal.tableau_model(args.n) if args.model == "ssyt" else crystal.pattern_model(args.n)
     placeholder = _placeholder(elements[0])
     key = _unmark(render_key(placeholder))
     keys = [key % _entries(e) for e in elements]
     number = {e: k for k, e in enumerate(elements)}
-    # Each edge is numbered as the lazy walk makes it, looking up each end
-    # once, and its image is then dropped: only vertex numbers are kept.
-    # Vertices keep element order; edges are sorted by (source key, label),
-    # a pair that no two edges share.
+    if len(number) != len(elements):
+        raise RuntimeError("elements are not distinct")
+    # Each lowering image is looked up once, as the walk makes it, and then
+    # dropped: only vertex numbers are kept.  Vertices keep element order;
+    # edges are sorted by (source key, label), a pair that no two edges share.
     numbered = []
-    for u, i, v in edges:
-        b = number.get(v)
-        if b is None:
-            raise RuntimeError(f"lowering {keys[number[u]]} along {i} escapes the crystal: {render_key(v.to_dict())}")
-        a = number[u]
-        numbered.append((keys[a], i, a, b))
+    for a, u in enumerate(elements):
+        for i in model.labels:
+            v = model.lower(u, i)
+            if v is None:
+                continue
+            b = number.get(v)
+            if b is None:
+                raise RuntimeError(f"lowering {keys[a]} along {i} escapes the crystal: {render_key(v.to_dict())}")
+            numbered.append((keys[a], i, a, b))
     numbered.sort()
     write = sys.stdout.write
     if args.format == "json":

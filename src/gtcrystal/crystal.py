@@ -1,4 +1,4 @@
-"""Model-agnostic crystal contract, graph construction and verification.
+"""Model-agnostic crystal contract and verification.
 
 A model bundles the crystal data callables for one element type at a fixed
 rank.  Elements are frozen, hashable values and are compared, indexed and
@@ -8,16 +8,15 @@ models, runs and processes.  A violation keeps the elements and values it
 found and renders them once, when its report is rendered; the CLI renders
 the keys of the elements and graph vertices it prints.
 
-``build_graph`` yields every lowering edge for ``gtcrystal graph`` lazily, so
-no image outlives its edge unless the caller keeps it; verify counts
-components from the evaluation, one lowering walk per model.
-
 ``verify_shape`` is the one verification engine: it runs every check of one
 shape, each into a ``Report``, and returns the record ``verify`` prints.
 ``evaluate`` reads a model once per element and once per (element, label)
 and rejects repeated elements.  The checks take evaluations, not models,
 and check every rule against their values; the one model read left in a
-check is an image outside the target of ``verify_isomorphism``.
+check is an image outside the target of ``verify_isomorphism``.  Apart from
+``evaluate``, only ``highest_weight_elements`` reads a model here; verify
+counts components from the evaluation, one lowering walk per model, and
+``gtcrystal graph`` walks the lowering operator itself.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from . import bijection
 from . import gtpattern as gtp
@@ -79,21 +78,6 @@ def tableau_model(n: int) -> CrystalModel:
         lower=ssyt.lower_ssyt,
         raise_=ssyt.raise_ssyt,
     )
-
-
-def build_graph(model: CrystalModel, elements: Sequence[Any]) -> Iterator[tuple[Any, int, Any]]:
-    """Every lowering edge (b, i, f_i b) with an image, in element order and
-    then label order, whether or not the image is one of the elements.
-
-    The walk is lazy: each image is made when its edge is drawn, so a caller
-    that keeps no image holds none.  The elements must be distinct; a repeat
-    raises at the call, before the model is read.  Its one caller,
-    ``gtcrystal graph``, treats an image outside the set as a defect.
-    """
-    if len(set(elements)) != len(elements):
-        raise ValueError("elements are not distinct")
-    lowered = ((b, i, model.lower(b, i)) for b in elements for i in model.labels)
-    return (edge for edge in lowered if edge[2] is not None)
 
 
 def _render(value: Any) -> str:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import accumulate, chain, combinations_with_replacement
-from operator import itemgetter, lt
+from operator import itemgetter, le, lt
 from typing import Any, Iterator, NamedTuple, Optional, Sequence
 
 from .core import MAX_LEVELS, LabelError, Partition, ShapeError, Weight, as_partition, as_rows, quote, require_positive
@@ -313,10 +313,12 @@ def enumerate_tableaux(n: int, lam: Partition) -> Iterator[Tableau]:
     called, so a bad ``n`` or shape, or a shape with more rows than
     ``core.MAX_LEVELS``, raises before any tableau is taken.  The
     returned iterator walks depth first, row by row (``_stack_row``): each
-    weakly increasing row of letters r..n extends the partial fillings whose
-    last row it exceeds strictly in every column.  It holds the candidate
-    rows and, per row, the extensions of one partial filling, never the list
-    of all tableaux; callers that need a sequence take ``list(...)``.
+    weakly increasing row of letters r..n that leaves room for the column
+    below each cell, n - (λ'_c - r) at most in column c, extends the partial
+    fillings whose last row it exceeds strictly in every column.  It holds
+    the candidate rows and, per row, the extensions of one partial filling,
+    never the list of all tableaux; callers that need a sequence take
+    ``list(...)``.
     """
     require_positive(n, "alphabet bound")
     lam = as_partition(lam)
@@ -324,8 +326,11 @@ def enumerate_tableaux(n: int, lam: Partition) -> Iterator[Tableau]:
         raise ShapeError(f"shape {lam} has more than {n} rows")
     if len(lam) > MAX_LEVELS:
         raise ShapeError(f"shape has {len(lam)} rows, more than {MAX_LEVELS}")
+    heights = [sum(part > c for part in lam) for c in range(max(lam, default=0))]  # λ'_c at index c - 1
     fillings: Iterator[tuple[tuple[int, ...], ...]] = iter([()])
     for r, part in enumerate(lam, start=1):
-        rows = list(combinations_with_replacement(range(r, n + 1), part))
+        # Cell (r, c) leaves room for the λ'_c - r larger letters below it in its column.
+        top = [n - (height - r) for height in heights[:part]]
+        rows = [row for row in combinations_with_replacement(range(r, top[-1] + 1), part) if all(map(le, row, top))]
         fillings = chain.from_iterable(map(partial(_stack_row, rows), fillings))
     return map(partial(Tableau, n), fillings)

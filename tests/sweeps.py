@@ -1,4 +1,4 @@
-"""Shared desk-scale sweep domains and reference oracles for the test suite.
+"""Shared desk-scale sweep domains, reference oracles and model walks for the test suite.
 
 The tableau oracles are two literal routes of the i-cancellation: the word
 route crosses positions of the far-eastern reading word, and the column route
@@ -168,3 +168,8 @@ def walk_along(element, word, step):
             steps += 1
         out.append(steps)
     return tuple(out), current
+
+
+def lowering_edges(model, elements):
+    """Every lowering edge (b, i, f_i b) with an image, in element and then label order, read from the model."""
+    return [(b, i, down) for b in elements for i in model.labels if (down := model.lower(b, i)) is not None]

@@ -13,7 +13,6 @@ from itertools import permutations
 from gtcrystal import (
     GTPattern,
     along_word,
-    build_graph,
     connectivity,
     coroot_pairing,
     diamond_a,
@@ -52,6 +51,7 @@ from sweeps import (
     epsilon_columns,
     letter_count,
     lower_columns,
+    lowering_edges,
     match_positions,
     phi_columns,
     raise_columns,
@@ -126,8 +126,8 @@ def test_twin_graphs_for_shape_310():
         pm, tm = pattern_model(3), tableau_model(3)
         patterns = list(enumerate_patterns(3, (3, 1)))
         tableaux = list(enumerate_tableaux(3, (3, 1)))
-        pedges = list(build_graph(pm, patterns))
-        tedges = list(build_graph(tm, tableaux))
+        pedges = lowering_edges(pm, patterns)
+        tedges = lowering_edges(tm, tableaux)
         assert len(patterns) == 15 and len(pedges) == 18
         assert len(tableaux) == 15 and len(tedges) == 18
         mapped_edges = {(pattern_to_tableau(u), i, pattern_to_tableau(v)) for u, i, v in pedges}

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import pattern_st, tableau_st
 from gtcrystal import bijection, cli, crystal, gtpattern, ssyt
+from sweeps import lowering_edges
 
 WORKED = '{"n":3,"rows":[[3,1,0],[3,1],[2]]}'
 WORKED_TAB = '{"n":3,"shape":[3,1],"rows":[[1,1,2],[2]]}'
@@ -198,7 +200,7 @@ def test_export_matches_document_built_from_to_dict(capsys, model, n, shape):
         "vertices": [{"key": key[e], "element": e.to_dict()} for e in elements],
         "edges": [
             {"from": u, "i": i, "to": v}
-            for u, i, v in sorted((key[u], i, key[v]) for u, i, v in crystal.build_graph(graph_model, elements))
+            for u, i, v in sorted((key[u], i, key[v]) for u, i, v in lowering_edges(graph_model, elements))
         ],
     }
     code, out, _ = run(capsys, "graph", "-n", n, "-l", shape, "--model", model, "--format", "json")
@@ -542,14 +544,31 @@ def test_graph_with_escaping_lowering_is_internal_error(escaping_lower, capsys, 
     assert err == f"internal error: lowering {source} along 1 escapes the crystal: {ESCAPED}\n"
 
 
+@pytest.mark.parametrize("model", ["gtp", "ssyt"])
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_graph_with_repeated_element_is_internal_error(monkeypatch, capsys, model, fmt):
+    # A repeat can only come from the package's own enumerator, so it is a
+    # defect of the program (3), not bad input (2), and nothing is printed.
+    enumerate_patterns = gtpattern.enumerate_patterns
+
+    def repeating(n, lam):
+        patterns = enumerate_patterns(n, lam)
+        first = next(patterns)
+        return itertools.chain((first, first), patterns)
+
+    monkeypatch.setattr(gtpattern, "enumerate_patterns", repeating)
+    code, out, err = run(capsys, "graph", "-n", "3", "-l", "2,1", "--model", model, "--format", fmt)
+    assert (code, out, err) == (3, "", "internal error: elements are not distinct\n")
+
+
 @pytest.mark.parametrize(
     "model, module, name", [("gtp", gtpattern, "lower_gtp"), ("ssyt", ssyt, "lower_ssyt")], ids=["gtp", "ssyt"]
 )
 @pytest.mark.parametrize("fmt", ["json", "dot"])
 def test_graph_keeps_no_lowering_image(monkeypatch, capsys, model, module, name, fmt):
-    # graph numbers each edge as the lazy walk makes it and then drops its
-    # image, so when the next image is made at most the last one or two are
-    # still alive, not every image made so far.
+    # graph lowers each element once per label, numbers each edge as it is
+    # made and then drops its image, so when the next image is made at most
+    # the last one or two are still alive, not every image made so far.
     lower = getattr(module, name)
     images = []
     alive = []
@@ -565,6 +584,7 @@ def test_graph_keeps_no_lowering_image(monkeypatch, capsys, model, module, name,
     code, out, _ = run(capsys, "graph", "-n", "4", "-l", "3,1", "--model", model, "--format", fmt)
     assert code == 0 and out
     assert len(images) > 40
+    assert len(alive) == 45 * 3  # dim B(3,1) at n = 4, times the labels 1..3
     assert max(alive) <= 2
 
 

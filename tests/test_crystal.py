@@ -5,7 +5,6 @@ from dataclasses import replace
 import pytest
 
 from gtcrystal import (
-    build_graph,
     connectivity,
     crystal,
     enumerate_patterns,
@@ -24,7 +23,7 @@ from gtcrystal import (
     verify_isomorphism,
     weight_gtp,
 )
-from sweeps import SPOT_RANK_5_SHAPES, shape_sweep
+from sweeps import SPOT_RANK_5_SHAPES, lowering_edges, shape_sweep
 
 
 @pytest.fixture
@@ -34,8 +33,10 @@ def shape310():
 
 
 def test_build_graph_counts(shape310):
+    # The crystal graph of (3,1,0), built from the lowering operator: every
+    # element lies on one of its 18 edges.
     model, elements = shape310
-    edges = list(build_graph(model, elements))
+    edges = lowering_edges(model, elements)
     assert {u for u, _i, _v in edges} | {v for _u, _i, v in edges} == set(elements)
     assert len(elements) == 15
     assert len(edges) == 18
@@ -43,36 +44,24 @@ def test_build_graph_counts(shape310):
 
 def test_build_graph_degenerate_cases():
     elements = list(enumerate_patterns(1, (4,)))
-    assert (len(elements), list(build_graph(pattern_model(1), elements))) == (1, [])
+    assert (len(elements), lowering_edges(pattern_model(1), elements)) == (1, [])
     elements = list(enumerate_patterns(2, (1,)))
-    edges = list(build_graph(pattern_model(2), elements))
+    edges = lowering_edges(pattern_model(2), elements)
     assert (len(elements), len(edges)) == (2, 1)
     assert edges[0][1] == 1
 
 
 def test_build_graph_returns_escaping_edges(shape310):
-    # Every lowering edge comes back, also one whose image is outside the
-    # set; connectivity ignores it.
+    # The lowering edges of a subset can leave it; connectivity ignores an
+    # image outside the set.
     model, elements = shape310
     top = highest_weight_elements(model, elements)
-    assert list(build_graph(model, top)) == [
+    assert lowering_edges(model, top) == [
         (top[0], 1, validate_pattern(3, [[3, 1, 0], [3, 1], [2]])),
         (top[0], 2, validate_pattern(3, [[3, 1, 0], [3, 0], [3]])),
     ]
     assert top[0] == validate_pattern(3, [[3, 1, 0], [3, 1], [3]])
     assert connectivity(evaluate(model, top)) == 1
-
-
-def test_build_graph_order_invariance(shape310):
-    # Edges come in element order, then label order; the edge set does not
-    # depend on the order of the elements.
-    model, elements = shape310
-    straight = list(build_graph(model, elements))
-    expected = [(b, i, model.lower(b, i)) for b in elements for i in model.labels if model.lower(b, i) is not None]
-    assert straight == expected
-    shuffled = list(build_graph(model, list(reversed(elements))))
-    assert shuffled != straight
-    assert set(shuffled) == set(straight) and len(shuffled) == len(straight)
 
 
 def test_bfs_construction_matches(shape310):
@@ -85,7 +74,7 @@ def test_bfs_construction_matches(shape310):
 
 def test_edges_form_label_disjoint_paths(shape310):
     model, elements = shape310
-    edges = list(build_graph(model, elements))
+    edges = lowering_edges(model, elements)
     for label in model.labels:
         outgoing = [u for u, i, _v in edges if i == label]
         incoming = [v for _u, i, v in edges if i == label]
@@ -107,20 +96,21 @@ def test_edges_form_label_disjoint_paths(shape310):
 
 
 def test_graphs_by_value_over_the_sweep():
-    # For both models: the edges are exactly the lowering images, they join
-    # all the elements into one component with one highest-weight element, and
-    # the bijection maps the pattern edges one to one onto the tableau edges
-    # (the twin graphs).
+    # For both models: the lower column of the evaluation holds exactly the
+    # lowering images, its edges join all the elements into one component with
+    # one highest-weight element, and the bijection maps the pattern edges one
+    # to one onto the tableau edges (the twin graphs).
     for n, lam in shape_sweep() + [(5, lam) for lam in SPOT_RANK_5_SHAPES]:
         pm, tm = pattern_model(n), tableau_model(n)
         patterns, tableaux = list(enumerate_patterns(n, lam)), list(enumerate_tableaux(n, lam))
         graphs = {}
         for model, elements in ((pm, patterns), (tm, tableaux)):
-            edges = list(build_graph(model, elements))
+            evaluation = evaluate(model, elements)
+            lower_column = [(b, i, row[i - 1][2]) for b, row in evaluation.rows.items() for i in model.labels]
+            edges = [edge for edge in lower_column if edge[2] is not None]
             assert len(set(edges)) == len(edges)
-            expected = {(b, i, model.lower(b, i)) for b in elements for i in model.labels}
-            assert set(edges) == {edge for edge in expected if edge[2] is not None}
-            assert connectivity(evaluate(model, elements)) == 1
+            assert edges == lowering_edges(model, elements)
+            assert connectivity(evaluation) == 1
             assert len(highest_weight_elements(model, elements)) == 1
             graphs[model.name] = set(edges)
         mapped = {(pattern_to_tableau(u), i, pattern_to_tableau(v)) for u, i, v in graphs["gtp"]}
@@ -350,8 +340,8 @@ def test_connectivity(shape310):
     ends = list(enumerate_patterns(2, (2,)))[::2]
     assert connectivity(evaluate(pattern_model(2), ends)) == 2
     # On subsets of the crystal, which cut strings and leave images outside,
-    # the count equals a plain relabelling over the build_graph edges inside.
-    edges = list(build_graph(model, elements))
+    # the count equals a plain relabelling over the lowering edges inside.
+    edges = lowering_edges(model, elements)
     for subset in (elements, elements[::2], elements[1::3], elements[::-1], elements[:7] + elements[9:]):
         label = {b: k for k, b in enumerate(subset)}
         inside = [(u, v) for u, _i, v in edges if u in label and v in label]
@@ -402,37 +392,19 @@ def counting_lower(model, calls):
 
 
 def test_duplicate_elements_rejected():
-    # build_graph's walk is lazy, but its distinctness check is not: a
-    # repeat raises at the call, before the model is read.
+    # A repeat raises before the model is read.
     p = validate_pattern(2, [[1, 0], [1]])
     calls = []
     with pytest.raises(ValueError, match="elements are not distinct"):
-        build_graph(counting_lower(pattern_model(2), calls), [p, p])
+        evaluate(counting_lower(pattern_model(2), calls), [p, p])
     assert calls == []
     # A closed set with one element repeated (as an equal, distinct object):
-    # only the distinctness check can reject it, in build_graph and in the
-    # evaluation every other check reads.
+    # only the distinctness check can reject it, in the evaluation every
+    # check reads.
     elements = list(enumerate_patterns(2, (1,)))
     repeated = elements + [validate_pattern(2, [list(row) for row in elements[0].rows])]
-    for walk in (build_graph, evaluate):
-        with pytest.raises(ValueError, match="not distinct"):
-            walk(pattern_model(2), repeated)
-
-
-def test_build_graph_is_lazy(shape310):
-    # Nothing is lowered at the call; the first edge, from the
-    # highest-weight element put first, costs at most one lowering per
-    # label.  Drawn to the end, the walk lowers each element once per label.
-    model, elements = shape310
-    elements = elements[::-1]
-    assert highest_weight_elements(model, elements) == elements[:1]
-    calls = []
-    edges = build_graph(counting_lower(model, calls), elements)
-    assert calls == []
-    assert next(edges)[0] == elements[0]
-    assert 1 <= len(calls) <= model.n - 1
-    assert len(list(edges)) == 17
-    assert len(calls) == len(elements) * (model.n - 1)
+    with pytest.raises(ValueError, match="not distinct"):
+        evaluate(pattern_model(2), repeated)
 
 
 # Violation witnesses on the n = 2, shape (2) crystal (and n = 3, shape (1)),

@@ -25,7 +25,7 @@ from gtcrystal import (
     ssyt,
     validate_tableau,
 )
-from sweeps import uncrossed_cells
+from sweeps import lowering_edges, uncrossed_cells
 from test_acceptance import dual_route_mismatches
 
 SHAPES = ((3, (2, 1)), (4, (2, 1)), (4, (3, 2, 1)), (5, (2, 1, 1)))
@@ -216,9 +216,10 @@ def test_each_reference_value_is_computed_once(monkeypatch):
 
 
 def test_build_graph_renders_no_key(monkeypatch):
+    # Lowering every element of both models along every label renders no key.
     n, lam = 5, (2, 1, 1)
     rendering = counted(monkeypatch, crystal, ["render_key"])
-    edges = list(crystal.build_graph(crystal.pattern_model(n), list(enumerate_patterns(n, lam))))
-    edges += list(crystal.build_graph(crystal.tableau_model(n), list(enumerate_tableaux(n, lam))))
+    edges = lowering_edges(crystal.pattern_model(n), list(enumerate_patterns(n, lam)))
+    edges += lowering_edges(crystal.tableau_model(n), list(enumerate_tableaux(n, lam)))
     assert len(edges) > 0
     assert rendering == {"render_key": 0}

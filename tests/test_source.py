@@ -141,7 +141,7 @@ def test_every_reported_rule_is_named_by_a_test():
 # A model's crystal data, read as attributes of the model.
 MODEL_DATA = {"weight", "phi", "epsilon", "lower", "raise_"}
 # The crystal.py definitions allowed to read them; every check reads an evaluation.
-MODEL_READERS = {"evaluate", "build_graph", "highest_weight_elements"}
+MODEL_READERS = {"evaluate", "highest_weight_elements"}
 
 
 def model_data_readers(tree):
@@ -155,9 +155,10 @@ def model_data_readers(tree):
 
 
 def test_only_the_evaluation_reads_model_data_in_the_checks():
-    # In crystal.py a model's data are read only by evaluate, build_graph and
+    # In crystal.py a model's data are read only by evaluate and
     # highest_weight_elements, so no check reads the model a second time
-    # outside its evaluation.
+    # outside its evaluation, and no definition there walks a model's
+    # lowering operator beside the evaluation.
     tree = ast.parse((PACKAGE / "crystal.py").read_text(encoding="utf-8"))
     readers = model_data_readers(tree)
     assert "evaluate" in readers and readers <= MODEL_READERS
@@ -165,28 +166,11 @@ def test_only_the_evaluation_reads_model_data_in_the_checks():
     check = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "verify_axioms")
     check.body.insert(0, ast.parse("model.phi(b, 1)").body[0])
     assert model_data_readers(tree) - MODEL_READERS == {"verify_axioms"}
-
-
-def build_graph_callers(tree):
-    """The module-level definitions of ``tree`` that call ``build_graph``."""
-    return {
-        getattr(node, "name", None)
-        for node in tree.body
-        for sub in ast.walk(node)
-        if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name) and sub.func.id == "build_graph"
-    }
-
-
-def test_verify_walks_no_model_a_second_time():
-    # No definition in crystal.py calls build_graph: verify reads its lowering
-    # edges from the one evaluation of each model, and build_graph's walk
-    # serves only the graph command.
-    tree = ast.parse((PACKAGE / "crystal.py").read_text(encoding="utf-8"))
-    assert build_graph_callers(tree) == set()
-    # The rule sees a walk slipped into connectivity.
-    check = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "connectivity")
-    check.body.insert(0, ast.parse("build_graph(evaluation.model, list(evaluation.rows))").body[0])
-    assert build_graph_callers(tree) == {"connectivity"}
+    # And a second lowering walk slipped into connectivity.
+    count = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "connectivity")
+    walk = "[evaluation.model.lower(b, i) for b in evaluation.rows for i in evaluation.model.labels]"
+    count.body.insert(0, ast.parse(walk).body[0])
+    assert model_data_readers(tree) - MODEL_READERS == {"verify_axioms", "connectivity"}
 
 
 def distinctness_checkers(tree):
@@ -201,15 +185,14 @@ def distinctness_checkers(tree):
 
 
 def test_distinctness_is_checked_where_the_elements_come_in():
-    # In crystal.py only evaluate and build_graph, the two definitions that
-    # take raw elements, reject a repeat; every check reads an evaluation,
-    # whose elements evaluate has already found distinct.
+    # In crystal.py only evaluate rejects a repeat; every check reads an
+    # evaluation, whose elements evaluate has already found distinct.
     tree = ast.parse((PACKAGE / "crystal.py").read_text(encoding="utf-8"))
-    assert distinctness_checkers(tree) == {"evaluate", "build_graph"}
+    assert distinctness_checkers(tree) == {"evaluate"}
     # The rule sees the check slipped into verify_axioms.
     check = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "verify_axioms")
     check.body.insert(0, ast.parse('raise ValueError("elements are not distinct")').body[0])
-    assert distinctness_checkers(tree) == {"evaluate", "build_graph", "verify_axioms"}
+    assert distinctness_checkers(tree) == {"evaluate", "verify_axioms"}
 
 
 # The crystal operators of both models, which the oracles check.

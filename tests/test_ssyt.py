@@ -459,6 +459,23 @@ def test_enumerate_tableaux_counts_and_order():
         enumerate_tableaux(2, (1, 1, 1))
 
 
+def test_enumerate_tableaux_offers_only_rows_that_leave_room_below(monkeypatch):
+    # Cell (r, c) is at most n - (λ'_c - r), so on a column as tall as the
+    # alphabet each level is offered its one possible row, r, not the
+    # n - r + 1 rows r..n.
+    offered = {}
+    stack_row = ssyt._stack_row
+
+    def counting(rows, filling):
+        offered.setdefault(len(filling) + 1, []).append(len(rows))
+        return stack_row(rows, filling)
+
+    monkeypatch.setattr(ssyt, "_stack_row", counting)
+    first = next(enumerate_tableaux(200, (1,) * 200))
+    assert first.rows == tuple((r,) for r in range(1, 201))
+    assert offered == {r: [1] for r in range(1, 201)}
+
+
 def test_serialization_round_trip(reference):
     assert Tableau.from_dict(reference.to_dict()) == reference
     with pytest.raises(ShapeError):
