@@ -17,21 +17,26 @@ from .ssyt import Tableau, validate_tableau
 
 
 def pattern_to_tableau(pattern: GTPattern) -> Tableau:
-    """Fill layers bottom-up: letter i gets entry(i, r) - entry(i-1, r) cells in tableau row r.
+    """Fill row by row: letter i gets entry(i, r) - entry(i-1, r) cells in tableau row r.
 
-    The layers of row r telescope to ``rows[0][r]`` and a negative one fills
+    Row r reads column r of the pattern bottom-up, from level r (where
+    entry(r-1, r) is outside the triangle and reads 0) to level n.  Its
+    layers telescope to ``rows[0][r]``, and an empty or negative one fills
     no cells.  The filling is checked against the top row by
     ``validate_tableau``, whose one walk accepts the filling of every
     pattern; its error on any other triangle is raised as RuntimeError.
     """
-    n = pattern.n
-    grid: list[list[int]] = [[] for _ in range(n)]
-    inner: tuple[int, ...] = ()
-    for i in range(1, n + 1):
-        outer = pattern.rows[n - i]
-        for r in range(i):
-            grid[r].extend([i] * (outer[r] - (inner[r] if r < i - 1 else 0)))
-        inner = outer
+    n, rows = pattern.n, pattern.rows
+    grid: list[list[int]] = []
+    for r in range(n):
+        row: list[int] = []
+        below = 0
+        for i in range(r + 1, n + 1):
+            here = rows[n - i][r]
+            if here > below:
+                row += [i] * (here - below)
+            below = here
+        grid.append(row)
     while grid and not grid[-1]:
         grid.pop()
     try:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from . import bijection
@@ -303,17 +304,22 @@ def _letter_counts(t: ssyt.Tableau) -> list[list[int]]:
 def _identity_checks(
     patterns: Sequence[gtp.GTPattern], image: Callable[[gtp.GTPattern], ssyt.Tableau]
 ) -> tuple[Report, Report]:
-    """(counting, algebraic) reports on the diamond data, from one literal table per level.
+    """(counting, algebraic) reports on the diamond data of each pattern.
 
     Each of diamond_a, diamond_b, sum_a and sum_b is evaluated once per
-    (pattern, level, index).  The counting identities compare those values
-    with letter counts of the pattern's tableau; the algebraic identities
-    compare them with each other and with the weight.
+    (pattern, level, index), each a literal sum of its own; no literal value
+    is derived from another.  The counting identities compare those values
+    with letter counts of the pattern's tableau, whose running sums over the
+    rows are built once per pattern; the algebraic identities compare the
+    literal values with each other and with the weight.
     """
     counting = algebraic = 0
     for p in patterns:
         n = p.n
         c = _letter_counts(image(p))
+        # head[x][j]: letters x in rows before j; tail[x][j]: letters x in rows j and after.
+        head = [list(accumulate(counts, initial=0)) for counts in c]
+        tail = [[h[-1] - s for s in h] for h in head]
         for i in range(1, n + 1):
             counting += sum(bijection.letter_count_in_row(p, i, k) != c[i][k] for k in range(1, n + 1))
         for i in range(1, n):
@@ -324,8 +330,9 @@ def _identity_checks(
             ci, cj = c[i], c[i + 1]  # letters i and i + 1
             counting += sum(a[j] != ci[j] - cj[j + 1] for j in range(0, i + 1))
             counting += sum(b[j] != cj[j] - ci[j - 1] for j in range(1, i + 2))
-            counting += sum(big_a[j] != sum(ci[j:]) - sum(cj[j + 1 :]) for j in range(0, i + 2))
-            counting += sum(big_b[j] != sum(cj[: j + 1]) - sum(ci[:j]) for j in range(0, i + 2))
+            ti, tj, hi, hj = tail[i], tail[i + 1], head[i], head[i + 1]
+            counting += sum(big_a[j] != ti[j] - tj[j + 1] for j in range(0, i + 2))
+            counting += sum(big_b[j] != hj[j + 1] - hi[j] for j in range(0, i + 2))
             algebraic += sum(b[j] != -a[j - 1] for j in range(1, i + 2))
             algebraic += a[0] > 0 or b[i + 1] > 0
             algebraic += sum(big_a[j] - big_b[j] != big_a[0] for j in range(0, i + 2))

@@ -7,8 +7,11 @@ max-plus expressions in the pattern entries: signed sums around diamonds of
 four adjacent entries, partial sums of those, and maxima of the partial sums.
 One scan over three adjacent rows gives phi (the maximum of the partial sums
 A_j), epsilon = phi - A_0 (as B_j = A_j - A_0) and both tie-broken indices;
-``diamond_a``, ``diamond_b``, ``sum_a`` and ``sum_b`` keep the literal
-entry-by-entry forms as the reference.
+``diamond_a``, ``diamond_b``, ``sum_a``, ``sum_b`` and ``weight_expressions``
+keep the literal entry-by-entry forms as the reference.  Each literal call
+sums its own diamonds, and each diamond reads its four entries straight from
+the row tuples, with the bound of ``entry`` written out on every term; the
+literal forms and the kernel never call each other.
 
 Indexing convention used everywhere in this package: ``entry(i, j)`` is the
 j-th entry of the row with i entries, both 1-based, and reads 0 whenever
@@ -134,13 +137,29 @@ def _check_label(pattern: GTPattern, i: int) -> None:
 
 
 def _a(p: GTPattern, i: int, j: int) -> int:
-    # Signed diamond sum anchored at entry (i, j); 0 for j > i, where every entry read is outside the triangle.
-    return p.entry(i, j) - p.entry(i - 1, j) + p.entry(i, j + 1) - p.entry(i + 1, j + 1)
+    # entry(i,j) - entry(i-1,j) + entry(i,j+1) - entry(i+1,j+1) for 1 <= i <= n, read off the rows
+    # (row k is level i) with entry()'s bound 1 <= column <= level <= n on each term; 0 for j > i.
+    rows, n = p.rows, p.n
+    k = n - i
+    return (
+        (rows[k][j - 1] if 1 <= j <= i else 0)
+        - (rows[k + 1][j - 1] if 1 <= j <= i - 1 else 0)
+        + (rows[k][j] if 1 <= j + 1 <= i else 0)
+        - (rows[k - 1][j] if 1 <= j + 1 <= i + 1 <= n else 0)
+    )
 
 
 def _b(p: GTPattern, i: int, j: int) -> int:
-    # Mirrored diamond sum; 0 for j > i + 1, where every entry read is outside the triangle.
-    return -p.entry(i, j) + p.entry(i - 1, j - 1) - p.entry(i, j - 1) + p.entry(i + 1, j)
+    # -entry(i,j) + entry(i-1,j-1) - entry(i,j-1) + entry(i+1,j) for 1 <= i <= n, read the same
+    # way; 0 for j > i + 1.
+    rows, n = p.rows, p.n
+    k = n - i
+    return (
+        -(rows[k][j - 1] if 1 <= j <= i else 0)
+        + (rows[k + 1][j - 2] if 1 <= j - 1 <= i - 1 else 0)
+        - (rows[k][j - 2] if 1 <= j - 1 <= i else 0)
+        + (rows[k - 1][j - 1] if 1 <= j <= i + 1 <= n else 0)
+    )
 
 
 def diamond_a(pattern: GTPattern, i: int, j: int) -> int:

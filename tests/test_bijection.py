@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import pattern_st, tableau_st
 from gtcrystal import (
@@ -33,6 +34,7 @@ from gtcrystal import (
     weight_ssyt,
 )
 from sweeps import letter_count, shape_sweep, walk_along
+from test_acceptance import full_sweep
 
 
 @pytest.fixture
@@ -141,6 +143,56 @@ def test_the_bijection_guard_is_exact():
     ]
     with pytest.raises(TypeError, match="^can't multiply sequence by non-int of type 'float'$"):
         pattern_to_tableau(GTPattern(2, ((2.0, 0), (1,))))
+
+
+def filled_level_major(n, rows):
+    # The same filling made one letter at a time: layer i extends each of
+    # tableau rows 1..i by entry(i, r) - entry(i-1, r) cells of i, and a
+    # negative count extends a row by nothing.
+    grid = [[] for _ in range(n)]
+    inner = ()
+    for i in range(1, n + 1):
+        outer = rows[n - i]
+        for r in range(i):
+            grid[r].extend([i] * (outer[r] - (inner[r] if r < i - 1 else 0)))
+        inner = outer
+    while grid and not grid[-1]:
+        grid.pop()
+    return grid
+
+
+def by_level_major_fill(n, rows):
+    try:
+        return validate_tableau(n, rows[0], filled_level_major(n, rows))
+    except ValueError as exc:
+        return f"bijection produced an invalid tableau: {exc}"
+
+
+def test_row_by_row_fill_matches_the_level_major_fill_on_patterns():
+    patterns = [p for n, lam in full_sweep() for p in enumerate_patterns(n, lam)]
+    assert len(patterns) > 1000
+    for p in patterns:
+        assert pattern_to_tableau(p) == by_level_major_fill(p.n, p.rows)
+
+
+@st.composite
+def negative_triangle_st(draw, max_n=6):
+    """A triangle of integers with at least one negative entry, so never a pattern."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    rows = [[draw(st.integers(min_value=-4, max_value=6)) for _ in range(n - k)] for k in range(n)]
+    k = draw(st.integers(min_value=0, max_value=n - 1))
+    rows[k][draw(st.integers(min_value=0, max_value=n - k - 1))] = draw(st.integers(min_value=-4, max_value=-1))
+    return n, tuple(tuple(row) for row in rows)
+
+
+@given(triangle=negative_triangle_st())
+def test_row_by_row_fill_matches_the_level_major_fill_off_patterns(triangle):
+    # The grid handed to validate_tableau is the same, so the RuntimeError
+    # text is the one validate_tableau gives for the level-major grid.
+    n, rows = triangle
+    outcome = by_bijection(n, rows)
+    assert isinstance(outcome, str)
+    assert outcome == by_level_major_fill(n, rows)
 
 
 class ReachedTheWordingPath(Exception):

@@ -274,3 +274,34 @@ def test_validate_pattern_reads_rows_and_builds_the_pattern_last():
     # The rule sees an early build and an entry read slipped in.
     validator.body[-1:-1] = ast.parse("pattern = GTPattern(n, rows)\npattern.entry(1, 1)").body
     assert pattern_reads(validator) == (1, 1)
+
+
+# In gtpattern.py: the literal forms the identity checks read, and the kernel of the operators.
+LITERAL_FORMS = {"_a", "_b", "diamond_a", "diamond_b", "sum_a", "sum_b", "weight_expressions"}
+KERNEL = {"_scan", "phi_gtp", "epsilon_gtp", "lower_gtp", "raise_gtp"}
+
+
+def crossings(tree):
+    """(caller, callee) pairs of ``tree`` where a literal form names the kernel, or the kernel a literal form."""
+    found = set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in LITERAL_FORMS | KERNEL:
+            other = KERNEL if node.name in LITERAL_FORMS else LITERAL_FORMS
+            found |= {(node.name, sub.id) for sub in ast.walk(node) if isinstance(sub, ast.Name) and sub.id in other}
+    return found
+
+
+def test_the_literal_forms_and_the_kernel_share_no_code():
+    # verify compares the operators' kernel with the paper's literal diamond
+    # sums, so neither may reach the other: a defect on one side then cannot
+    # show up on both and cancel.  They may share the label check and the
+    # weight, which neither of them checks.
+    tree = ast.parse((PACKAGE / "gtpattern.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert LITERAL_FORMS | KERNEL <= defined
+    assert crossings(tree) == set()
+    # The rule sees the kernel slipped into a literal sum, and a literal form into an operator.
+    definition(tree, "sum_a").body.insert(0, ast.parse("_scan(pattern, i)").body[0])
+    assert crossings(tree) == {("sum_a", "_scan")}
+    definition(tree, "lower_gtp").body.insert(0, ast.parse("diamond_a(pattern, i, 1)").body[0])
+    assert crossings(tree) == {("sum_a", "_scan"), ("lower_gtp", "diamond_a")}
