@@ -18,6 +18,13 @@ payload nested too deeply or a ``--report`` file that cannot be written
 internal error, such as a guard rejecting an operator image or, in
 ``graph``, a lowering image outside the crystal or a repeated element.
 NO_COLOR suppresses color.
+
+A process builds one parser: ``build_parser`` is cached, and every ``main``
+call parses with it, so an op pays only for its own work.  The parser holds
+no handler.  ``main`` picks the ``cmd_*`` function for the subcommand from a
+table it makes on each call, so each handler is read from the module when
+it runs, and a rebinding of a ``cmd_*`` name (a test's patch, a tracer's
+wrapper) takes effect on the next call.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ import json
 import os
 import sys
 from contextlib import nullcontext
+from functools import cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, Iterator, Optional, Sequence, TextIO
@@ -267,8 +275,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all_pass else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="gtcrystal", description=__doc__)
+    """The process's one parser, shared by every caller, so no caller changes it."""
+    parser =argparse.ArgumentParser(prog="gtcrystal", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_shape(p: argparse.ArgumentParser, required: bool = True, shape_group: Any = None) -> None:
@@ -283,24 +293,20 @@ def build_parser() -> argparse.ArgumentParser:
     add_shape(p_enum)
     p_enum.add_argument("--model", choices=("gtp", "ssyt"), default="gtp")
     p_enum.add_argument("--format", choices=("json", "text"), default="json")
-    p_enum.set_defaults(func=cmd_enumerate)
 
     p_apply = sub.add_parser("apply", help="apply a crystal operator to one element")
     p_apply.add_argument("op", choices=("f", "e"), help="f lowers, e raises")
     p_apply.add_argument("i", type=int, help="operator label")
     add_payload(p_apply.add_mutually_exclusive_group(required=True))
     p_apply.add_argument("--format", choices=("json", "text"), default="json")
-    p_apply.set_defaults(func=cmd_apply)
 
     p_biject = sub.add_parser("biject", help="map a pattern to its tableau or back")
     add_payload(p_biject.add_mutually_exclusive_group(required=True))
-    p_biject.set_defaults(func=cmd_biject)
 
     p_graph = sub.add_parser("graph", help="export one crystal graph")
     add_shape(p_graph)
     p_graph.add_argument("--model", choices=("gtp", "ssyt"), default="gtp")
     p_graph.add_argument("--format", choices=("dot", "json"), default="dot")
-    p_graph.set_defaults(func=cmd_graph)
 
     p_verify = sub.add_parser("verify", help="run the verification suite")
     source = p_verify.add_mutually_exclusive_group()
@@ -309,15 +315,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_payload(source, "payload to take the shape from")
     p_verify.add_argument("--json", action="store_true", help="print the JSON report instead of the summary")
     p_verify.add_argument("--report", help="also write the JSON report to this file")
-    p_verify.set_defaults(func=cmd_verify)
 
     p_dim = sub.add_parser("dim", help="dimension of the crystal of one shape")
     add_shape(p_dim)
-    p_dim.set_defaults(func=cmd_dim)
 
     p_sd = sub.add_parser("string-datum", help="closed-form string exponents of a pattern")
     p_sd.add_argument("--gtp", required=True, help="pattern payload (inline JSON or file path)")
-    p_sd.set_defaults(func=cmd_string_datum)
 
     return parser
 
@@ -325,7 +328,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        handlers = {
+            "enumerate": cmd_enumerate,
+            "apply": cmd_apply,
+            "biject": cmd_biject,
+            "graph": cmd_graph,
+            "verify": cmd_verify,
+            "dim": cmd_dim,
+            "string-datum": cmd_string_datum,
+        }
+        return handlers[args.command](args)
     except SystemExit as exc:  # argparse: usage error or --help
         return int(exc.code or 0)
     except BrokenPipeError:

@@ -345,7 +345,12 @@ def _identity_checks(
 
 
 def verify_shape(n: int, lam: Partition) -> dict[str, Any]:
-    """Run every check for one shape; returns the machine-readable record."""
+    """Run every check for one shape; returns the machine-readable record.
+
+    Every violation is added to its check's report with the elements and
+    values it concerns, except the counting and algebraic identities, which
+    are bare counts.
+    """
     patterns = list(gtp.enumerate_patterns(n, lam))
     tableaux = list(ssyt.enumerate_tableaux(n, lam))
     pm = pattern_model(n)
@@ -358,20 +363,33 @@ def verify_shape(n: int, lam: Partition) -> dict[str, Any]:
     # connectivity count read that evaluation.  It is dropped before the
     # other checks run, so that it does not add to their peak memory.
     on_patterns, on_tableaux = evaluate(pm, patterns), evaluate(tm, tableaux)
+    dimension = Report()
+    if len(patterns) != (expected := weyl_dimension(n, lam)):
+        dimension.add("dimension", (), None, expected, len(patterns))
     checks = {
-        "dimension": Report(found=int(len(patterns) != weyl_dimension(n, lam))),
+        "dimension": dimension,
         "axioms-patterns": verify_axioms(on_patterns),
         "axioms-tableaux": verify_axioms(on_tableaux),
         "isomorphism": verify_isomorphism(on_patterns, image, on_tableaux),
     }
-    connected = connectivity(on_patterns) == 1
+    components = connectivity(on_patterns)
     del on_patterns, on_tableaux
     checks["counting-identities"], checks["algebraic-identities"] = _identity_checks(patterns, image)
-    round_trip = sum(preimage(image(p)) != p for p in patterns)
-    round_trip += sum(image(preimage(t)) != t for t in tableaux)
-    checks["round-trip"] = Report(found=round_trip)
-    unique_hw = len(highest_weight_elements(pm, patterns)) == 1
-    checks["connected-unique-source"] = Report(found=int(not (connected and unique_hw)))
+    # An element that does not come back names its image and what it came back as.
+    round_trip = checks["round-trip"] = Report()
+    for p in patterns:
+        if (back := preimage(image(p))) != p:
+            round_trip.add("round-trip", (p, image(p)), None, p, back)
+    for t in tableaux:
+        if (back := image(preimage(t))) != t:
+            round_trip.add("round-trip", (t, preimage(t)), None, t, back)
+    sources = highest_weight_elements(pm, patterns)
+    connected = checks["connected-unique-source"] = Report()
+    if components != 1 or len(sources) != 1:
+        actual = f"{components} component(s) with {len(sources)} source(s)"
+        # A broken epsilon can make every element a source: name at most WITNESS_LIMIT.
+        witness = tuple(sources[:WITNESS_LIMIT])
+        connected.add("connected-unique-source", witness, None, "1 component with 1 source", actual)
 
     return {
         "n": n,

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -759,6 +760,54 @@ def test_deeply_nested_payload_is_input_error(capsys, tmp_path, where):
 def test_usage_error_exits_two(capsys):
     assert cli.main(["enumerate", "-n", "3"]) == 2
     assert cli.main(["no-such-command"]) == 2
+
+
+def test_main_builds_one_parser_per_process(monkeypatch, capsys):
+    # One build makes the top parser and one subparser per command; three
+    # calls after it make none.
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    for argv in (["dim", "-n", "3", "-l", "2,1"], ["verify", "-n", "2", "-l", "1"], ["no-such-command"]):
+        cli.main(argv)
+    assert progs.count("gtcrystal") == 1 and len(progs) == 8
+
+
+def test_main_runs_the_handler_bound_when_it_is_called(monkeypatch, capsys):
+    # The parser holds no handler: a cmd_* rebound after the parser is built
+    # is the one the next call runs.
+    summary = "PASS n=3 shape=2,1 elements=8\nPASS 1 shape(s) verified\n"
+    assert run(capsys, "verify", "-n", "3", "-l", "2,1") == (0, summary, "")
+    seen = []
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: seen.append(args.shape) or 7)
+    assert run(capsys, "verify", "-n", "3", "-l", "2,1") == (7, "", "")
+    assert seen == ["2,1"]
+
+
+def test_calls_sharing_the_parser_print_what_a_fresh_process_prints(monkeypatch, capsys):
+    # A usage error, --help, and verify with and then without --json, in one
+    # process, each print byte for byte what a fresh interpreter prints.
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
+    codes = []
+    for argv in (
+        ["verify", "-n", "3", "-l", "2,1", "--all-upto", "2"],
+        ["--help"],
+        ["verify", "-n", "3", "-l", "2,1", "--json"],
+        ["verify", "-n", "3", "-l", "2,1"],
+    ):
+        command = [sys.executable, "-m", "gtcrystal.cli", *argv]
+        fresh = subprocess.run(command, env=env, capture_output=True, timeout=60)
+        code, out, err = run(capsys, *argv)
+        assert (code, out.encode(), err.encode()) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        codes.append(code)
+    assert codes == [2, 0, 0, 0]
 
 
 # SHA-256 of stdout for a fixed set of invocations.  The CLI promises

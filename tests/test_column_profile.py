@@ -15,12 +15,19 @@ diamond sum A_j = ``sum_a(p, i, j)`` for every j in 1..i.  They cover every
 label of every shape of ``shape_sweep()`` and random patterns of up to eight
 rows with entries up to 30.  No tableau operator is used: the profile is
 read from the bijection's cells alone.
+
+Step 1, the word lemma: phi_ssyt(tau, i) = max D over the cuts c in
+0..lambda_1, and epsilon_ssyt(tau, i) = max D - D(lambda_1).  It is checked
+on the same inputs against the string lengths of ``ssyt``, which read the
+far-eastern word (no lowering or raising operator is used), and it must
+fail when that reading order changes.
 """
 
+import pytest
 from hypothesis import given
 
 from conftest import pattern_st
-from gtcrystal import enumerate_patterns, pattern_to_tableau, sum_a
+from gtcrystal import enumerate_patterns, pattern_to_tableau, ssyt, sum_a
 from sweeps import shape_sweep
 
 
@@ -82,3 +89,51 @@ def test_a_moved_clamp_bound_fires():
         len(mismatches(p, below=2)) for n, lam in shape_sweep(max_boxes=5) for p in enumerate_patterns(n, lam)
     )
     assert fired == 1293
+
+
+def lemma_mismatches(p):
+    """The labels i at which the word lemma fails on p's tableau."""
+    t = pattern_to_tableau(p)
+    failed = []
+    for i in range(1, p.n):
+        d = cell_profile(t, i)
+        if (ssyt.phi_ssyt(t, i), ssyt.epsilon_ssyt(t, i)) != (max(d), max(d) - d[-1]):
+            failed.append(i)
+    return failed
+
+
+def test_word_lemma_over_the_sweep():
+    pairs = 0
+    for n, lam in shape_sweep():
+        for p in enumerate_patterns(n, lam):
+            assert lemma_mismatches(p) == [], p
+            pairs += n - 1
+    assert pairs == 3571
+
+
+@given(p=pattern_st(max_n=8, max_part=30))
+def test_word_lemma_past_desk_scale(p):
+    assert lemma_mismatches(p) == []
+
+
+def reordered(key):
+    """A mutant of ``far_east_reading`` that reads the same cells sorted by ``key(row, column)``."""
+    reading = ssyt.far_east_reading
+
+    def mutant(t):
+        word = reading(t)
+        pairs = sorted(zip(word.origin, word.letters), key=lambda pair: key(*pair[0]))
+        return ssyt.ReadingWord(tuple(x for _, x in pairs), tuple(cell for cell, _ in pairs))
+
+    return mutant
+
+
+@pytest.mark.parametrize(
+    "key, fired",
+    [(lambda r, c: (c, r), 1128), (lambda r, c: (-c, -r), 464)],
+    ids=["columns left to right", "each column bottom up"],
+)
+def test_a_changed_reading_order_fires(monkeypatch, key, fired):
+    # The (tableau, label) pairs of the sweep at which the lemma fails.
+    monkeypatch.setattr(ssyt, "far_east_reading", reordered(key))
+    assert sum(len(lemma_mismatches(p)) for n, lam in shape_sweep() for p in enumerate_patterns(n, lam)) == fired

@@ -5,12 +5,14 @@ from dataclasses import replace
 import pytest
 
 from gtcrystal import (
+    bijection,
     connectivity,
     crystal,
     enumerate_patterns,
     enumerate_tableaux,
     epsilon_gtp,
     evaluate,
+    gtpattern,
     highest_weight_elements,
     pattern_model,
     pattern_to_tableau,
@@ -574,4 +576,46 @@ def test_into_target_witness(shape2):
     report = verify_isomorphism(evaluate(pm, patterns), pattern_to_tableau, evaluate(tm, tableaux[:2]))
     assert json.dumps(report.to_dict()) == rendered_report(
         [("into-target", (T22,), None, "image inside the target set", "outside")]
+    )
+
+
+# Witnesses of the checks that verify_shape makes itself, on the n = 2,
+# shape (2) crystal: each names the elements and values it found.
+def shape2_check(name):
+    return json.dumps(crystal.verify_shape(2, (2,))["checks"][name])
+
+
+def test_dimension_witness(monkeypatch):
+    monkeypatch.setattr(crystal, "weyl_dimension", lambda n, lam: 4)
+    assert shape2_check("dimension") == rendered_report([("dimension", (), None, "4", "3")])
+
+
+def test_round_trip_witnesses(monkeypatch, shape2):
+    # T11, the image of P2, maps back to P0: P2 comes back as P0, and T11 as
+    # T22, the image of P0.
+    _pm, patterns, _tm, tableaux = shape2
+    monkeypatch.setattr(
+        bijection, "tableau_to_pattern", lambda t: patterns[0] if t == tableaux[0] else tableau_to_pattern(t)
+    )
+    assert shape2_check("round-trip") == rendered_report(
+        [("round-trip", (P2, T11), None, P2, P0), ("round-trip", (T11, P0), None, T11, T22)]
+    )
+
+
+@pytest.mark.parametrize(
+    "name, mutant, limit, witness",
+    [
+        ("lower_gtp", lambda p, i: None, 100, ((P2,), "3 component(s) with 1 source(s)")),
+        ("epsilon_gtp", lambda p, i: 0, 100, ((P0, P1, P2), "1 component(s) with 3 source(s)")),
+        # Only WITNESS_LIMIT sources are named; the count names them all.
+        ("epsilon_gtp", lambda p, i: 0, 2, ((P0, P1), "1 component(s) with 3 source(s)")),
+    ],
+    ids=["no lowering", "every element a source", "sources past the witness limit"],
+)
+def test_connected_unique_source_witness(monkeypatch, name, mutant, limit, witness):
+    monkeypatch.setattr(gtpattern, name, mutant)
+    monkeypatch.setattr(crystal, "WITNESS_LIMIT", limit)
+    keys, actual = witness
+    assert shape2_check("connected-unique-source") == rendered_report(
+        [("connected-unique-source", keys, None, "1 component with 1 source", actual)]
     )

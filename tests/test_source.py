@@ -111,12 +111,12 @@ def test_no_module_reads_another_modules_private_names():
 
 
 def test_every_reported_rule_is_named_by_a_test():
-    # Each rule that verify_axioms or verify_isomorphism can report appears as
-    # a string in some other test file, so a test pins at least one witness of
-    # it.  A rule is the first argument of ``report.add``: a literal, or a
-    # loop variable bound from a tuple of (literal, ...) rows.
+    # Each rule that verify_axioms, verify_isomorphism or verify_shape can
+    # report appears as a string in some other test file, so a test pins at
+    # least one witness of it.  A rule is the first argument of ``.add``: a
+    # literal, or a loop variable bound from a tuple of (literal, ...) rows.
     tree = ast.parse((PACKAGE / "crystal.py").read_text(encoding="utf-8"))
-    names = ("verify_axioms", "verify_isomorphism")
+    names = ("verify_axioms", "verify_isomorphism", "verify_shape")
     checks = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in names]
     rules = set()
     for node in (sub for check in checks for sub in ast.walk(check)):
@@ -127,7 +127,7 @@ def test_every_reported_rule_is_named_by_a_test():
                 rules.add(first.value)
         if isinstance(node, ast.For) and isinstance(node.iter, ast.Tuple):
             rules.update(row.elts[0].value for row in node.iter.elts)
-    assert len(checks) == 2 and len(rules) == 16
+    assert len(checks) == 3 and len(rules) == 19
     named = {
         node.value
         for path in sorted(ROOT.glob("tests/*.py"))
