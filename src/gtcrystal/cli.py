@@ -278,7 +278,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The process's one parser, shared by every caller, so no caller changes it."""
-    parser =argparse.ArgumentParser(prog="gtcrystal", description=__doc__)
+    parser = argparse.ArgumentParser(
+        prog="gtcrystal", description="Crystals on Gelfand-Tsetlin patterns and tableaux, checked against each other."
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_shape(p: argparse.ArgumentParser, required: bool = True, shape_group: Any = None) -> None:

@@ -24,7 +24,8 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import ne, neg, sub
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from . import bijection
@@ -311,7 +312,12 @@ def _identity_checks(
     is derived from another.  The counting identities compare those values
     with letter counts of the pattern's tableau, whose running sums over the
     rows are built once per pattern; the algebraic identities compare the
-    literal values with each other and with the weight.
+    literal values with each other and with the weight.  The literal values
+    are read by list comprehensions (``map`` over these Python functions is
+    slower, as each call then enters the interpreter from C).  Each
+    comparison over a level is one ``sum(map(ne, ...))`` over two sequences
+    of the same length, so it runs in C; the letter-count rows are sliced to
+    the indices the literal values were read at.
     """
     counting = algebraic = 0
     for p in patterns:
@@ -321,25 +327,27 @@ def _identity_checks(
         head = [list(accumulate(counts, initial=0)) for counts in c]
         tail = [[h[-1] - s for s in h] for h in head]
         for i in range(1, n + 1):
-            counting += sum(bijection.letter_count_in_row(p, i, k) != c[i][k] for k in range(1, n + 1))
+            counts = [bijection.letter_count_in_row(p, i, k) for k in range(1, n + 1)]
+            counting += sum(map(ne, counts, c[i][1:]))
         for i in range(1, n):
+            # a[j] = a_j and big_a[j], big_b[j] = A_j, B_j from j = 0; b[j - 1] = b_j from j = 1.
             a = [gtp.diamond_a(p, i, j) for j in range(0, i + 1)]
-            b = [0] + [gtp.diamond_b(p, i, j) for j in range(1, i + 2)]
+            b = [gtp.diamond_b(p, i, j) for j in range(1, i + 2)]
             big_a = [gtp.sum_a(p, i, j) for j in range(0, i + 2)]
             big_b = [gtp.sum_b(p, i, j) for j in range(0, i + 2)]
             ci, cj = c[i], c[i + 1]  # letters i and i + 1
-            counting += sum(a[j] != ci[j] - cj[j + 1] for j in range(0, i + 1))
-            counting += sum(b[j] != cj[j] - ci[j - 1] for j in range(1, i + 2))
+            counting += sum(map(ne, a, map(sub, ci[: i + 1], cj[1 : i + 2])))
+            counting += sum(map(ne, b, map(sub, cj[1 : i + 2], ci[: i + 1])))
             ti, tj, hi, hj = tail[i], tail[i + 1], head[i], head[i + 1]
-            counting += sum(big_a[j] != ti[j] - tj[j + 1] for j in range(0, i + 2))
-            counting += sum(big_b[j] != hj[j + 1] - hi[j] for j in range(0, i + 2))
-            algebraic += sum(b[j] != -a[j - 1] for j in range(1, i + 2))
-            algebraic += a[0] > 0 or b[i + 1] > 0
-            algebraic += sum(big_a[j] - big_b[j] != big_a[0] for j in range(0, i + 2))
+            counting += sum(map(ne, big_a, map(sub, ti[: i + 2], tj[1 : i + 3])))
+            counting += sum(map(ne, big_b, map(sub, hj[1 : i + 3], hi[: i + 2])))
+            algebraic += sum(map(ne, b, map(neg, a)))
+            algebraic += a[0] > 0 or b[i] > 0
+            algebraic += sum(map(ne, map(sub, big_a, big_b), repeat(big_a[0])))
             algebraic += -big_b[i + 1] != big_a[0]
         first, a_form, b_form = gtp.weight_expressions(p)
         algebraic += a_form != b_form
-        shifts = {a_form[k] - first[k] for k in range(n)}
+        shifts = set(map(sub, a_form, first))
         algebraic += len(shifts) != 1 or shifts != {sum(first)}
     return Report(found=counting), Report(found=algebraic)
 

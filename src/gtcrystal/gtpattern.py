@@ -9,9 +9,13 @@ One scan over three adjacent rows gives phi (the maximum of the partial sums
 A_j), epsilon = phi - A_0 (as B_j = A_j - A_0) and both tie-broken indices;
 ``diamond_a``, ``diamond_b``, ``sum_a``, ``sum_b`` and ``weight_expressions``
 keep the literal entry-by-entry forms as the reference.  Each literal call
-sums its own diamonds, and each diamond reads its four entries straight from
-the row tuples, with the bound of ``entry`` written out on every term; the
-literal forms and the kernel never call each other.
+sums its own diamonds, one ``_a`` or ``_b`` call per diamond added in a plain
+``for`` loop (a generator under ``sum`` costs a frame resume per term), and
+each diamond reads its four entries straight from the row tuples, with the
+bound of ``entry`` written out on every term; the literal forms and the
+kernel never call each other.  ``validate_pattern`` accepts a plain-typed
+pattern in one walk and words any other input's first fault with ordered
+scans.
 
 Indexing convention used everywhere in this package: ``entry(i, j)`` is the
 j-th entry of the row with i entries, both 1-based, and reads 0 whenever
@@ -96,38 +100,74 @@ class GTPattern:
         return validate_pattern(data["n"], data["rows"])
 
 
+def _interleaving(n: int, rows: Any) -> bool:
+    """Whether ``rows`` is a plain-typed pattern with ``n`` rows, in one walk over its entries.
+
+    ``n`` is a positive integer and ``rows`` a list or tuple.  True when row
+    k is a list or tuple of n - k plain ``int`` entries (not bools), the top
+    row is non-negative and every lower entry lies between the two entries
+    above it, which makes it non-negative too.  The type test comes first
+    for each entry, so no entry of another type is ever compared.
+    """
+    if len(rows) != n:
+        return False
+    above = rows[0]
+    if not isinstance(above, (list, tuple)) or len(above) != n:
+        return False
+    for x in above:
+        if type(x) is not int or x < 0:
+            return False
+    for k in range(1, n):
+        row = rows[k]
+        if not isinstance(row, (list, tuple)) or len(row) != n - k:
+            return False
+        for mid, upper, lower in zip(row, above, above[1:]):
+            if type(mid) is not int or mid > upper or mid < lower:
+                return False
+        above = row
+    return True
+
+
 def validate_pattern(n: int, rows: Any) -> GTPattern:
     """Validate a triangular array (rows top-down) and return the pattern.
 
-    Errors identify the first violation, scanning row pairs top-down and
-    positions left to right: a malformed triangle raises ShapeError, a
-    negative entry NonNegativityError, and a broken interleaving inequality
-    InterleaveError carrying the (i, j) coordinates of the offending entry.
-    The scans read the row tuples, where row k is level n - k; the pattern
-    is built once every check has passed.
+    A plain-typed interleaving triangle is accepted in one walk
+    (``_interleaving``), when ``n`` is a plain positive int and ``rows`` a
+    list or tuple.  Any other input goes through the ordered scans, which
+    accept what that walk accepts and an ``int`` subclass as n or as an
+    entry, and otherwise word the first violation, scanning row pairs
+    top-down and positions left to right: a malformed triangle raises
+    ShapeError, a negative entry NonNegativityError, and a broken
+    interleaving inequality InterleaveError carrying the (i, j) coordinates
+    of the offending entry.  Both read the row tuples, where row k is level
+    n - k; the pattern is built in the last statement, once every check has
+    passed.
     """
-    require_positive(n, "row count")
-    rows = as_rows(rows)
-    if len(rows) != n:
-        raise ShapeError(f"expected {n} rows, got {len(rows)}")
-    for k, row in enumerate(rows):
-        if len(row) != n - k:
-            raise ShapeError(f"row with {n - k} slots has {len(row)} entries")
-        for x in row:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise ShapeError(f"entries must be integers, got {quote(x)}")
-    for k, row in enumerate(rows):
-        for j, x in enumerate(row, start=1):
-            if x < 0:
-                raise NonNegativityError(f"entry ({n - k},{j}) = {x} is negative")
-    for k in range(1, n):
-        i = n - k
-        above = rows[k - 1]
-        for j, (mid, upper, lower) in enumerate(zip(rows[k], above, above[1:]), start=1):
-            if mid > upper:
-                raise InterleaveError(i, j, f"entry ({i},{j}) = {mid} exceeds entry ({i+1},{j}) = {upper}")
-            if mid < lower:
-                raise InterleaveError(i, j, f"entry ({i},{j}) = {mid} is below entry ({i+1},{j+1}) = {lower}")
+    if type(n) is int and n > 0 and isinstance(rows, (list, tuple)) and _interleaving(n, rows):
+        rows = tuple([tuple(row) for row in rows])
+    else:
+        require_positive(n, "row count")
+        rows = as_rows(rows)
+        if len(rows) != n:
+            raise ShapeError(f"expected {n} rows, got {len(rows)}")
+        for k, row in enumerate(rows):
+            if len(row) != n - k:
+                raise ShapeError(f"row with {n - k} slots has {len(row)} entries")
+            for x in row:
+                if not isinstance(x, int) or isinstance(x, bool):
+                    raise ShapeError(f"entries must be integers, got {quote(x)}")
+        for k, row in enumerate(rows):
+            for j, x in enumerate(row, start=1):
+                if x < 0:
+                    raise NonNegativityError(f"entry ({n - k},{j}) = {x} is negative")
+        for k in range(1, n):
+            i = n - k
+            above = rows[k - 1]
+            for j, (mid, upper, lower) in enumerate(zip(rows[k], above, above[1:]), start=1):
+                if mid > upper:
+                    raise InterleaveError(i, j, f"entry ({i},{j}) = {mid} exceeds entry ({i+1},{j}) = {upper}")
+                if mid < lower:
+                    raise InterleaveError(i, j, f"entry ({i},{j}) = {mid} is below entry ({i+1},{j+1}) = {lower}")
     return GTPattern(n, rows)
 
 
@@ -186,22 +226,30 @@ def sum_a(pattern: GTPattern, i: int, j: int) -> int:
     """Partial diamond sum A_j at level i: sum of a_k for k from j to i.
 
     Domain 0 <= j <= i + 1; the sum at j = i + 1 is empty and equals 0.
+    The diamonds are added one ``_a`` call at a time, in index order.
     """
     _check_label(pattern, i)
     if not 0 <= j <= i + 1:
         raise IndexError(f"start index {j} out of range 0..{i + 1}")
-    return sum(_a(pattern, i, k) for k in range(j, i + 1))
+    total = 0
+    for k in range(j, i + 1):
+        total += _a(pattern, i, k)
+    return total
 
 
 def sum_b(pattern: GTPattern, i: int, j: int) -> int:
     """Partial diamond sum B_j at level i: sum of b_k for k from 1 to j.
 
     Domain 0 <= j <= i + 1; the sum at j = 0 is empty and equals 0.
+    The diamonds are added one ``_b`` call at a time, in index order.
     """
     _check_label(pattern, i)
     if not 0 <= j <= i + 1:
         raise IndexError(f"end index {j} out of range 0..{i + 1}")
-    return sum(_b(pattern, i, k) for k in range(1, j + 1))
+    total = 0
+    for k in range(1, j + 1):
+        total += _b(pattern, i, k)
+    return total
 
 
 def weight_gtp(pattern: GTPattern) -> Weight:
@@ -223,14 +271,26 @@ def weight_expressions(pattern: GTPattern) -> tuple[Weight, Weight, Weight]:
     is a quotient by the all-ones vector, so the A- and B-forms agree with
     the first tuple up to adding a constant to every coordinate (the
     constant is the pattern size); the A- and B-forms agree exactly.
+    A_0 and B_{i+1} at each level are literal sums, one ``_a`` or ``_b``
+    call per diamond; coordinate k of a form sums the levels k..n of them,
+    one suffix slice each.
     """
     n = pattern.n
     first = weight_gtp(pattern)
-    a0 = [sum(_a(pattern, i, k) for k in range(0, i + 1)) for i in range(1, n + 1)]
-    b_top = [sum(_b(pattern, i, k) for k in range(1, i + 2)) for i in range(1, n + 1)]
-    # omega_i has coordinates 1 in positions 1..i, so coordinate k sums levels i >= k.
-    a_form = tuple(sum(a0[i - 1] for i in range(k, n + 1)) for k in range(1, n + 1))
-    b_form = tuple(-sum(b_top[i - 1] for i in range(k, n + 1)) for k in range(1, n + 1))
+    a0 = []
+    b_top = []
+    for i in range(1, n + 1):
+        total = 0
+        for k in range(0, i + 1):
+            total += _a(pattern, i, k)
+        a0.append(total)
+        total = 0
+        for k in range(1, i + 2):
+            total += _b(pattern, i, k)
+        b_top.append(total)
+    # omega_i has coordinates 1 in positions 1..i, so coordinate k sums levels i >= k: a0[k - 1:].
+    a_form = tuple(sum(a0[k - 1 :]) for k in range(1, n + 1))
+    b_form = tuple(-sum(b_top[k - 1 :]) for k in range(1, n + 1))
     return first, a_form, b_form
 
 

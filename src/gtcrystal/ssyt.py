@@ -161,6 +161,8 @@ class ReadingWord(NamedTuple):
 
     A named tuple, not a frozen dataclass: every tableau query builds one, and
     the dataclass ``__init__`` sets each field through ``object.__setattr__``.
+    ``far_east_reading`` builds it with ``tuple.__new__``, skipping the
+    Python-level ``__new__`` that ``NamedTuple`` generates.
     """
 
     letters: tuple[int, ...]
@@ -199,10 +201,11 @@ def far_east_reading(tableau: Tableau) -> ReadingWord:
     the rows and picks its letters in one ``itemgetter`` call.  The key and
     the concatenation are list displays: a tuple grown from an iterator is
     resized, and the freed tuples would pile up on the per-size free lists.
+    The word is made by ``tuple.__new__`` in C, with no Python frame.
     """
     rows = tableau.rows
     pick, origin = _reading_plan(tuple([len(row) for row in rows]))
-    return ReadingWord(pick([0, 0, *chain.from_iterable(rows)])[2:], origin)
+    return tuple.__new__(ReadingWord, (pick([0, 0, *chain.from_iterable(rows)])[2:], origin))
 
 
 def _check_label(tableau: Tableau, i: int) -> None:
@@ -216,21 +219,24 @@ def _cancel(word: ReadingWord, i: int) -> tuple[int, int, Optional[tuple[int, in
     The cells hold the leftmost uncrossed i and the rightmost uncrossed i+1
     (None when there is none).  A letter i+1 stays uncrossed exactly when no
     unmatched i precedes it; the openers left on the stack are the uncrossed i.
+    The pass keeps word indices, and only the two chosen ones are mapped to
+    their cells through ``word.origin``.
     """
-    opened: list[tuple[int, int]] = []
+    opened: list[int] = []
     closers = 0
     last = None
     upper = i + 1
-    for letter, cell in zip(word.letters, word.origin):
+    for k, letter in enumerate(word.letters):
         if letter == i:
-            opened.append(cell)
+            opened.append(k)
         elif letter == upper:
             if opened:
                 opened.pop()
             else:
                 closers += 1
-                last = cell
-    return len(opened), closers, opened[0] if opened else None, last
+                last = k
+    origin = word.origin
+    return len(opened), closers, origin[opened[0]] if opened else None, None if last is None else origin[last]
 
 
 def phi_ssyt(tableau: Tableau, i: int) -> int:

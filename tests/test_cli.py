@@ -810,6 +810,20 @@ def test_calls_sharing_the_parser_print_what_a_fresh_process_prints(monkeypatch,
     assert codes == [2, 0, 0, 0]
 
 
+def test_help_names_every_subcommand_and_no_implementation_note(monkeypatch, capsys):
+    # --help gives a one-line description and one row per subcommand; the
+    # module docstring, notes on how the CLI is built, is not printed.
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, "--help")
+    assert (code, err) == (0, "")
+    rows = {line.split()[0] for line in out.splitlines() if line.startswith("    ") and line[4:5].isalpha()}
+    assert rows == {"enumerate", "apply", "biject", "graph", "verify", "dim", "string-datum"}
+    notes = [line.strip() for line in cli.__doc__.splitlines() if line.strip()]
+    assert len(notes) > 20
+    assert [line for line in notes if line in out] == []
+    assert len(out.splitlines()) < 20
+
+
 # SHA-256 of stdout for a fixed set of invocations.  The CLI promises
 # byte-exact output, so a change below it must leave every digest unchanged;
 # only an intended output change re-records them.

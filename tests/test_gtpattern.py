@@ -39,7 +39,7 @@ from gtcrystal import (
     weight_expressions,
     weight_gtp,
 )
-from gtcrystal.core import MAX_LEVELS
+from gtcrystal.core import MAX_LEVELS, as_rows, quote, require_positive
 from sweeps import shape_sweep
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -102,6 +102,104 @@ def test_validate_words_the_first_fault_in_scan_order(rows, error, message, ij):
     assert str(err.value) == message
     if ij is not None:
         assert (err.value.i, err.value.j) == ij
+
+
+def by_ordered_scans(n, rows):
+    """What validate_pattern should give: the canonical rows the three ordered
+    scans accept, or the first fault they word, as ``fault`` writes it."""
+    try:
+        require_positive(n, "row count")
+        rows = as_rows(rows)
+        if len(rows) != n:
+            raise ShapeError(f"expected {n} rows, got {len(rows)}")
+        for k, row in enumerate(rows):
+            if len(row) != n - k:
+                raise ShapeError(f"row with {n - k} slots has {len(row)} entries")
+            for x in row:
+                if not isinstance(x, int) or isinstance(x, bool):
+                    raise ShapeError(f"entries must be integers, got {quote(x)}")
+        for k, row in enumerate(rows):
+            for j, x in enumerate(row, start=1):
+                if x < 0:
+                    raise NonNegativityError(f"entry ({n - k},{j}) = {x} is negative")
+        for k in range(1, n):
+            i = n - k
+            for j, (mid, upper, lower) in enumerate(zip(rows[k], rows[k - 1], rows[k - 1][1:]), start=1):
+                if mid > upper:
+                    raise InterleaveError(i, j, f"entry ({i},{j}) = {mid} exceeds entry ({i+1},{j}) = {upper}")
+                if mid < lower:
+                    raise InterleaveError(i, j, f"entry ({i},{j}) = {mid} is below entry ({i+1},{j+1}) = {lower}")
+    except ValueError as exc:
+        return fault(exc)
+    return rows
+
+
+def by_validator(n, rows):
+    try:
+        pattern = validate_pattern(n, rows)
+    except ValueError as exc:
+        return fault(exc)
+    assert all(type(row) is tuple for row in pattern.rows)
+    return pattern.rows
+
+
+def fault(exc):
+    """An error as text: its type, message and, for InterleaveError, its coordinates."""
+    where = f" at {(exc.i, exc.j)}" if isinstance(exc, InterleaveError) else ""
+    return f"{type(exc).__name__}: {exc}{where}"
+
+
+class Count(int):
+    """An int subclass: the ordered scans accept it, the one-walk accept does not."""
+
+
+def test_the_one_walk_accept_of_validate_pattern_is_exact():
+    # Every triangle with n <= 3 and entries in -1..2, as tuples and as lists,
+    # and odd-typed inputs: validate_pattern accepts exactly what the ordered
+    # scans accept, with the same rows, and words every other input as they do.
+    accepted = rejected = 0
+    for n in range(1, 4):
+        for entries in product(range(-1, 3), repeat=n * (n + 1) // 2):
+            it = iter(entries)
+            rows = tuple(tuple(next(it) for _ in range(width)) for width in range(n, 0, -1))
+            expected = by_ordered_scans(n, rows)
+            for form in (rows, [list(row) for row in rows], [rows[0], *map(list, rows[1:])]):
+                assert by_validator(n, form) == expected, (n, form)
+            rejected += isinstance(expected, str)
+            accepted += not isinstance(expected, str)
+    # 4 + 64 + 4,096 triangles: 3 + 10 + 35 patterns.
+    assert (accepted, rejected) == (48, 4116)
+    odd = [
+        (2, [[True, 0], [1]]),
+        (2, [[1, 0], [False]]),
+        (2, [[1.0, 0], [1]]),
+        (2, [[1, 0], [0.0]]),
+        (2, [[Count(1), 0], [Count(1)]]),
+        (2, [[2, Count(0)], [1]]),
+        (2, [[2, Count(1)], [Count(2)]]),
+        (2, [[2, 0], [1, 0]]),
+        (2, [[2], [1]]),
+        (2, [[2, 0, 0], [1]]),
+        (2, [[2, 0]]),
+        (2, [[2, 0], [1], [0]]),
+        (2, [[2, 0], []]),
+        (1, [()]),
+        (2, ["20", [1]]),
+        (2, [range(2, -1, -2), [1]]),
+        (2, [[2, 0], None]),
+        (2, ((2, 0), 1)),
+        (2, "2,0/1"),
+        (2, None),
+        (True, [[1]]),
+        (0, []),
+        (-1, [[1]]),
+        (2.0, [[1, 0], [1]]),
+        (Count(2), [[1, 0], [1]]),
+        (Count(2), [[1, 0], [2]]),
+    ]
+    outcomes = [by_validator(n, rows) for n, rows in odd]
+    assert outcomes == [by_ordered_scans(n, rows) for n, rows in odd]
+    assert [k for k, outcome in enumerate(outcomes) if not isinstance(outcome, str)] == [4, 5, 6, 24]
 
 
 def test_diamond_a_worked_example(worked):

@@ -13,6 +13,8 @@ row must split the package's word-scan operators from the column-scan
 oracle, which builds its images without that write.
 """
 
+import functools
+
 import pytest
 
 from gtcrystal import (
@@ -25,7 +27,7 @@ from gtcrystal import (
     ssyt,
     validate_tableau,
 )
-from sweeps import lowering_edges, uncrossed_cells
+from sweeps import lowering_edges, shape_sweep, uncrossed_cells
 from test_acceptance import dual_route_mismatches
 
 SHAPES = ((3, (2, 1)), (4, (2, 1)), (4, (3, 2, 1)), (5, (2, 1, 1)))
@@ -223,3 +225,97 @@ def test_build_graph_renders_no_key(monkeypatch):
     edges += lowering_edges(crystal.tableau_model(n), list(enumerate_tableaux(n, lam)))
     assert len(edges) > 0
     assert rendering == {"render_key": 0}
+
+
+def reference_identity_counts(patterns, image):
+    """(counting, algebraic) of verify's identity checks, one generator term per index.
+
+    The letter counts c[x][r] of letter x in tableau row r are read from the
+    cells, and each running sum over the rows is a slice sum.  The literal
+    functions are read through their module attributes, where a test patches
+    them.
+    """
+    counting = algebraic = 0
+    for p in patterns:
+        n = p.n
+        c = [[0] * (n + 1) for _ in range(n + 1)]
+        for r, row in enumerate(image(p).rows, 1):
+            for x in row:
+                c[x][r] += 1
+        for i in range(1, n + 1):
+            counting += sum(bijection.letter_count_in_row(p, i, k) != c[i][k] for k in range(1, n + 1))
+        for i in range(1, n):
+            a = [gtpattern.diamond_a(p, i, j) for j in range(0, i + 1)]
+            b = [0] + [gtpattern.diamond_b(p, i, j) for j in range(1, i + 2)]
+            big_a = [gtpattern.sum_a(p, i, j) for j in range(0, i + 2)]
+            big_b = [gtpattern.sum_b(p, i, j) for j in range(0, i + 2)]
+            ci, cj = c[i], c[i + 1]
+            counting += sum(a[j] != ci[j] - cj[j + 1] for j in range(0, i + 1))
+            counting += sum(b[j] != cj[j] - ci[j - 1] for j in range(1, i + 2))
+            counting += sum(big_a[j] != sum(ci[j:]) - sum(cj[j + 1 :]) for j in range(0, i + 2))
+            counting += sum(big_b[j] != sum(cj[: j + 1]) - sum(ci[:j]) for j in range(0, i + 2))
+            algebraic += sum(b[j] != -a[j - 1] for j in range(1, i + 2))
+            algebraic += a[0] > 0 or b[i + 1] > 0
+            algebraic += sum(big_a[j] - big_b[j] != big_a[0] for j in range(0, i + 2))
+            algebraic += -big_b[i + 1] != big_a[0]
+        first, a_form, b_form = gtpattern.weight_expressions(p)
+        algebraic += a_form != b_form
+        shifts = {a_form[k] - first[k] for k in range(n)}
+        algebraic += len(shifts) != 1 or shifts != {sum(first)}
+    return counting, algebraic
+
+
+def _bumped(orig, level, index):
+    # One more at (level, index): the label and diamond index, or the letter and tableau row.
+    return lambda p, i, j: orig(p, i, j) + (i == level and j == index)
+
+
+def _bumped_weight(orig, form, coordinate):
+    # One more at one coordinate of one of the three weight forms, where the pattern has it.
+    def bumped(p):
+        forms = [list(values) for values in orig(p)]
+        if coordinate < p.n:
+            forms[form][coordinate] += 1
+        return tuple(tuple(values) for values in forms)
+
+    return bumped
+
+
+def test_identity_counts_match_an_index_by_index_oracle(monkeypatch):
+    # Each identity check compares two sequences with map, which stops at the
+    # shorter one, so a slice one element short would drop a comparison and
+    # still count 0 on a passing shape.  Each literal value, one (level,
+    # index) at a time, is made one too large on the first and last pattern
+    # of every shape of the n <= 4 sweep; both counts must equal the oracle's.
+    patterns = []
+    for n, lam in shape_sweep():
+        found = list(enumerate_patterns(n, lam))
+        patterns += found[:1] + found[1:][-1:]
+    image = functools.cache(bijection.pattern_to_tableau)
+    assert [report.found for report in crystal._identity_checks(patterns, image)] == [0, 0]
+    assert reference_identity_counts(patterns, image) == (0, 0)
+    bumps = [
+        (module, name, (level, index), _bumped(getattr(module, name), level, index))
+        for module, name, levels, indices in (
+            (gtpattern, "diamond_a", range(1, 4), lambda i: range(0, i + 1)),
+            (gtpattern, "diamond_b", range(1, 4), lambda i: range(1, i + 2)),
+            (gtpattern, "sum_a", range(1, 4), lambda i: range(0, i + 2)),
+            (gtpattern, "sum_b", range(1, 4), lambda i: range(0, i + 2)),
+            (bijection, "letter_count_in_row", range(1, 5), lambda i: range(1, 5)),
+        )
+        for level in levels
+        for index in indices(level)
+    ]
+    weights = gtpattern.weight_expressions
+    bumps += [
+        (gtpattern, "weight_expressions", (form, k), _bumped_weight(weights, form, k))
+        for form in range(3)
+        for k in range(4)
+    ]
+    assert len(bumps) == 9 + 9 + 12 + 12 + 16 + 12
+    for module, name, where, bumped in bumps:
+        monkeypatch.setattr(module, name, bumped)
+        package = tuple(report.found for report in crystal._identity_checks(patterns, image))
+        assert package == reference_identity_counts(patterns, image), (name, where)
+        assert any(package), (name, where)
+        monkeypatch.undo()
