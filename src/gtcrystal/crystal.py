@@ -8,15 +8,15 @@ models, runs and processes.  A violation keeps the elements and values it
 found and renders them once, when its report is rendered; the CLI renders
 the keys of the elements and graph vertices it prints.
 
-``verify_shape`` is the one verification engine: it runs every check of one
-shape, each into a ``Report``, and returns the record ``verify`` prints.
-``evaluate`` reads a model once per element and once per (element, label)
-and rejects repeated elements.  The checks take evaluations, not models,
-and check every rule against their values; the one model read left in a
-check is an image outside the target of ``verify_isomorphism``.  Apart from
-``evaluate``, only ``highest_weight_elements`` reads a model here; verify
-counts components from the evaluation, one lowering walk per model, and
-``gtcrystal graph`` walks the lowering operator itself.
+Every check is a ``verify_*`` function that takes what it reads and returns
+its ``Report``; ``verify_shape``, the one verification engine, evaluates
+each model once, calls every check of one shape and returns the record
+``verify`` prints.  ``evaluate`` reads a model once per element and once per
+(element, label) and rejects repeated elements.  Every rule is checked
+against evaluations; a check reads a model only for an image outside the
+target of ``verify_isomorphism`` and, through ``highest_weight_elements``,
+for the sources of ``verify_sources``.  ``gtcrystal graph`` walks the
+lowering operator itself.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import json
 from dataclasses import dataclass, field
 from itertools import accumulate, repeat
 from operator import ne, neg, sub
-from typing import Any, Callable, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import bijection
 from . import gtpattern as gtp
@@ -262,7 +262,7 @@ def verify_isomorphism(side_a: Evaluation, mapping: Callable[[Any], Any], side_b
     return report
 
 
-def highest_weight_elements(model: CrystalModel, elements: Sequence[Any]) -> list[Any]:
+def highest_weight_elements(model: CrystalModel, elements: Iterable[Any]) -> list[Any]:
     """Elements with every raising length zero, in input order, read from the
     model: this read keeps ``perfbench``'s pin that a verify op queries the
     model more than once per (element, label) until the benchmark counts
@@ -292,6 +292,40 @@ def connectivity(evaluation: Evaluation) -> int:
     return components
 
 
+def verify_sources(evaluation: Evaluation) -> Report:
+    """Check that the lowering edges join the elements into one component with one source."""
+    components = connectivity(evaluation)
+    sources = highest_weight_elements(evaluation.model, evaluation.rows)
+    report = Report()
+    if components != 1 or len(sources) != 1:
+        actual = f"{components} component(s) with {len(sources)} source(s)"
+        # A broken epsilon can make every element a source: name at most WITNESS_LIMIT.
+        report.add("connected-unique-source", tuple(sources[:WITNESS_LIMIT]), None, "1 component with 1 source", actual)
+    return report
+
+
+def verify_dimension(n: int, lam: Partition, patterns: Sequence[gtp.GTPattern]) -> Report:
+    """Check that the patterns number the Weyl dimension of ``lam`` at rank n."""
+    report = Report()
+    if len(patterns) != (expected := weyl_dimension(n, lam)):
+        report.add("dimension", (), None, expected, len(patterns))
+    return report
+
+
+def verify_round_trip(
+    patterns: Sequence[gtp.GTPattern], tableaux: Sequence[ssyt.Tableau], image: Callable, preimage: Callable
+) -> Report:
+    """Check that ``image`` and ``preimage`` undo each other; a miss names the image and what came back."""
+    report = Report()
+    for p in patterns:
+        if (back := preimage(image(p))) != p:
+            report.add("round-trip", (p, image(p)), None, p, back)
+    for t in tableaux:
+        if (back := image(preimage(t))) != t:
+            report.add("round-trip", (t, preimage(t)), None, t, back)
+    return report
+
+
 def _letter_counts(t: ssyt.Tableau) -> list[list[int]]:
     """c[letter][row]: multiplicity of the letter in that tableau row, read
     from the cells alone; letters and rows 0..n, 0 off the tableau."""
@@ -302,10 +336,10 @@ def _letter_counts(t: ssyt.Tableau) -> list[list[int]]:
     return c
 
 
-def _identity_checks(
+def verify_identities(
     patterns: Sequence[gtp.GTPattern], image: Callable[[gtp.GTPattern], ssyt.Tableau]
 ) -> tuple[Report, Report]:
-    """(counting, algebraic) reports on the diamond data of each pattern.
+    """(counting, algebraic) reports on the diamond data of each pattern, as bare counts.
 
     Each of diamond_a, diamond_b, sum_a and sum_b is evaluated once per
     (pattern, level, index), each a literal sum of its own; no literal value
@@ -355,50 +389,26 @@ def _identity_checks(
 def verify_shape(n: int, lam: Partition) -> dict[str, Any]:
     """Run every check for one shape; returns the machine-readable record.
 
-    Every violation is added to its check's report with the elements and
-    values it concerns, except the counting and algebraic identities, which
-    are bare counts.
+    Evaluates each model once and keeps each ``verify_*`` check's ``Report`` under its name.
     """
     patterns = list(gtp.enumerate_patterns(n, lam))
     tableaux = list(ssyt.enumerate_tableaux(n, lam))
-    pm = pattern_model(n)
-    tm = tableau_model(n)
-
     # Each element is mapped through the bijection once, on first use.
     image = functools.cache(bijection.pattern_to_tableau)
     preimage = functools.cache(bijection.tableau_to_pattern)
-    # Each model is evaluated once; the three checks over it and the
-    # connectivity count read that evaluation.  It is dropped before the
-    # other checks run, so that it does not add to their peak memory.
-    on_patterns, on_tableaux = evaluate(pm, patterns), evaluate(tm, tableaux)
-    dimension = Report()
-    if len(patterns) != (expected := weyl_dimension(n, lam)):
-        dimension.add("dimension", (), None, expected, len(patterns))
+    # Each model is evaluated once for the checks that read it, and dropped
+    # before the other checks run, so that it does not add to their peak memory.
+    on_patterns, on_tableaux = evaluate(pattern_model(n), patterns), evaluate(tableau_model(n), tableaux)
     checks = {
-        "dimension": dimension,
+        "dimension": verify_dimension(n, lam, patterns),
         "axioms-patterns": verify_axioms(on_patterns),
         "axioms-tableaux": verify_axioms(on_tableaux),
         "isomorphism": verify_isomorphism(on_patterns, image, on_tableaux),
+        "connected-unique-source": verify_sources(on_patterns),
     }
-    components = connectivity(on_patterns)
     del on_patterns, on_tableaux
-    checks["counting-identities"], checks["algebraic-identities"] = _identity_checks(patterns, image)
-    # An element that does not come back names its image and what it came back as.
-    round_trip = checks["round-trip"] = Report()
-    for p in patterns:
-        if (back := preimage(image(p))) != p:
-            round_trip.add("round-trip", (p, image(p)), None, p, back)
-    for t in tableaux:
-        if (back := image(preimage(t))) != t:
-            round_trip.add("round-trip", (t, preimage(t)), None, t, back)
-    sources = highest_weight_elements(pm, patterns)
-    connected = checks["connected-unique-source"] = Report()
-    if components != 1 or len(sources) != 1:
-        actual = f"{components} component(s) with {len(sources)} source(s)"
-        # A broken epsilon can make every element a source: name at most WITNESS_LIMIT.
-        witness = tuple(sources[:WITNESS_LIMIT])
-        connected.add("connected-unique-source", witness, None, "1 component with 1 source", actual)
-
+    checks["counting-identities"], checks["algebraic-identities"] = verify_identities(patterns, image)
+    checks["round-trip"] = verify_round_trip(patterns, tableaux, image, preimage)
     return {
         "n": n,
         "lambda": list(lam),

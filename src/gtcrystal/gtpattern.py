@@ -173,7 +173,8 @@ def validate_pattern(n: int, rows: Any) -> GTPattern:
 
 def _check_label(pattern: GTPattern, i: int) -> None:
     if not 1 <= i <= pattern.n - 1:
-        raise LabelError(f"label {i} out of range 1..{pattern.n - 1}")
+        bound = f" 1..{pattern.n - 1}" if pattern.n > 1 else ": an element with n = 1 has no labels"
+        raise LabelError(f"label {i} out of range{bound}")
 
 
 def _a(p: GTPattern, i: int, j: int) -> int:

@@ -210,7 +210,8 @@ def far_east_reading(tableau: Tableau) -> ReadingWord:
 
 def _check_label(tableau: Tableau, i: int) -> None:
     if not 1 <= i <= tableau.n - 1:
-        raise LabelError(f"label {i} out of range 1..{tableau.n - 1}")
+        bound = f" 1..{tableau.n - 1}" if tableau.n > 1 else ": an element with n = 1 has no labels"
+        raise LabelError(f"label {i} out of range{bound}")
 
 
 def _cancel(word: ReadingWord, i: int) -> tuple[int, int, Optional[tuple[int, int]], Optional[tuple[int, int]]]:

@@ -410,8 +410,10 @@ def test_payload_field_that_is_not_an_array_is_input_error(capsys, source, paylo
         (("biject", "--ssyt", '{"n":2,"shape":[2],"rows":[[1,"x"]]}'), "letters must be integers, got 'x' at (1,2)"),
         (("apply", "f", "5", "--gtp", WORKED), "label 5 out of range 1..2"),
         (("apply", "e", "0", "--ssyt", WORKED_TAB), "label 0 out of range 1..2"),
+        (("apply", "f", "1", "--gtp", '{"n":1,"rows":[[1]]}'), "label 1 out of range: an element with n = 1 has no labels"),
+        (("apply", "e", "1", "--ssyt", '{"n":1,"shape":[1],"rows":[[1]]}'), "label 1 out of range: an element with n = 1 has no labels"),
     ],
-    ids=["all-upto-without-n", "letter-not-integer", "gtp-label", "ssyt-label"],
+    ids=["all-upto-without-n", "letter-not-integer", "gtp-label", "ssyt-label", "gtp-rank-1-label", "ssyt-rank-1-label"],
 )
 def test_input_error_names_the_problem(capsys, argv, message):
     code, out, err = run(capsys, *argv)

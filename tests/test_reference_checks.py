@@ -1,11 +1,13 @@
 """The reference checks of ``crystal.verify_shape`` under mutants, and their call economy.
 
-Each mutant in ``MUTANTS`` replaces one literal function (through its module
-attribute, where ``verify_shape`` reaches it) with a deterministic off-by-one
-on a subset of its inputs.  The violation count of every check is pinned
-over a fixed shape list of ranks 3 to 5, so a change to how the checks are
-computed must reproduce each count exactly, and every mutant must fire at
-least one check.  Each mutant in ``GUARDED`` replaces a tableau operator or
+Each mutant in ``MUTANTS`` replaces one function (through its module
+attribute, where ``verify_shape`` reaches it) with a deterministic change on
+a subset of its inputs: a literal form or a letter count, the bijection, a
+string length of either model, or the dimension oracle.  The violation count
+of every check is pinned over a fixed shape list of ranks 3 to 5, so a
+change to how the checks are computed must reproduce each count exactly;
+every mutant must fire at least one check, and every check is fired by at
+least one mutant.  Each mutant in ``GUARDED`` replaces a tableau operator or
 the reading it scans with the opposite choice; its first image is not
 semistandard, so ``verify_shape`` raises the guard's RuntimeError and
 ``gtcrystal verify`` exits 3.  A cell write that drops the changes in one
@@ -83,6 +85,18 @@ def _pattern_to_tableau(orig):
     return mutant
 
 
+def _epsilon_gtp(orig):
+    return lambda p, i: 0 if _bottom(p) % 2 == 1 else orig(p, i)
+
+
+def _phi_ssyt(orig):
+    return lambda t, i: orig(t, i) + (i == 1 and len(t.rows[-1]) == 1)
+
+
+def _weyl_dimension(orig):
+    return lambda n, lam: orig(n, lam) + (n == 4)
+
+
 def _lower_ssyt(_orig):
     # Change the rightmost uncrossed i of the reading word instead of the leftmost.
     def mutant(t, i):
@@ -119,6 +133,9 @@ MUTANTS = {
     "weight_expressions": (gtpattern, _weight_expressions),
     "letter_count_in_row": (bijection, _letter_count_in_row),
     "pattern_to_tableau": (bijection, _pattern_to_tableau),
+    "epsilon_gtp": (gtpattern, _epsilon_gtp),
+    "phi_ssyt": (ssyt, _phi_ssyt),
+    "weyl_dimension": (crystal, _weyl_dimension),
 }
 
 # Violations per check over SHAPES (in order), for the checks that fire; every
@@ -135,6 +152,13 @@ PINNED = {
         "counting-identities": (48, 148, 428, 349),
         "round-trip": (6, 16, 42, 34),
     },
+    "epsilon_gtp": {
+        "axioms-patterns": (13, 35, 162, 111),
+        "isomorphism": (4, 11, 52, 36),
+        "connected-unique-source": (1, 1, 1, 1),
+    },
+    "phi_ssyt": {"axioms-tableaux": (12, 31, 94, 72), "isomorphism": (8, 20, 64, 45)},
+    "weyl_dimension": {"dimension": (0, 1, 1, 0)},
 }
 
 
@@ -143,6 +167,11 @@ def violations_by_check():
     names = records[0]["checks"]
     table = {name: tuple(r["checks"][name]["violations"] for r in records) for name in names}
     return {name: counts for name, counts in table.items() if any(counts)}
+
+
+def test_every_check_is_fired_by_a_pinned_mutant():
+    checks = crystal.verify_shape(*SHAPES[0])["checks"]
+    assert {name for fired in PINNED.values() for name in fired} == set(checks)
 
 
 @pytest.mark.parametrize("name", list(MUTANTS))
@@ -292,7 +321,7 @@ def test_identity_counts_match_an_index_by_index_oracle(monkeypatch):
         found = list(enumerate_patterns(n, lam))
         patterns += found[:1] + found[1:][-1:]
     image = functools.cache(bijection.pattern_to_tableau)
-    assert [report.found for report in crystal._identity_checks(patterns, image)] == [0, 0]
+    assert [report.found for report in crystal.verify_identities(patterns, image)] == [0, 0]
     assert reference_identity_counts(patterns, image) == (0, 0)
     bumps = [
         (module, name, (level, index), _bumped(getattr(module, name), level, index))
@@ -315,7 +344,7 @@ def test_identity_counts_match_an_index_by_index_oracle(monkeypatch):
     assert len(bumps) == 9 + 9 + 12 + 12 + 16 + 12
     for module, name, where, bumped in bumps:
         monkeypatch.setattr(module, name, bumped)
-        package = tuple(report.found for report in crystal._identity_checks(patterns, image))
+        package = tuple(report.found for report in crystal.verify_identities(patterns, image))
         assert package == reference_identity_counts(patterns, image), (name, where)
         assert any(package), (name, where)
         monkeypatch.undo()

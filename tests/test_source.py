@@ -110,16 +110,23 @@ def test_no_module_reads_another_modules_private_names():
     assert found == []
 
 
+def check_functions(tree):
+    """The module-level functions of ``tree`` that return a ``Report`` (or a tuple of them), by name."""
+    return {
+        node.name: node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.returns is not None and "Report" in ast.unparse(node.returns)
+    }
+
+
 def test_every_reported_rule_is_named_by_a_test():
-    # Each rule that verify_axioms, verify_isomorphism or verify_shape can
-    # report appears as a string in some other test file, so a test pins at
-    # least one witness of it.  A rule is the first argument of ``.add``: a
-    # literal, or a loop variable bound from a tuple of (literal, ...) rows.
-    tree = ast.parse((PACKAGE / "crystal.py").read_text(encoding="utf-8"))
-    names = ("verify_axioms", "verify_isomorphism", "verify_shape")
-    checks = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in names]
+    # Each rule that a verify_* check can report appears as a string in some
+    # other test file, so a test pins at least one witness of it.  A rule is
+    # the first argument of ``.add``: a literal, or a loop variable bound
+    # from a tuple of (literal, ...) rows.
+    checks = check_functions(ast.parse((PACKAGE / "crystal.py").read_text(encoding="utf-8")))
     rules = set()
-    for node in (sub for check in checks for sub in ast.walk(check)):
+    for node in (sub for check in checks.values() for sub in ast.walk(check)):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "add":
             first = node.args[0]
             assert isinstance(first, (ast.Constant, ast.Name)), ast.dump(first)
@@ -127,7 +134,7 @@ def test_every_reported_rule_is_named_by_a_test():
                 rules.add(first.value)
         if isinstance(node, ast.For) and isinstance(node.iter, ast.Tuple):
             rules.update(row.elts[0].value for row in node.iter.elts)
-    assert len(checks) == 3 and len(rules) == 19
+    assert all(name.startswith("verify_") for name in checks) and len(checks) == 6 and len(rules) == 19
     named = {
         node.value
         for path in sorted(ROOT.glob("tests/*.py"))
@@ -136,6 +143,52 @@ def test_every_reported_rule_is_named_by_a_test():
         if isinstance(node, ast.Constant) and isinstance(node.value, str)
     }
     assert sorted(rules - named) == []
+
+
+def record_checks(tree):
+    """(check names, what is computed inline) in ``verify_shape`` of ``tree``.
+
+    A check name is a key of the ``checks`` dict or a subscript of ``checks``
+    assigned to.  Computed inline are each ``Report`` built, each ``.add``
+    called and each value put in ``checks`` that is not the result of a call
+    to a module-level ``verify_*`` check function.
+    """
+    checks = {name for name in check_functions(tree) if name.startswith("verify_")}
+    names, found = [], []
+    for node in ast.walk(definition(tree, "verify_shape")):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Report":
+            found.append("Report()")
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add":
+            found.append(".add")
+        for target in node.targets if isinstance(node, ast.Assign) else ():
+            if isinstance(target, ast.Name) and target.id == "checks":
+                dict_literal = isinstance(node.value, ast.Dict)
+                keys, values = (node.value.keys, node.value.values) if dict_literal else ([], [node.value])
+            else:
+                subscripts = target.elts if isinstance(target, ast.Tuple) else [target]
+                keys = [t.slice for t in subscripts if isinstance(t, ast.Subscript) and ast.unparse(t.value) == "checks"]
+                values = [node.value] if keys else []
+            names += [key.value for key in keys]
+            found += [
+                ast.unparse(value)
+                for value in values
+                if not (isinstance(value, ast.Call) and getattr(value.func, "id", None) in checks)
+            ]
+    return names, found
+
+
+def test_verify_shape_computes_no_check_itself():
+    # verify_shape enumerates, evaluates and assembles the record; each of
+    # its eight checks is the Report that a module-level verify_* function
+    # returns, so each check has one home, which takes what it reads.
+    tree = ast.parse((PACKAGE / "crystal.py").read_text(encoding="utf-8"))
+    names, found = record_checks(tree)
+    assert len(names) == len(set(names)) == 8 and found == []
+    # The rule sees a check built inline and put in the record as a local.
+    extra = 'extra = Report()\nextra.add("extra", (), None, 0, 1)\nchecks["extra"] = extra'
+    definition(tree, "verify_shape").body[-1:-1] = ast.parse(extra).body
+    names_now, found = record_checks(tree)
+    assert names_now == names + ["extra"] and sorted(found) == [".add", "Report()", "extra"]
 
 
 # A model's crystal data, read as attributes of the model.
