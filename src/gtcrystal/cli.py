@@ -15,8 +15,9 @@ for success (including an absent operator image, printed as the literal
 ``none``), 1 for a verification failure, 2 for an input error, such as a
 payload nested too deeply or a ``--report`` file that cannot be written
 (found before any shape is verified), 3 for any other exception: an
-internal error, such as a guard rejecting an operator image or, in
-``graph``, a lowering image outside the crystal or a repeated element.
+internal error, such as a guard rejecting an operator image, a lowering
+image outside the crystal in ``graph``, or a repeated element in ``graph``
+or ``verify``.
 NO_COLOR suppresses color.
 
 A process builds one parser: ``build_parser`` is cached, and every ``main``

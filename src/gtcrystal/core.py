@@ -47,6 +47,13 @@ def require_positive(value: Any, noun: str) -> None:
         raise ShapeError(f"{noun} must be a positive integer, got {quote(value)}")
 
 
+def require_label(n: int, i: int) -> None:
+    """Raise LabelError unless ``i`` is an operator label 1..n-1 of an element with ``n`` rows or letters."""
+    if not 1 <= i <= n - 1:
+        bound = f" 1..{n - 1}" if n > 1 else ": an element with n = 1 has no labels"
+        raise LabelError(f"label {i} out of range{bound}")
+
+
 def as_rows(rows: Any) -> tuple[tuple[Any, ...], ...]:
     """``rows`` as a tuple of row tuples; ShapeError unless it is an array of arrays."""
     if not isinstance(rows, (list, tuple)):
@@ -95,9 +102,7 @@ def weyl_dimension(n: int, lam: Partition) -> int:
     as an independent counting oracle for pattern enumeration.
     """
     require_positive(n, "row count")
-    parts = as_partition(lam)
-    if len(parts) > n:
-        raise LengthError(f"partition has {len(parts)} parts, more than n={n}")
+    parts = as_partition(pad(lam, n))
     num = den = 1
     for i, part in enumerate(parts):
         for j in range(i + 1, len(parts)):

@@ -162,7 +162,7 @@ def evaluate(model: CrystalModel, elements: Sequence[Any]) -> Evaluation:
     # Maps each element to the one copy every image in the set is interned to.
     members = {b: b for b in elements}
     if len(members) != len(elements):
-        raise ValueError("elements are not distinct")
+        raise RuntimeError("elements are not distinct")
     weights = {b: model.weight(b) for b in members}
     rows = {}
     for b in members:

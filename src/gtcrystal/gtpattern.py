@@ -33,7 +33,6 @@ from typing import Any, Iterator, Optional
 
 from .core import (
     MAX_LEVELS,
-    LabelError,
     Partition,
     ShapeError,
     Weight,
@@ -41,6 +40,7 @@ from .core import (
     as_rows,
     pad,
     quote,
+    require_label,
     require_positive,
 )
 
@@ -103,13 +103,13 @@ class GTPattern:
 def _interleaving(n: int, rows: Any) -> bool:
     """Whether ``rows`` is a plain-typed pattern with ``n`` rows, in one walk over its entries.
 
-    ``n`` is a positive integer and ``rows`` a list or tuple.  True when row
-    k is a list or tuple of n - k plain ``int`` entries (not bools), the top
-    row is non-negative and every lower entry lies between the two entries
-    above it, which makes it non-negative too.  The type test comes first
-    for each entry, so no entry of another type is ever compared.
+    ``n`` is a positive integer.  True when ``rows`` is a list or tuple whose
+    row k is a list or tuple of n - k plain ``int`` entries (not bools), the
+    top row is non-negative and every lower entry lies between the two
+    entries above it, which makes it non-negative too.  The type test comes
+    first for each entry, so no entry of another type is ever compared.
     """
-    if len(rows) != n:
+    if not isinstance(rows, (list, tuple)) or len(rows) != n:
         return False
     above = rows[0]
     if not isinstance(above, (list, tuple)) or len(above) != n:
@@ -132,18 +132,17 @@ def validate_pattern(n: int, rows: Any) -> GTPattern:
     """Validate a triangular array (rows top-down) and return the pattern.
 
     A plain-typed interleaving triangle is accepted in one walk
-    (``_interleaving``), when ``n`` is a plain positive int and ``rows`` a
-    list or tuple.  Any other input goes through the ordered scans, which
-    accept what that walk accepts and an ``int`` subclass as n or as an
-    entry, and otherwise word the first violation, scanning row pairs
-    top-down and positions left to right: a malformed triangle raises
-    ShapeError, a negative entry NonNegativityError, and a broken
-    interleaving inequality InterleaveError carrying the (i, j) coordinates
-    of the offending entry.  Both read the row tuples, where row k is level
-    n - k; the pattern is built in the last statement, once every check has
-    passed.
+    (``_interleaving``) when ``n`` is a plain positive int.  Any other input
+    goes through the ordered scans, which accept what that walk accepts and
+    an ``int`` subclass as n or as an entry, and otherwise word the first
+    violation, scanning row pairs top-down and positions left to right: a
+    malformed triangle raises ShapeError, a negative entry
+    NonNegativityError, and a broken interleaving inequality InterleaveError
+    carrying the (i, j) coordinates of the offending entry.  Both read the
+    row tuples, where row k is level n - k; the pattern is built in the last
+    statement, once every check has passed.
     """
-    if type(n) is int and n > 0 and isinstance(rows, (list, tuple)) and _interleaving(n, rows):
+    if type(n) is int and n > 0 and _interleaving(n, rows):
         rows = tuple([tuple(row) for row in rows])
     else:
         require_positive(n, "row count")
@@ -169,12 +168,6 @@ def validate_pattern(n: int, rows: Any) -> GTPattern:
                 if mid < lower:
                     raise InterleaveError(i, j, f"entry ({i},{j}) = {mid} is below entry ({i+1},{j+1}) = {lower}")
     return GTPattern(n, rows)
-
-
-def _check_label(pattern: GTPattern, i: int) -> None:
-    if not 1 <= i <= pattern.n - 1:
-        bound = f" 1..{pattern.n - 1}" if pattern.n > 1 else ": an element with n = 1 has no labels"
-        raise LabelError(f"label {i} out of range{bound}")
 
 
 def _a(p: GTPattern, i: int, j: int) -> int:
@@ -209,7 +202,7 @@ def diamond_a(pattern: GTPattern, i: int, j: int) -> int:
     Defined for 1 <= i <= n-1 and any j; entries outside the triangle read
     as 0, and the value is 0 for j > i.
     """
-    _check_label(pattern, i)
+    require_label(pattern.n, i)
     return _a(pattern, i, j)
 
 
@@ -219,7 +212,7 @@ def diamond_b(pattern: GTPattern, i: int, j: int) -> int:
     Defined for 1 <= i <= n-1 and any j; the value is 0 for j > i + 1.
     Satisfies b_j = -a_{j-1} for 1 <= j <= i + 1.
     """
-    _check_label(pattern, i)
+    require_label(pattern.n, i)
     return _b(pattern, i, j)
 
 
@@ -229,7 +222,7 @@ def sum_a(pattern: GTPattern, i: int, j: int) -> int:
     Domain 0 <= j <= i + 1; the sum at j = i + 1 is empty and equals 0.
     The diamonds are added one ``_a`` call at a time, in index order.
     """
-    _check_label(pattern, i)
+    require_label(pattern.n, i)
     if not 0 <= j <= i + 1:
         raise IndexError(f"start index {j} out of range 0..{i + 1}")
     total = 0
@@ -244,7 +237,7 @@ def sum_b(pattern: GTPattern, i: int, j: int) -> int:
     Domain 0 <= j <= i + 1; the sum at j = 0 is empty and equals 0.
     The diamonds are added one ``_b`` call at a time, in index order.
     """
-    _check_label(pattern, i)
+    require_label(pattern.n, i)
     if not 0 <= j <= i + 1:
         raise IndexError(f"end index {j} out of range 0..{i + 1}")
     total = 0
@@ -327,13 +320,13 @@ def _scan(pattern: GTPattern, i: int) -> tuple[int, int, int, int]:
 
 def phi_gtp(pattern: GTPattern, i: int) -> int:
     """Lowering string length: max of A_1 .. A_i at level i."""
-    _check_label(pattern, i)
+    require_label(pattern.n, i)
     return _scan(pattern, i)[0]
 
 
 def epsilon_gtp(pattern: GTPattern, i: int) -> int:
     """Raising string length: max of B_1 .. B_i at level i, equal to phi - A_0."""
-    _check_label(pattern, i)
+    require_label(pattern.n, i)
     return _scan(pattern, i)[1]
 
 
@@ -373,7 +366,7 @@ def lower_gtp(pattern: GTPattern, i: int) -> Optional[GTPattern]:
     index in 1..i at which A_l attains the maximum; None when the string
     length is 0.  The result always interleaves, so a failed local check is
     an internal error."""
-    _check_label(pattern, i)
+    require_label(pattern.n, i)
     phi, _, ell, _ = _scan(pattern, i)
     if phi == 0:
         return None
@@ -384,7 +377,7 @@ def raise_gtp(pattern: GTPattern, i: int) -> Optional[GTPattern]:
     """Raising operator: increment entry (i, l) where l is the smallest
     index in 1..i at which B_l attains the maximum, which is the smallest
     maximizer of A_1 .. A_i; None when the string length is 0."""
-    _check_label(pattern, i)
+    require_label(pattern.n, i)
     _, eps, _, ell = _scan(pattern, i)
     if eps == 0:
         return None

@@ -6,8 +6,8 @@ i and i+1.  The reading walk depends only on the row lengths, so it is made
 once per length tuple (``_reading_plan``), and each reading is one pick from
 the concatenated rows.  The operators match the letters in a single stack
 pass over the reading word.  ``validate_tableau`` accepts a plain-typed
-filling in one walk over its cells (``semistandard``) and words the first
-fault of any other input.
+filling of its shape in one walk over its rows and cells (``_semistandard``)
+and words the first fault of any other input with ordered scans.
 
 Cells are addressed by 1-based (row, column) pairs throughout.
 """
@@ -20,7 +20,8 @@ from itertools import accumulate, chain, combinations_with_replacement
 from operator import itemgetter, le, lt
 from typing import Any, Iterator, NamedTuple, Optional, Sequence
 
-from .core import MAX_LEVELS, LabelError, Partition, ShapeError, Weight, as_partition, as_rows, quote, require_positive
+from .core import MAX_LEVELS, Partition, ShapeError, Weight, as_partition, as_rows, quote
+from .core import require_label, require_positive
 
 
 class TableauError(ValueError):
@@ -76,19 +77,22 @@ class Tableau:
         return validate_tableau(data["n"], data["shape"], data["rows"])
 
 
-def semistandard(n: int, rows: Sequence[Sequence[Any]]) -> bool:
-    """Whether ``rows`` is a semistandard filling with letters in 1..n, in one walk over its cells.
+def _semistandard(n: int, shape: Any, rows: Any) -> bool:
+    """Whether ``rows`` is a semistandard filling of ``shape`` with letters in 1..n, in one walk.
 
-    ``n`` is a positive integer and ``rows`` a list or tuple of lists or
-    tuples.  True when every row is non-empty and no longer than the row
-    above it, every letter is a plain ``int`` (not a bool) in 1..n, every
-    row weakly increases and every column strictly increases.  The type test
-    comes first for each cell, so no letter of another type is ever
-    compared.  Only ``validate_tableau`` calls it, as its first step.
+    ``n`` is a positive integer.  True when ``shape``, ``rows`` and every row
+    are lists or tuples, ``shape`` is the row lengths, then zeros, every row
+    is non-empty and no longer than the row above it, every row weakly
+    increases, every column strictly increases, and every shape entry and
+    letter is a plain ``int`` (not a bool), each letter in 1..n.  Each row
+    is walked once, shape entry, row type and length, then cells, and the
+    type test comes first, so no value of another type is ever compared.
     """
-    above: Sequence[int] = [0] * len(rows[0]) if rows else []
-    for row in rows:
-        if not row or len(row) > len(above):
+    if not isinstance(shape, (list, tuple)) or not isinstance(rows, (list, tuple)) or len(shape) < len(rows):
+        return False
+    above: Sequence[int] = [0] * len(rows[0]) if rows and isinstance(rows[0], (list, tuple)) else ()
+    for part, row in zip(shape, rows):
+        if type(part) is not int or not isinstance(row, (list, tuple)) or not 0 < part == len(row) <= len(above):
             return False
         left = 1
         for x, y in zip(row, above):
@@ -98,18 +102,8 @@ def semistandard(n: int, rows: Sequence[Sequence[Any]]) -> bool:
         if left > n:
             return False
         above = row
-    return True
-
-
-def _is_shape_of(shape: Any, rows: Any) -> bool:
-    """Whether ``shape``, ``rows`` and each row are arrays, and ``shape`` is plain ints: the row lengths, then zeros."""
-    if not isinstance(shape, (list, tuple)) or not isinstance(rows, (list, tuple)) or len(shape) < len(rows):
-        return False
-    for x, row in zip(shape, rows):
-        if type(x) is not int or not isinstance(row, (list, tuple)) or x != len(row):
-            return False
-    for x in shape[len(rows) :]:
-        if type(x) is not int or x:
+    for part in shape[len(rows) :]:
+        if type(part) is not int or part:
             return False
     return True
 
@@ -117,10 +111,10 @@ def _is_shape_of(shape: Any, rows: Any) -> bool:
 def validate_tableau(n: int, shape: Sequence[int], rows: Any) -> Tableau:
     """Validate a filling against a shape and return the tableau.
 
-    A filling is accepted in one walk when ``n`` is a plain positive int,
-    ``shape``, ``rows`` and every row are lists or tuples, ``shape`` is the
-    row lengths followed by zeros, all plain ints, and ``semistandard``
-    holds.  Any other input goes through the checks that word its first
+    A plain-typed semistandard filling of ``shape`` is accepted in one walk
+    (``_semistandard``) when ``n`` is a plain positive int.  Any other input
+    goes through the ordered scans, which accept what that walk accepts and
+    an ``int`` subclass as n or as a letter, and otherwise word the first
     fault: ShapeError on a malformed shape or filling or a mismatch between
     them, AlphabetError for letters outside 1..n, RowOrderError and
     ColumnOrderError for ordering violations, each reporting the first
@@ -128,7 +122,7 @@ def validate_tableau(n: int, shape: Sequence[int], rows: Any) -> Tableau:
     first, then every row, then every column, so a filling with several
     faults reports the first in that order.
     """
-    if type(n) is int and n > 0 and _is_shape_of(shape, rows) and semistandard(n, rows):
+    if type(n) is int and n > 0 and _semistandard(n, shape, rows):
         return Tableau(n, tuple([tuple(row) for row in rows]))
     require_positive(n, "alphabet bound")
     if not isinstance(shape, (list, tuple)):
@@ -208,12 +202,6 @@ def far_east_reading(tableau: Tableau) -> ReadingWord:
     return tuple.__new__(ReadingWord, (pick([0, 0, *chain.from_iterable(rows)])[2:], origin))
 
 
-def _check_label(tableau: Tableau, i: int) -> None:
-    if not 1 <= i <= tableau.n - 1:
-        bound = f" 1..{tableau.n - 1}" if tableau.n > 1 else ": an element with n = 1 has no labels"
-        raise LabelError(f"label {i} out of range{bound}")
-
-
 def _cancel(word: ReadingWord, i: int) -> tuple[int, int, Optional[tuple[int, int]], Optional[tuple[int, int]]]:
     """(phi, epsilon, lowering cell, raising cell) from one stack pass of the i-cancellation.
 
@@ -242,13 +230,13 @@ def _cancel(word: ReadingWord, i: int) -> tuple[int, int, Optional[tuple[int, in
 
 def phi_ssyt(tableau: Tableau, i: int) -> int:
     """Number of uncrossed letters i after the i-cancellation."""
-    _check_label(tableau, i)
+    require_label(tableau.n, i)
     return _cancel(far_east_reading(tableau), i)[0]
 
 
 def epsilon_ssyt(tableau: Tableau, i: int) -> int:
     """Number of uncrossed letters i+1 after the i-cancellation."""
-    _check_label(tableau, i)
+    require_label(tableau.n, i)
     return _cancel(far_east_reading(tableau), i)[1]
 
 
@@ -281,7 +269,7 @@ def _with_cell_changed(tableau: Tableau, r: int, c: int, letter: int) -> Tableau
 def lower_ssyt(tableau: Tableau, i: int) -> Optional[Tableau]:
     """Lowering operator: change the leftmost uncrossed i in the reading word
     to i+1; None when no uncrossed i exists."""
-    _check_label(tableau, i)
+    require_label(tableau.n, i)
     cell = _cancel(far_east_reading(tableau), i)[2]
     if cell is None:
         return None
@@ -291,7 +279,7 @@ def lower_ssyt(tableau: Tableau, i: int) -> Optional[Tableau]:
 def raise_ssyt(tableau: Tableau, i: int) -> Optional[Tableau]:
     """Raising operator: change the rightmost uncrossed i+1 in the reading
     word to i; None when no uncrossed i+1 exists."""
-    _check_label(tableau, i)
+    require_label(tableau.n, i)
     cell = _cancel(far_east_reading(tableau), i)[3]
     if cell is None:
         return None

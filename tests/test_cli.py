@@ -547,11 +547,9 @@ def test_graph_with_escaping_lowering_is_internal_error(escaping_lower, capsys, 
     assert err == f"internal error: lowering {source} along 1 escapes the crystal: {ESCAPED}\n"
 
 
-@pytest.mark.parametrize("model", ["gtp", "ssyt"])
-@pytest.mark.parametrize("fmt", ["json", "dot"])
-def test_graph_with_repeated_element_is_internal_error(monkeypatch, capsys, model, fmt):
-    # A repeat can only come from the package's own enumerator, so it is a
-    # defect of the program (3), not bad input (2), and nothing is printed.
+@pytest.fixture
+def repeated_element(monkeypatch):
+    # A pattern enumerator that yields its first pattern twice.
     enumerate_patterns = gtpattern.enumerate_patterns
 
     def repeating(n, lam):
@@ -560,7 +558,21 @@ def test_graph_with_repeated_element_is_internal_error(monkeypatch, capsys, mode
         return itertools.chain((first, first), patterns)
 
     monkeypatch.setattr(gtpattern, "enumerate_patterns", repeating)
+
+
+@pytest.mark.parametrize("model", ["gtp", "ssyt"])
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_graph_with_repeated_element_is_internal_error(repeated_element, capsys, model, fmt):
+    # A repeat can only come from the package's own enumerator, so it is a
+    # defect of the program (3), not bad input (2), and nothing is printed.
     code, out, err = run(capsys, "graph", "-n", "3", "-l", "2,1", "--model", model, "--format", fmt)
+    assert (code, out, err) == (3, "", "internal error: elements are not distinct\n")
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+def test_verify_with_repeated_element_is_internal_error(repeated_element, capsys, fmt):
+    # verify reads the same enumerator, so a repeat is the same defect (3).
+    code, out, err = run(capsys, "verify", "-n", "3", "-l", "2,1", *fmt)
     assert (code, out, err) == (3, "", "internal error: elements are not distinct\n")
 
 

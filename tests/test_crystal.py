@@ -34,7 +34,7 @@ def shape310():
     return pattern_model(3), elements
 
 
-def test_build_graph_counts(shape310):
+def test_lowering_edges_cover_the_crystal(shape310):
     # The crystal graph of (3,1,0), built from the lowering operator: every
     # element lies on one of its 18 edges.
     model, elements = shape310
@@ -44,7 +44,7 @@ def test_build_graph_counts(shape310):
     assert len(edges) == 18
 
 
-def test_build_graph_degenerate_cases():
+def test_lowering_edges_degenerate_cases():
     elements = list(enumerate_patterns(1, (4,)))
     assert (len(elements), lowering_edges(pattern_model(1), elements)) == (1, [])
     elements = list(enumerate_patterns(2, (1,)))
@@ -53,7 +53,7 @@ def test_build_graph_degenerate_cases():
     assert edges[0][1] == 1
 
 
-def test_build_graph_returns_escaping_edges(shape310):
+def test_lowering_edges_include_escaping_images(shape310):
     # The lowering edges of a subset can leave it; connectivity ignores an
     # image outside the set.
     model, elements = shape310
@@ -66,7 +66,7 @@ def test_build_graph_returns_escaping_edges(shape310):
     assert connectivity(evaluate(model, top)) == 1
 
 
-def test_bfs_construction_matches(shape310):
+def test_one_component_with_one_source(shape310):
     # One component with one source: every element is reached from the
     # highest-weight element.
     model, elements = shape310
@@ -253,7 +253,7 @@ def test_evaluate_reads_the_model_once_per_element_and_label():
         assert evaluation.model is counted
         assert list(evaluation.weights) == list(evaluation.rows) == elements
         forget(calls)
-        with pytest.raises(ValueError, match="not distinct"):
+        with pytest.raises(RuntimeError, match="not distinct"):
             evaluate(counted, elements + elements[:1])
         assert counts(calls) == dict.fromkeys(calls, 0)
 
@@ -313,11 +313,11 @@ def test_evaluate_rejects_repeated_elements():
     patterns, tableaux = list(enumerate_patterns(n, lam)), list(enumerate_tableaux(n, lam))
     again = tableau_to_pattern(pattern_to_tableau(patterns[0]))
     assert again == patterns[0] and again is not patterns[0]
-    with pytest.raises(ValueError, match="not distinct"):
+    with pytest.raises(RuntimeError, match="not distinct"):
         evaluate(pattern_model(n), patterns + [again])
     again = pattern_to_tableau(tableau_to_pattern(tableaux[0]))
     assert again == tableaux[0] and again is not tableaux[0]
-    with pytest.raises(ValueError, match="not distinct"):
+    with pytest.raises(RuntimeError, match="not distinct"):
         evaluate(tableau_model(n), tableaux + [again])
 
 
@@ -369,7 +369,7 @@ def test_connectivity_keeps_little_memory():
     assert peak < 200 * 1024
 
 
-def test_canonical_key_is_injective():
+def test_render_key_is_injective():
     # Value equality and key equality agree: a == b exactly when their keys do.
     # Equal values are built twice, once directly and once through the
     # bijection and back, so equal elements are distinct objects too.
@@ -397,7 +397,7 @@ def test_duplicate_elements_rejected():
     # A repeat raises before the model is read.
     p = validate_pattern(2, [[1, 0], [1]])
     calls = []
-    with pytest.raises(ValueError, match="elements are not distinct"):
+    with pytest.raises(RuntimeError, match="elements are not distinct"):
         evaluate(counting_lower(pattern_model(2), calls), [p, p])
     assert calls == []
     # A closed set with one element repeated (as an equal, distinct object):
@@ -405,7 +405,7 @@ def test_duplicate_elements_rejected():
     # check reads.
     elements = list(enumerate_patterns(2, (1,)))
     repeated = elements + [validate_pattern(2, [list(row) for row in elements[0].rows])]
-    with pytest.raises(ValueError, match="not distinct"):
+    with pytest.raises(RuntimeError, match="not distinct"):
         evaluate(pattern_model(2), repeated)
 
 

@@ -246,7 +246,7 @@ def test_each_reference_value_is_computed_once(monkeypatch):
     assert rendering == {"render_key": 0}
 
 
-def test_build_graph_renders_no_key(monkeypatch):
+def test_lowering_edges_render_no_key(monkeypatch):
     # Lowering every element of both models along every label renders no key.
     n, lam = 5, (2, 1, 1)
     rendering = counted(monkeypatch, crystal, ["render_key"])

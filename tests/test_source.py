@@ -283,27 +283,57 @@ def definition(tree, name):
     return next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name)
 
 
+def package_trees():
+    """The package modules' syntax trees, by file name."""
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+
+
 def semistandard_callers(trees):
-    """The package modules, by file name, whose code calls ``semistandard`` by name or as an attribute."""
+    """The package modules, by file name, whose code calls ``_semistandard`` by name or as an attribute."""
     return {
         name
         for name, tree in trees.items()
         for node in ast.walk(tree)
         if isinstance(node, ast.Call)
-        and "semistandard" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        and "_semistandard" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     }
 
 
 def test_only_the_tableau_validator_runs_the_semistandard_walk():
-    # Only ssyt.py calls semistandard, as validate_tableau's first step; the
+    # Only ssyt.py calls _semistandard, as validate_tableau's first step; the
     # bijection reaches it only through the validator, so the rule for "this
     # filling is a tableau of this shape" has one home.
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+    trees = package_trees()
     assert semistandard_callers(trees) == {"ssyt.py"}
     # The rule sees the walk slipped into the bijection.
     mapper = definition(trees["bijection.py"], "pattern_to_tableau")
-    mapper.body.insert(0, ast.parse("ssyt.semistandard(n, grid)").body[0])
+    mapper.body.insert(0, ast.parse("ssyt._semistandard(n, shape, grid)").body[0])
     assert semistandard_callers(trees) == {"ssyt.py", "bijection.py"}
+
+
+def label_raisers(trees):
+    """The package modules, by file name, that raise ``LabelError``."""
+    return {
+        name
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise)
+        and node.exc is not None
+        and any(getattr(sub, "id", None) == "LabelError" for sub in ast.walk(node.exc))
+    }
+
+
+def test_the_label_rule_has_one_home():
+    # Both element types check an operator label with core.require_label, so
+    # the range 1..n-1 and its two messages are written once: only core.py
+    # raises LabelError, and no module keeps a label check of its own.
+    trees = package_trees()
+    assert label_raisers(trees) == {"core.py"}
+    assert not any(getattr(node, "name", None) == "_check_label" for tree in trees.values() for node in ast.walk(tree))
+    # The rule sees a raise slipped into ssyt.py.
+    lower = definition(trees["ssyt.py"], "lower_ssyt")
+    lower.body.insert(0, ast.parse('raise LabelError(f"label {i} out of range")').body[0])
+    assert label_raisers(trees) == {"core.py", "ssyt.py"}
 
 
 def pattern_reads(function):

@@ -1,7 +1,8 @@
 import tracemalloc
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import tableau_st, word_st
@@ -139,31 +140,55 @@ def test_validate_accepts_in_one_walk_or_words_the_fault(monkeypatch, n, shape, 
 
 @st.composite
 def ragged_filling_st(draw):
-    """A letter bound and up to four rows of up to four letters: ints in
-    -1..n+1, bools, floats and strings, or a sorted row of ints in 1..n."""
-    n = draw(st.integers(min_value=1, max_value=4))
-    letter = st.one_of(
-        st.integers(min_value=-1, max_value=n + 1),
-        st.booleans(),
-        st.sampled_from([1.0, 2.5, "1", "a"]),
-    )
-    row = st.one_of(
-        st.lists(letter, max_size=4),
-        st.lists(st.integers(min_value=1, max_value=n), min_size=1, max_size=4).map(sorted),
-    )
-    return n, draw(st.lists(row, max_size=4))
+    """A letter bound, a filling and a shape.
+
+    Half the fillings are a semistandard tableau with one letter moved by
+    one, at the edge of each rule.  The others are up to four rows of up to
+    four letters: ints in -1..n+1, bools, floats and strings, or a sorted
+    row of ints in 1..n.  The shape is the row lengths, followed by up to
+    two zeros, and in half the cases with one entry off by one or turned
+    into the bool or float of its value.
+    """
+    if draw(st.booleans()):
+        tableau = draw(tableau_st())
+        n, rows = tableau.n, [list(row) for row in tableau.rows]
+        if rows:
+            row = draw(st.sampled_from(rows))
+            row[draw(st.integers(min_value=0, max_value=len(row) - 1))] += draw(st.sampled_from([-1, 1]))
+    else:
+        n = draw(st.integers(min_value=1, max_value=4))
+        letter = st.one_of(
+            st.integers(min_value=-1, max_value=n + 1),
+            st.booleans(),
+            st.sampled_from([1.0, 2.5, "1", "a"]),
+        )
+        row = st.one_of(
+            st.lists(letter, max_size=4),
+            st.lists(st.integers(min_value=1, max_value=n), min_size=1, max_size=4).map(sorted),
+        )
+        rows = draw(st.lists(row, max_size=4))
+    shape = [len(row) for row in rows] + [0] * draw(st.integers(min_value=0, max_value=2))
+    if shape and draw(st.booleans()):
+        k = draw(st.integers(min_value=0, max_value=len(shape) - 1))
+        shape[k] = draw(st.sampled_from([shape[k] - 1, shape[k] + 1, bool(shape[k]), float(shape[k])]))
+    return n, shape, rows
 
 
+@settings(max_examples=400)
 @given(case=ragged_filling_st())
 def test_semistandard_is_exactly_what_validate_tableau_accepts(case):
-    n, rows = case
-    try:
-        validate_tableau(n, [len(row) for row in rows], rows)
-    except ValueError:
-        accepted = False
-    else:
-        accepted = True
-    assert ssyt.semistandard(n, rows) is accepted
+    # The one-walk accept against the ordered scans alone: with the walk
+    # patched to refuse, validate_tableau's verdict is the scans', so a walk
+    # that accepts too much fails here as well as one that accepts too little.
+    n, shape, rows = case
+    with patch.object(ssyt, "_semistandard", return_value=False):
+        try:
+            validate_tableau(n, shape, rows)
+        except ValueError:
+            accepted = False
+        else:
+            accepted = True
+    assert ssyt._semistandard(n, shape, rows) is accepted
 
 
 def test_far_east_reading_reference(reference):
