@@ -3,9 +3,13 @@
 A pattern maps to the tableau obtained by filling, for each letter i, the
 cells row i of the pattern adds over row i-1 with the letter i.  The
 inverse records the shape left after deleting letters larger than i, padded
-with zeros to i entries.  Each map's one guard is its image's validator;
-an invalid triangle raises ``RuntimeError`` with the message
-``validate_tableau`` gives for its filling against its top row.
+with zeros to i entries.  Each map's one guard is its image's validator,
+and an image it refuses is a defect of the program, not bad input: an
+invalid triangle raises ``RuntimeError("bijection produced an invalid
+tableau: ...")`` with the message ``validate_tableau`` gives for its filling
+against its top row, and an invalid tableau raises ``RuntimeError("bijection
+produced an invalid pattern: ...")`` with the message ``validate_pattern``
+gives for its rows.
 """
 
 from __future__ import annotations
@@ -49,6 +53,8 @@ def tableau_to_pattern(tableau: Tableau) -> GTPattern:
     """Row i of the pattern is the shape of the letters at most i, padded to i entries.
 
     Rows weakly increase, so the letters at most i form a prefix, found by bisection.
+    The rows are checked by ``validate_pattern``, whose error on any other
+    tableau is raised as RuntimeError.
     """
     n = tableau.n
     rows = []
@@ -56,7 +62,10 @@ def tableau_to_pattern(tableau: Tableau) -> GTPattern:
         shape_i = [bisect_right(row, i) for row in tableau.rows]
         shape_i = [count for count in shape_i if count > 0]
         rows.append(tuple(shape_i) + (0,) * (i - len(shape_i)))
-    return validate_pattern(n, rows)
+    try:
+        return validate_pattern(n, rows)
+    except ValueError as exc:
+        raise RuntimeError(f"bijection produced an invalid pattern: {exc}") from exc
 
 
 def letter_count_in_row(pattern: GTPattern, i: int, k: int) -> int:

@@ -23,6 +23,11 @@ def shape_sweep(max_boxes=MAX_BOXES, max_rank=MAX_RANK):
     return pairs
 
 
+def full_sweep():
+    """``shape_sweep()`` and the rank-5 spot shapes: the domain of the acceptance sweeps."""
+    return shape_sweep() + [(5, lam) for lam in SPOT_RANK_5_SHAPES]
+
+
 def recursive_crossing(letters, i):
     """Literal fixpoint oracle for the i-cancellation of a word.
 

@@ -47,8 +47,8 @@ from gtcrystal import (
 )
 from gtcrystal.gtpattern import reduced_long_word
 from sweeps import (
-    SPOT_RANK_5_SHAPES,
     epsilon_columns,
+    full_sweep,
     letter_count,
     lower_columns,
     lowering_edges,
@@ -69,12 +69,6 @@ def criterion(name):
         print(f"ACCEPTANCE {name}: FAIL", flush=True)
         raise
     print(f"ACCEPTANCE {name}: PASS", flush=True)
-
-
-def full_sweep():
-    pairs = shape_sweep()
-    pairs.extend((5, lam) for lam in SPOT_RANK_5_SHAPES)
-    return pairs
 
 
 def test_worked_example_pattern_operators():

@@ -576,6 +576,15 @@ def test_verify_with_repeated_element_is_internal_error(repeated_element, capsys
     assert (code, out, err) == (3, "", "internal error: elements are not distinct\n")
 
 
+def test_verify_with_invalid_tableau_is_internal_error(monkeypatch, capsys):
+    # A tableau enumerator that yields a non-tableau: the bijection refuses
+    # its preimage, a defect of the program (3), not bad input (2).
+    monkeypatch.setattr(ssyt, "enumerate_tableaux", lambda n, lam: iter([ssyt.Tableau(3, ((1, 1), (1,)))]))
+    code, out, err = run(capsys, "verify", "-n", "3", "-l", "2,1")
+    message = "bijection produced an invalid pattern: row with 1 slots has 2 entries"
+    assert (code, out, err) == (3, "", f"internal error: {message}\n")
+
+
 @pytest.mark.parametrize(
     "model, module, name", [("gtp", gtpattern, "lower_gtp"), ("ssyt", ssyt, "lower_ssyt")], ids=["gtp", "ssyt"]
 )

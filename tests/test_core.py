@@ -93,12 +93,6 @@ def test_row_count_and_alphabet_bound_must_be_positive_integers():
             assert str(caught.value) == f"{noun} must be a positive integer, got {bad!r}"
 
 
-def test_weyl_dimension_matches_enumeration():
-    for n in range(1, 5):
-        for lam in partitions_up_to(6, n):
-            assert weyl_dimension(n, lam) == len(list(enumerate_patterns(n, lam)))
-
-
 def test_coroot_pairing_values():
     assert coroot_pairing((2, 2, 0), 1) == 0
     assert coroot_pairing((2, 2, 0), 2) == 2

@@ -25,7 +25,7 @@ from gtcrystal import (
     verify_isomorphism,
     weight_gtp,
 )
-from sweeps import SPOT_RANK_5_SHAPES, lowering_edges, shape_sweep
+from sweeps import full_sweep, lowering_edges, shape_sweep
 
 
 @pytest.fixture
@@ -102,7 +102,7 @@ def test_graphs_by_value_over_the_sweep():
     # lowering images, its edges join all the elements into one component with
     # one highest-weight element, and the bijection maps the pattern edges one
     # to one onto the tableau edges (the twin graphs).
-    for n, lam in shape_sweep() + [(5, lam) for lam in SPOT_RANK_5_SHAPES]:
+    for n, lam in full_sweep():
         pm, tm = pattern_model(n), tableau_model(n)
         patterns, tableaux = list(enumerate_patterns(n, lam)), list(enumerate_tableaux(n, lam))
         graphs = {}

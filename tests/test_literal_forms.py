@@ -13,7 +13,7 @@ from hypothesis import given
 
 from conftest import pattern_st
 from gtcrystal import diamond_a, diamond_b, enumerate_patterns, sum_a, sum_b, weight_expressions
-from test_acceptance import full_sweep
+from sweeps import full_sweep
 
 
 def a_by_entry(p, i, j):

@@ -7,18 +7,38 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gtcrystal"
 
 
+def package_trees():
+    """The package modules' syntax trees, by file name."""
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def definition(tree, name):
+    """The module-level function ``name`` of ``tree``."""
+    return next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def optimized_away(trees):
+    """The package modules, by file name, with an assert statement or a ``__debug__`` read."""
+    return {
+        name
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert) or "__debug__" in (getattr(node, "id", None), getattr(node, "attr", None))
+    }
+
+
 def test_package_has_no_assert_statements():
-    # ``python -O`` strips assert statements, so an internal invariant written
-    # as one stops being checked; the package raises exceptions instead.
-    modules = sorted(PACKAGE.glob("*.py"))
-    assert len(modules) >= 7
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in modules
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
-        if isinstance(node, ast.Assert)
-    ]
-    assert found == []
+    # ``python -O`` strips assert statements and sets ``__debug__`` to False,
+    # so an internal invariant written with either stops being checked; the
+    # package raises exceptions instead.  With neither in the source, every
+    # check runs the same under -O as its in-process test sees it, and
+    # test_cli's test_exit_codes_hold_under_optimize runs the CLI once under -O.
+    trees = package_trees()
+    assert len(trees) >= 7 and optimized_away(trees) == set()
+    # The rule sees a __debug__ read slipped into gtpattern.py.
+    datum = definition(trees["gtpattern.py"], "string_datum")
+    datum.body.insert(0, ast.parse("if __debug__:\n    pass").body[0])
+    assert optimized_away(trees) == {"gtpattern.py"}
 
 
 def test_every_public_definition_is_used():
@@ -87,27 +107,41 @@ def test_no_package_function_calls_itself():
     assert found == []
 
 
-def test_no_module_reads_another_modules_private_names():
-    # A ``_``-prefixed name is private to its module: no other package module
-    # imports it or reads it as an attribute of the module.
+def private_reads(trees):
+    """Each ``_``-prefixed name that a package module imports from, or reads off, another package module."""
     found = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        modules = set()  # local names of package modules bound by ``from . import m``
+    for name, tree in trees.items():
+        # Local names of package modules: ``m`` or ``x`` bound by ``from . import m [as x]`` or
+        # ``import gtcrystal.m as x``, and the dotted ``gtcrystal.m`` bound by ``import gtcrystal.m``.
+        modules = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("gtcrystal")):
                 if node.module in (None, "gtcrystal"):
                     modules.update(alias.asname or alias.name for alias in node.names)
-                found += [f"{path.name}:{node.lineno} {a.name}" for a in node.names if a.name.startswith("_")]
+                found += [f"{name}:{node.lineno} {a.name}" for a in node.names if a.name.startswith("_")]
+            if isinstance(node, ast.Import):
+                modules.update(alias.asname or alias.name for alias in node.names if alias.name.startswith("gtcrystal"))
         found += [
-            f"{path.name}:{node.lineno} {node.value.id}.{node.attr}"
+            f"{name}:{node.lineno} {ast.unparse(node)}"
             for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id in modules
-            and node.attr.startswith("_")
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_") and ast.unparse(node.value) in modules
         ]
-    assert found == []
+    return found
+
+
+def test_no_module_reads_another_modules_private_names():
+    # A ``_``-prefixed name is private to its module: no other package module
+    # imports it or reads it as an attribute of the module.  So the private
+    # walks (``ssyt._semistandard``, ``gtpattern._interleaving``) run only
+    # behind their module's public validator.
+    trees = package_trees()
+    assert private_reads(trees) == []
+    # The rule sees a private import slipped into bijection.py, and a read through ``import gtcrystal.m as x``.
+    mapper = definition(trees["bijection.py"], "pattern_to_tableau").body
+    mapper[0:0] = ast.parse("from .ssyt import _semistandard").body
+    assert private_reads(trees) == ["bijection.py:1 _semistandard"]
+    mapper[0:0] = ast.parse("import gtcrystal.ssyt as s\ns._semistandard(n, shape, grid)").body
+    assert private_reads(trees) == ["bijection.py:1 _semistandard", "bijection.py:2 s._semistandard"]
 
 
 def check_functions(tree):
@@ -275,40 +309,6 @@ def test_the_oracles_share_no_code_they_check():
     assert checked_code_in(tree) == {"_with_cell_changed"}
     tree.body.insert(0, ast.parse("from gtcrystal import ssyt\nssyt.lower_ssyt").body[1])
     assert checked_code_in(tree) == {"_with_cell_changed", "lower_ssyt"}
-
-
-
-def definition(tree, name):
-    """The module-level function ``name`` of ``tree``."""
-    return next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name)
-
-
-def package_trees():
-    """The package modules' syntax trees, by file name."""
-    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
-
-
-def semistandard_callers(trees):
-    """The package modules, by file name, whose code calls ``_semistandard`` by name or as an attribute."""
-    return {
-        name
-        for name, tree in trees.items()
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and "_semistandard" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
-    }
-
-
-def test_only_the_tableau_validator_runs_the_semistandard_walk():
-    # Only ssyt.py calls _semistandard, as validate_tableau's first step; the
-    # bijection reaches it only through the validator, so the rule for "this
-    # filling is a tableau of this shape" has one home.
-    trees = package_trees()
-    assert semistandard_callers(trees) == {"ssyt.py"}
-    # The rule sees the walk slipped into the bijection.
-    mapper = definition(trees["bijection.py"], "pattern_to_tableau")
-    mapper.body.insert(0, ast.parse("ssyt._semistandard(n, shape, grid)").body[0])
-    assert semistandard_callers(trees) == {"ssyt.py", "bijection.py"}
 
 
 def label_raisers(trees):
