@@ -1,12 +1,13 @@
 """Model-agnostic crystal contract and verification.
 
 A model bundles the crystal data callables for one element type at a fixed
-rank.  Elements are frozen, hashable values and are compared, indexed and
-deduplicated by value.  The canonical key (``render_key``: the JSON
-serialization with sorted fields) is only the output form, stable across
-models, runs and processes.  A violation keeps the elements and values it
-found and renders them once, when its report is rendered; the CLI renders
-the keys of the elements and graph vertices it prints.
+rank.  Elements are immutable, hashable values, named tuples with a type tag
+(``GTPattern``, ``Tableau``), and are compared, indexed and deduplicated by
+value, in C.  The canonical key (``render_key``: the JSON serialization with
+sorted fields) is only the output form, stable across models, runs and
+processes.  A violation keeps the elements and values it found and renders
+them once, when its report is rendered; the CLI renders the keys of the
+elements and graph vertices it prints.
 
 Every check is a ``verify_*`` function that takes what it reads and returns
 its ``Report``; ``verify_shape``, the one verification engine, evaluates

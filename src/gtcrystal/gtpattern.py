@@ -26,10 +26,9 @@ and builds rows in that order too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain, product
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator, NamedTuple, Optional
 
 from .core import (
     MAX_LEVELS,
@@ -58,12 +57,20 @@ class InterleaveError(ValueError):
         self.j = j
 
 
-@dataclass(frozen=True)
-class GTPattern:
-    """Immutable Gelfand-Tsetlin pattern; construct via ``validate_pattern``."""
+class GTPattern(NamedTuple):
+    """Immutable Gelfand-Tsetlin pattern; construct via ``validate_pattern``.
+
+    A named tuple, not a frozen dataclass: ``verify`` keys almost every step
+    by element value, and a tuple hashes, compares and reads its fields in
+    C, where the dataclass runs a Python ``__hash__`` or ``__eq__`` that
+    re-hashes or re-compares every row.  The trailing tag ``kind`` keeps a
+    pattern unequal to the ``Tableau`` with the same n and rows, and to a
+    bare tuple of them; ``to_dict`` leaves it out.
+    """
 
     n: int
     rows: tuple[tuple[int, ...], ...]
+    kind: str = "pattern"
 
     def entry(self, i: int, j: int) -> int:
         """Entry j of row i (1-based); 0 outside the triangle 1 <= j <= i <= n."""

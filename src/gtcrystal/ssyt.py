@@ -14,7 +14,6 @@ Cells are addressed by 1-based (row, column) pairs throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, partial
 from itertools import accumulate, chain, combinations_with_replacement
 from operator import itemgetter, le, lt
@@ -40,12 +39,18 @@ class AlphabetError(TableauError):
     """A letter lies outside 1..n."""
 
 
-@dataclass(frozen=True)
-class Tableau:
-    """Immutable semistandard tableau; construct via ``validate_tableau``."""
+class Tableau(NamedTuple):
+    """Immutable semistandard tableau; construct via ``validate_tableau``.
+
+    A named tuple for the reason ``GTPattern`` is one: hashing, equality and
+    field reads run in C.  The trailing tag ``kind`` keeps a tableau unequal
+    to the ``GTPattern`` with the same n and rows, and to a bare tuple of
+    them; ``to_dict`` leaves it out.
+    """
 
     n: int
     rows: tuple[tuple[int, ...], ...]
+    kind: str = "tableau"
 
     @property
     def shape(self) -> Partition:
@@ -153,8 +158,10 @@ def validate_tableau(n: int, shape: Sequence[int], rows: Any) -> Tableau:
 class ReadingWord(NamedTuple):
     """Letters in far-eastern order with the originating cell of each letter.
 
-    A named tuple, not a frozen dataclass: every tableau query builds one, and
-    the dataclass ``__init__`` sets each field through ``object.__setattr__``.
+    A named tuple, like ``Tableau`` itself: every tableau query builds one, and
+    a frozen dataclass ``__init__`` would set each field through
+    ``object.__setattr__``.  It carries no type tag, since it is only ever
+    compared with other reading words.
     ``far_east_reading`` builds it with ``tuple.__new__``, skipping the
     Python-level ``__new__`` that ``NamedTuple`` generates.
     """

@@ -7,7 +7,6 @@ import json
 import os
 import subprocess
 import sys
-import weakref
 from pathlib import Path
 
 import pytest
@@ -586,28 +585,42 @@ def test_verify_with_invalid_tableau_is_internal_error(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "model, module, name", [("gtp", gtpattern, "lower_gtp"), ("ssyt", ssyt, "lower_ssyt")], ids=["gtp", "ssyt"]
+    "model, module, name, element",
+    [("gtp", gtpattern, "lower_gtp", gtpattern.GTPattern), ("ssyt", ssyt, "lower_ssyt", ssyt.Tableau)],
+    ids=["gtp", "ssyt"],
 )
 @pytest.mark.parametrize("fmt", ["json", "dot"])
-def test_graph_keeps_no_lowering_image(monkeypatch, capsys, model, module, name, fmt):
+def test_graph_keeps_no_lowering_image(monkeypatch, capsys, model, module, name, element, fmt):
     # graph lowers each element once per label, numbers each edge as it is
     # made and then drops its image, so when the next image is made at most
     # the last one or two are still alive, not every image made so far.
+    # An element is a tuple and cannot be weakly referenced, so each image is
+    # handed out as a copy whose class counts it out of ``live`` when it is
+    # freed; as a tuple it still equals, and hashes as, its vertex.
     lower = getattr(module, name)
-    images = []
+    live = [0]
+    made = []
     alive = []
 
-    def tracked(element, i):
-        alive.append(sum(ref() is not None for ref in images))
-        image = lower(element, i)
-        if image is not None:
-            images.append(weakref.ref(image))
-        return image
+    class Counted(element):
+        __slots__ = ()
+
+        def __del__(self):
+            live[0] -= 1
+
+    def tracked(u, i):
+        alive.append(live[0])
+        image = lower(u, i)
+        if image is None:
+            return None
+        live[0] += 1
+        made.append(i)
+        return Counted(*image)
 
     monkeypatch.setattr(module, name, tracked)
     code, out, _ = run(capsys, "graph", "-n", "4", "-l", "3,1", "--model", model, "--format", fmt)
     assert code == 0 and out
-    assert len(images) > 40
+    assert len(made) > 40
     assert len(alive) == 45 * 3  # dim B(3,1) at n = 4, times the labels 1..3
     assert max(alive) <= 2
 

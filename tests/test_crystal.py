@@ -1,4 +1,6 @@
+import cProfile
 import json
+import pstats
 import tracemalloc
 from dataclasses import replace
 
@@ -619,3 +621,13 @@ def test_connected_unique_source_witness(monkeypatch, name, mutant, limit, witne
     assert shape2_check("connected-unique-source") == rendered_report(
         [("connected-unique-source", keys, None, "1 component with 1 source", actual)]
     )
+
+
+def test_verify_runs_no_python_hash_or_equality():
+    # Elements are tuples: interning, the rows and weights maps, every check
+    # and the cached bijection maps hash and compare them in C, so a profile
+    # of one verify shows no Python-level __hash__, __eq__ or __ne__ frame.
+    profile = cProfile.Profile()
+    assert profile.runcall(crystal.verify_shape, 3, (2, 1))["pass"]
+    frames = [key for key in pstats.Stats(profile).stats if key[2] in {"__hash__", "__eq__", "__ne__"}]
+    assert frames == []

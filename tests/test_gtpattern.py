@@ -11,6 +11,7 @@ from gtcrystal import (
     LengthError,
     NonNegativityError,
     ShapeError,
+    Tableau,
     TableauError,
     along_word,
     coroot_pairing,
@@ -482,6 +483,40 @@ def test_pattern_serialization_round_trip(worked):
     assert GTPattern.from_dict(worked.to_dict()) == worked
     with pytest.raises(ShapeError):
         GTPattern.from_dict({"n": 3})
+
+
+def test_a_pattern_never_equals_a_tableau_or_a_bare_tuple():
+    # Elements are named tuples with a trailing type tag, so a pattern and a
+    # tableau with the same n and rows are two values, and neither is the
+    # bare tuple of its fields.
+    pattern, tableau, bare = GTPattern(1, ((1,),)), Tableau(1, ((1,),)), (1, ((1,),))
+    assert pattern != tableau and tableau != pattern
+    assert not pattern == tableau
+    assert pattern != bare and tableau != bare
+    assert len({pattern, tableau, bare}) == 3
+
+
+def test_pattern_fields_cannot_be_assigned(worked):
+    with pytest.raises(AttributeError):
+        worked.rows = ((3, 1, 0), (3, 1), (3,))
+    with pytest.raises(AttributeError):
+        worked.n = 2
+    assert worked == validate_pattern(3, [[3, 1, 0], [3, 1], [2]])
+
+
+def test_operator_images_are_the_validated_and_enumerated_patterns():
+    # An operator image equals, and hashes as, the pattern validate_pattern
+    # builds from its rows and the pattern the enumerator yields.
+    n = 4
+    patterns = list(enumerate_patterns(n, (3, 1)))
+    number = {p: k for k, p in enumerate(patterns)}
+    images = [q for p in patterns for i in range(1, n) for q in (lower_gtp(p, i), raise_gtp(p, i)) if q is not None]
+    assert len(images) > len(patterns)
+    for q in images:
+        built = validate_pattern(n, [list(row) for row in q.rows])
+        enumerated = patterns[number[q]]
+        assert q == built == enumerated
+        assert hash(q) == hash(built) == hash(enumerated)
 
 
 def test_pretty_renders_triangle(worked):

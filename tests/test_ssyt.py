@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import tableau_st, word_st
-from gtcrystal import crystal, ssyt
+from gtcrystal import bijection, crystal, ssyt
 from gtcrystal import (
     AlphabetError,
     ColumnOrderError,
@@ -505,3 +505,37 @@ def test_serialization_round_trip(reference):
     assert Tableau.from_dict(reference.to_dict()) == reference
     with pytest.raises(ShapeError):
         Tableau.from_dict({"n": 2, "rows": [[1]]})
+
+
+def test_tableau_fields_cannot_be_assigned(reference):
+    with pytest.raises(AttributeError):
+        reference.rows = ()
+    with pytest.raises(AttributeError):
+        reference.n = 1
+    assert reference == Tableau.from_dict(reference.to_dict())
+
+
+def test_operator_images_are_the_validated_and_enumerated_tableaux():
+    # An operator image equals, and hashes as, the tableau validate_tableau
+    # builds from its rows and the tableau the enumerator yields.
+    n, shape = 4, (3, 1)
+    tableaux = list(enumerate_tableaux(n, shape))
+    number = {t: k for k, t in enumerate(tableaux)}
+    images = [u for t in tableaux for i in range(1, n) for u in (lower_ssyt(t, i), raise_ssyt(t, i)) if u is not None]
+    assert len(images) > len(tableaux)
+    for u in images:
+        built = validate_tableau(n, shape, [list(row) for row in u.rows])
+        enumerated = tableaux[number[u]]
+        assert u == built == enumerated
+        assert hash(u) == hash(built) == hash(enumerated)
+
+
+def test_verify_rejects_a_bijection_that_returns_its_argument(monkeypatch):
+    # At n = 1 the pattern and the tableau of shape (1,) have the same n and
+    # rows; only the type tag keeps them apart, so an identity "bijection"
+    # must still miss the tableaux and fail the round trip.
+    monkeypatch.setattr(bijection, "pattern_to_tableau", lambda p: p)
+    record = crystal.verify_shape(1, (1,))
+    failed = {name: [d["rule"] for d in c["details"]] for name, c in record["checks"].items() if not c["pass"]}
+    assert failed == {"isomorphism": ["surjective", "into-target"], "round-trip": ["round-trip"]}
+    assert record["pass"] is False
