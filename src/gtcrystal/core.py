@@ -1,8 +1,10 @@
-"""Foundational value types: partitions, weights, dimension oracle.
+"""Foundational value types: partitions, weights, dimension oracle, formal linear forms.
 
 Partitions and weights are plain integer tuples.  A partition is stored in
 canonical form with no trailing zeros; padding to a declared length is always
 an explicit operation.  All arithmetic is exact integer arithmetic.
+``Linear`` is a formal linear form, the entry type of the pattern on which
+``crystal.verify_identities`` proves the identity checks once per rank.
 """
 
 from __future__ import annotations
@@ -113,6 +115,63 @@ def weyl_dimension(n: int, lam: Partition) -> int:
     if num % den:
         raise RuntimeError(f"Weyl quotient {num}/{den} is not exact")
     return num // den
+
+
+class Linear:
+    """A formal linear form with integer coefficients, such as a pattern entry x_(i,j).
+
+    ``terms`` maps each variable to its nonzero coefficient, the constant
+    under the key ``()``; a form is never changed once made.  Forms add and
+    subtract with each other and with integers, and any other operation
+    raises ``TypeError``.  A formal entry has no value, so ``==``, ``!=``,
+    the orderings and ``bool`` raise ``TypeError`` too, and a form has no
+    hash: code that branches on an entry's value stops with an error, and a
+    computation that finishes on formal entries did the same sums for every
+    value of them.  Two forms are compared through ``(x - y).terms``.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict) -> None:
+        self.terms = terms
+
+    def _merged(self, other: Any, sign: int) -> "Linear":
+        """self + sign * other, or NotImplemented unless ``other`` is a form or an integer."""
+        if isinstance(other, Linear):
+            other = other.terms
+        elif isinstance(other, int):
+            if not other:
+                return self
+            other = {(): other}
+        else:
+            return NotImplemented
+        terms = dict(self.terms)
+        for var, c in other.items():
+            if total := terms.get(var, 0) + sign * c:
+                terms[var] = total
+            else:
+                del terms[var]
+        return Linear(terms)
+
+    def __add__(self, other: Any) -> "Linear":
+        return self._merged(other, 1)
+
+    def __sub__(self, other: Any) -> "Linear":
+        return self._merged(other, -1)
+
+    def __rsub__(self, other: Any) -> "Linear":
+        return (-self)._merged(other, 1)
+
+    def __neg__(self) -> "Linear":
+        return Linear({var: -c for var, c in self.terms.items()})
+
+    __radd__ = __add__
+
+    def _refuse(self, *_other: Any) -> bool:
+        raise TypeError("a formal entry has no value to compare or test")
+
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = __bool__ = _refuse
+    __hash__ = None  # type: ignore[assignment]
 
 
 def coroot_pairing(weight: Weight, i: int) -> int:

@@ -16,6 +16,7 @@ from gtcrystal import (
     validate_tableau,
     weyl_dimension,
 )
+from gtcrystal.core import Linear
 
 
 def test_as_partition_strips_trailing_zeros():
@@ -145,3 +146,24 @@ def test_partitions_up_to_counts():
                 for p in sorted((q for q in every if sum(q) == size and len(q) <= max_parts), reverse=True)
             ]
             assert partitions_up_to(max_size, max_parts) == expected
+
+
+def test_a_formal_entry_has_no_value():
+    # verify proves the identity checks on formal entries; a form that could
+    # be compared, tested for truth or hashed could branch on an entry's value
+    # and make the proof cover only one branch.
+    x, y = Linear({"x": 1}), Linear({"y": 1})
+    for refused in (lambda: x == y, lambda: x != 0, lambda: bool(x), lambda: x < y, lambda: 0 >= x):
+        with pytest.raises(TypeError, match="^a formal entry has no value to compare or test$"):
+            refused()
+    for unhashable in (lambda: hash(x), lambda: {x}):
+        with pytest.raises(TypeError, match="unhashable type"):
+            unhashable()
+    # Forms add and subtract with each other and with integers, and nothing else.
+    assert (x + 2 - y).terms == {"x": 1, (): 2, "y": -1}
+    assert (5 - x + x).terms == {(): 5} and (x - x).terms == {} and (-x).terms == {"x": -1}
+    for other in (0.5, None, "x"):
+        with pytest.raises(TypeError):
+            x + other
+    with pytest.raises(TypeError):
+        x * 2

@@ -11,11 +11,19 @@ on an entry's value (``_a`` plus 1 where ``rows[0][0] == 7``) stops the
 proof with an error.  The identities are compared through ``(x - y).terms``.
 A mutant that is linear in the entries (a sign flip in ``_a``, an
 off-by-one range in ``sum_b``) breaks an identity.
+
+``verify`` runs the same kind of proof, per rank, with ``core.Linear``.  This
+file keeps its own ``Linear`` and its own list of identities, written from
+the paper rather than from ``crystal``: an oracle routed through the code it
+checks would share that code's defects.
 """
+
+import functools
 
 import pytest
 
-from gtcrystal import GTPattern, coroot_pairing, gtpattern
+from gtcrystal import GTPattern, bijection, coroot_pairing, crystal, enumerate_patterns, gtpattern
+from test_reference_checks import reference_identity_counts
 
 
 class Linear:
@@ -101,3 +109,21 @@ def test_linear_mutants_fire(monkeypatch):
     monkeypatch.setattr(gtpattern, "_a", lambda p, i, j: a(p, i, j) + 1 if p.rows[0][0] == 7 else a(p, i, j))
     with pytest.raises(TypeError, match="^a formal entry has no value to compare or test$"):
         linear_violations(4)
+
+
+@pytest.mark.parametrize("name", ["_a", "sum_b"])
+def test_verify_counts_the_linear_mutants_as_the_oracle_does(monkeypatch, name):
+    # The two linear mutants of test_linear_mutants_fire: verify's own formal
+    # check fails under each, so every pattern is walked and both identity
+    # counts are the index-by-index oracle's.
+    a, b = gtpattern._a, gtpattern._b
+    mutants = {
+        "_a": lambda p, i, j: -a(p, i, j),
+        "sum_b": lambda p, i, j: sum(b(p, i, k) for k in range(1, j)),
+    }
+    patterns = list(enumerate_patterns(4, (3, 2, 1)))
+    image = functools.cache(bijection.pattern_to_tableau)
+    assert len(patterns) >= crystal.FORMAL_MIN_PATTERNS
+    monkeypatch.setattr(gtpattern, name, mutants[name])
+    counts = tuple(report.found for report in crystal.verify_identities(patterns, image))
+    assert counts == reference_identity_counts(patterns, image) and all(counts)

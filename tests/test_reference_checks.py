@@ -16,10 +16,13 @@ oracle, which builds its images without that write.
 """
 
 import functools
+import itertools
 
 import pytest
 
 from gtcrystal import (
+    GTPattern,
+    Tableau,
     bijection,
     cli,
     crystal,
@@ -29,6 +32,7 @@ from gtcrystal import (
     ssyt,
     validate_tableau,
 )
+from gtcrystal.core import Linear
 from sweeps import lowering_edges, shape_sweep, uncrossed_cells
 from test_acceptance import dual_route_mismatches
 
@@ -241,9 +245,54 @@ def test_each_reference_value_is_computed_once(monkeypatch):
     rendering = counted(monkeypatch, crystal, ["render_key"])
     assert crystal.verify_shape(n, lam)["pass"]
     assert images == {"pattern_to_tableau": len(patterns), "tableau_to_pattern": len(tableaux)}
-    assert sum(literals.values()) == len(patterns) * sum(4 * i + 6 for i in range(1, n))
+    # One formal walk proves the identities at rank 5; the 45 patterns read no literal value.
+    assert len(patterns) >= crystal.FORMAL_MIN_PATTERNS
+    assert sum(literals.values()) == sum(4 * i + 6 for i in range(1, n))
     # Keys are rendered only to name a violation, and a passing shape has none.
     assert rendering == {"render_key": 0}
+
+
+def formal_walks(monkeypatch):
+    """The patterns of formal entries that ``diamond_a``, the first literal value of a walk, reads."""
+    seen = []
+    diamond_a = gtpattern.diamond_a
+
+    def recording(p, i, j):
+        if isinstance(p.rows[0][0], Linear) and not any(q is p for q in seen):
+            seen.append(p)
+        return diamond_a(p, i, j)
+
+    monkeypatch.setattr(gtpattern, "diamond_a", recording)
+    return seen
+
+
+def test_an_unproved_rank_walks_each_pattern_once(monkeypatch):
+    # A rank with fewer patterns than the cutoff is never evaluated formally:
+    # each pattern reads every literal value once.
+    literals = counted(monkeypatch, gtpattern, ["diamond_a", "diamond_b", "sum_a", "sum_b"])
+    formal = formal_walks(monkeypatch)
+    patterns = list(enumerate_patterns(5, (1,)))
+    assert len(patterns) < crystal.FORMAL_MIN_PATTERNS
+    assert crystal.verify_shape(5, (1,))["pass"]
+    assert sum(literals.values()) == len(patterns) * sum(4 * i + 6 for i in range(1, 5)) and formal == []
+    # A form that branches on an entry's value stops the formal walk at its
+    # first literal value, and every pattern of the rank is walked instead.
+    a = gtpattern._a
+    monkeypatch.setattr(gtpattern, "_a", lambda p, i, j: a(p, i, j) + 1 if p.rows[0][0] == 7 else a(p, i, j))
+    for name in literals:
+        literals[name] = 0
+    patterns = list(enumerate_patterns(5, (2, 1, 1)))
+    assert crystal.verify_shape(5, (2, 1, 1))["pass"]
+    assert literals["diamond_a"] == 1 + len(patterns) * sum(i + 1 for i in range(1, 5))
+    assert sum(literals.values()) == 1 + len(patterns) * sum(4 * i + 6 for i in range(1, 5)) and len(formal) == 1
+
+
+def test_one_large_pattern_is_walked_not_proved(monkeypatch):
+    # verify -n N -l '' has one pattern: a formal walk would cost far more than
+    # its one literal walk, which grows only as N^3.
+    formal = formal_walks(monkeypatch)
+    assert crystal.verify_shape(40, ())["pass"]
+    assert formal == []
 
 
 def test_lowering_edges_render_no_key(monkeypatch):
@@ -320,9 +369,21 @@ def test_identity_counts_match_an_index_by_index_oracle(monkeypatch):
     for n, lam in shape_sweep():
         found = list(enumerate_patterns(n, lam))
         patterns += found[:1] + found[1:][-1:]
+    # Ranks 2 to 4 have at least FORMAL_MIN_PATTERNS patterns here, so each
+    # call proves them formally; a bump must break a proof and be counted by
+    # the walk that follows.
+    proofs = []
+    holds = crystal._holds_formally
+
+    def recording(n):
+        proofs.append((n, holds(n)))
+        return proofs[-1][1]
+
+    monkeypatch.setattr(crystal, "_holds_formally", recording)
     image = functools.cache(bijection.pattern_to_tableau)
     assert [report.found for report in crystal.verify_identities(patterns, image)] == [0, 0]
     assert reference_identity_counts(patterns, image) == (0, 0)
+    assert sorted(proofs) == [(2, True), (3, True), (4, True)]
     bumps = [
         (module, name, (level, index), _bumped(getattr(module, name), level, index))
         for module, name, levels, indices in (
@@ -343,8 +404,32 @@ def test_identity_counts_match_an_index_by_index_oracle(monkeypatch):
     ]
     assert len(bumps) == 9 + 9 + 12 + 12 + 16 + 12
     for module, name, where, bumped in bumps:
-        monkeypatch.setattr(module, name, bumped)
-        package = tuple(report.found for report in crystal.verify_identities(patterns, image))
-        assert package == reference_identity_counts(patterns, image), (name, where)
+        proofs.clear()
+        with monkeypatch.context() as bump:
+            bump.setattr(module, name, bumped)
+            package = tuple(report.found for report in crystal.verify_identities(patterns, image))
+            assert package == reference_identity_counts(patterns, image), (name, where)
         assert any(package), (name, where)
-        monkeypatch.undo()
+        assert sorted(n for n, _ in proofs) == [2, 3, 4] and not all(held for _, held in proofs), (name, where)
+
+
+def test_identity_counts_stay_exact_off_interleaving():
+    # Rank-3 triangles with entries 0..2 whose letter counts entry(i, k) -
+    # entry(i-1, k) are all non-negative, though their rows need not
+    # interleave.  Each one's image is the filling with exactly those counts,
+    # so the proved rank reads a_0 > 0 and b_(i+1) > 0 off the gap signs
+    # alone; the counts must equal the oracle's.  Only b_(i+1) > 0 occurs:
+    # a_0 at level i is minus the count of letter i+1 in row 1.
+    def filling(p):
+        counts = [[p.entry(i, k) - p.entry(i - 1, k) for i in range(1, 4)] for k in range(1, 4)]
+        return Tableau(3, tuple(tuple(i for i, m in enumerate(row, 1) for _ in range(m)) for row in counts))
+
+    triangles = itertools.product(*(itertools.product(range(3), repeat=k) for k in (3, 2, 1)))
+    patterns = [
+        p
+        for p in (GTPattern(3, rows) for rows in triangles)
+        if all(p.entry(i, k) >= p.entry(i - 1, k) for i in range(1, 4) for k in range(1, 4))
+    ]
+    counts = reference_identity_counts(patterns, filling)
+    assert len(patterns) >= crystal.FORMAL_MIN_PATTERNS and counts[0] == 0 < counts[1]
+    assert tuple(report.found for report in crystal.verify_identities(patterns, filling)) == counts

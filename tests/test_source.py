@@ -388,3 +388,64 @@ def test_the_literal_forms_and_the_kernel_share_no_code():
     assert crossings(tree) == {("sum_a", "_scan")}
     definition(tree, "lower_gtp").body.insert(0, ast.parse("diamond_a(pattern, i, 1)").body[0])
     assert crossings(tree) == {("sum_a", "_scan"), ("lower_gtp", "diamond_a")}
+
+
+# The literal forms that verify proves once per rank on formal entries, by module.
+PROVED_FORMS = {
+    "gtpattern.py": {"_a", "_b", "diamond_a", "diamond_b", "sum_a", "sum_b", "weight_gtp", "weight_expressions"},
+    "bijection.py": {"letter_count_in_row"},
+}
+# The builtins they may name: each builds or walks values and none tells a formal entry from an int.
+PURE_BUILTINS = {"range", "reversed", "sum", "tuple", "len", "zip", "enumerate", "IndexError"}
+
+
+def hidden_reads(trees):
+    """Each name a proved form reads beyond its arguments, its locals, the
+    proved forms, ``require_label`` and ``PURE_BUILTINS``, with each default
+    argument and each ``global`` or ``nonlocal`` statement in one."""
+    allowed = set().union(*PROVED_FORMS.values(), PURE_BUILTINS, {"require_label"})
+    found = []
+    for module, names in PROVED_FORMS.items():
+        for name in sorted(names):
+            function = definition(trees[module], name)
+            nodes = [sub for statement in function.body for sub in ast.walk(statement)]
+            local = {node.arg for node in ast.walk(function) if isinstance(node, ast.arg)}
+            local |= {node.id for node in nodes if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+            for node in nodes:
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in local | allowed:
+                    found.append(f"{name} reads {node.id}")
+                # An attribute of anything but an argument or a local, such as sum_a.calls, is state too.
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id not in local:
+                    found.append(f"{name} reads {ast.unparse(node)}")
+                if isinstance(node, (ast.Global, ast.Nonlocal)):
+                    found.append(f"{name} declares {', '.join(node.names)}")
+            found += [f"{name} has a default" for _ in function.args.defaults + function.args.kw_defaults]
+    return found
+
+
+def test_the_proved_forms_read_only_their_arguments():
+    # verify evaluates the literal forms once per rank on a pattern of formal
+    # entries and trusts the result for every pattern of that rank.  That
+    # holds only for forms that are functions of their arguments: a form that
+    # counts its calls, caches, or tells a formal entry from an int by its
+    # type, would do something on formal entries that it does not do on a
+    # pattern.  So each reads nothing but its arguments, its locals, the other
+    # proved forms, require_label and a few value-only builtins.
+    trees = package_trees()
+    assert hidden_reads(trees) == []
+    # The rule sees a hidden call counter slipped into sum_a, through a module
+    # list, a global, a function attribute and a mutable default, and a type
+    # test slipped into _a.
+    sum_a = definition(trees["gtpattern.py"], "sum_a")
+    sum_a.body[1:1] = ast.parse("_CALLS.append(j)\nglobal calls\ncalls += 1\nsum_a.calls += 1").body
+    sum_a.args.defaults.append(ast.parse("[]").body[0].value)
+    definition(trees["gtpattern.py"], "_a").body.insert(0, ast.parse("if type(p.rows[0][0]) is int:\n    pass").body[0])
+    assert hidden_reads(trees) == [
+        "_a reads int",
+        "_a reads type",
+        "sum_a reads _CALLS.append",
+        "sum_a reads _CALLS",
+        "sum_a declares calls",
+        "sum_a reads sum_a.calls",
+        "sum_a has a default",
+    ]
