@@ -9,6 +9,7 @@ an explicit operation.  All arithmetic is exact integer arithmetic.
 
 from __future__ import annotations
 
+import sys
 from math import comb
 from typing import Any, Iterable
 
@@ -47,6 +48,13 @@ def require_positive(value: Any, noun: str) -> None:
     """Raise ShapeError naming ``noun`` unless ``value`` is a positive integer."""
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise ShapeError(f"{noun} must be a positive integer, got {quote(value)}")
+
+
+def require_enumerable(lam: Partition) -> None:
+    """Raise ShapeError naming the largest part of the partition ``lam`` unless
+    it is below ``sys.maxsize``, the longest ``range`` an enumerator can walk."""
+    if lam and lam[0] >= sys.maxsize:
+        raise ShapeError(f"part {quote(lam[0])} is too large to enumerate: parts must be below {sys.maxsize}")
 
 
 def require_label(n: int, i: int) -> None:

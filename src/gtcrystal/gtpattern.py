@@ -8,12 +8,11 @@ four adjacent entries, partial sums of those, and maxima of the partial sums.
 One scan over three adjacent rows gives phi (the maximum of the partial sums
 A_j), epsilon = phi - A_0 (as B_j = A_j - A_0) and both tie-broken indices;
 ``diamond_a``, ``diamond_b``, ``sum_a``, ``sum_b`` and ``weight_expressions``
-keep the literal entry-by-entry forms as the reference.  Each literal call
-sums its own diamonds, one ``_a`` or ``_b`` call per diamond added in a plain
-``for`` loop (a generator under ``sum`` costs a frame resume per term), and
-each diamond reads its four entries straight from the row tuples, with the
-bound of ``entry`` written out on every term; the literal forms and the
-kernel never call each other.  ``validate_pattern`` accepts a plain-typed
+keep the literal entry-by-entry forms as the reference, written as the
+paper writes them: each literal call sums its own diamonds, and each diamond
+is its four ``entry`` reads, so the one bound of ``entry`` (0 outside the
+triangle) covers every literal read.  The literal forms and the kernel never
+call each other.  ``validate_pattern`` accepts a plain-typed
 pattern in one walk and words any other input's first fault with ordered
 scans.
 
@@ -39,6 +38,7 @@ from .core import (
     as_rows,
     pad,
     quote,
+    require_enumerable,
     require_label,
     require_positive,
 )
@@ -178,29 +178,13 @@ def validate_pattern(n: int, rows: Any) -> GTPattern:
 
 
 def _a(p: GTPattern, i: int, j: int) -> int:
-    # entry(i,j) - entry(i-1,j) + entry(i,j+1) - entry(i+1,j+1) for 1 <= i <= n, read off the rows
-    # (row k is level i) with entry()'s bound 1 <= column <= level <= n on each term; 0 for j > i.
-    rows, n = p.rows, p.n
-    k = n - i
-    return (
-        (rows[k][j - 1] if 1 <= j <= i else 0)
-        - (rows[k + 1][j - 1] if 1 <= j <= i - 1 else 0)
-        + (rows[k][j] if 1 <= j + 1 <= i else 0)
-        - (rows[k - 1][j] if 1 <= j + 1 <= i + 1 <= n else 0)
-    )
+    e = p.entry
+    return e(i, j) - e(i - 1, j) + e(i, j + 1) - e(i + 1, j + 1)
 
 
 def _b(p: GTPattern, i: int, j: int) -> int:
-    # -entry(i,j) + entry(i-1,j-1) - entry(i,j-1) + entry(i+1,j) for 1 <= i <= n, read the same
-    # way; 0 for j > i + 1.
-    rows, n = p.rows, p.n
-    k = n - i
-    return (
-        -(rows[k][j - 1] if 1 <= j <= i else 0)
-        + (rows[k + 1][j - 2] if 1 <= j - 1 <= i - 1 else 0)
-        - (rows[k][j - 2] if 1 <= j - 1 <= i else 0)
-        + (rows[k - 1][j - 1] if 1 <= j <= i + 1 <= n else 0)
-    )
+    e = p.entry
+    return -e(i, j) + e(i - 1, j - 1) - e(i, j - 1) + e(i + 1, j)
 
 
 def diamond_a(pattern: GTPattern, i: int, j: int) -> int:
@@ -227,30 +211,22 @@ def sum_a(pattern: GTPattern, i: int, j: int) -> int:
     """Partial diamond sum A_j at level i: sum of a_k for k from j to i.
 
     Domain 0 <= j <= i + 1; the sum at j = i + 1 is empty and equals 0.
-    The diamonds are added one ``_a`` call at a time, in index order.
     """
     require_label(pattern.n, i)
     if not 0 <= j <= i + 1:
         raise IndexError(f"start index {j} out of range 0..{i + 1}")
-    total = 0
-    for k in range(j, i + 1):
-        total += _a(pattern, i, k)
-    return total
+    return sum(_a(pattern, i, k) for k in range(j, i + 1))
 
 
 def sum_b(pattern: GTPattern, i: int, j: int) -> int:
     """Partial diamond sum B_j at level i: sum of b_k for k from 1 to j.
 
     Domain 0 <= j <= i + 1; the sum at j = 0 is empty and equals 0.
-    The diamonds are added one ``_b`` call at a time, in index order.
     """
     require_label(pattern.n, i)
     if not 0 <= j <= i + 1:
         raise IndexError(f"end index {j} out of range 0..{i + 1}")
-    total = 0
-    for k in range(1, j + 1):
-        total += _b(pattern, i, k)
-    return total
+    return sum(_b(pattern, i, k) for k in range(1, j + 1))
 
 
 def weight_gtp(pattern: GTPattern) -> Weight:
@@ -272,23 +248,11 @@ def weight_expressions(pattern: GTPattern) -> tuple[Weight, Weight, Weight]:
     is a quotient by the all-ones vector, so the A- and B-forms agree with
     the first tuple up to adding a constant to every coordinate (the
     constant is the pattern size); the A- and B-forms agree exactly.
-    A_0 and B_{i+1} at each level are literal sums, one ``_a`` or ``_b``
-    call per diamond; coordinate k of a form sums the levels k..n of them,
-    one suffix slice each.
     """
     n = pattern.n
     first = weight_gtp(pattern)
-    a0 = []
-    b_top = []
-    for i in range(1, n + 1):
-        total = 0
-        for k in range(0, i + 1):
-            total += _a(pattern, i, k)
-        a0.append(total)
-        total = 0
-        for k in range(1, i + 2):
-            total += _b(pattern, i, k)
-        b_top.append(total)
+    a0 = [sum(_a(pattern, i, k) for k in range(0, i + 1)) for i in range(1, n + 1)]
+    b_top = [sum(_b(pattern, i, k) for k in range(1, i + 2)) for i in range(1, n + 1)]
     # omega_i has coordinates 1 in positions 1..i, so coordinate k sums levels i >= k: a0[k - 1:].
     a_form = tuple(sum(a0[k - 1 :]) for k in range(1, n + 1))
     b_form = tuple(-sum(b_top[k - 1 :]) for k in range(1, n + 1))
@@ -407,16 +371,19 @@ def enumerate_patterns(n: int, lam: Partition) -> Iterator[GTPattern]:
 
     Order: lexicographically increasing on the concatenation of rows read
     top-down, left-to-right.  The arguments are checked when the function is
-    called, so a bad ``n`` or ``lam``, or ``n`` above ``core.MAX_LEVELS``,
-    raises before any pattern is taken.  The returned iterator walks depth
-    first, level by level down from the fixed top row (``_rows_below``), so
-    it holds one partial pattern per level, never the list of all patterns;
-    callers that need a sequence take ``list(...)``.
+    called, so a bad ``n`` or ``lam``, ``n`` above ``core.MAX_LEVELS``, or a
+    part of at least ``sys.maxsize``, raises before any pattern is taken.
+    The returned iterator walks depth first, level by level down from the
+    fixed top row (``_rows_below``), so it holds one partial pattern per
+    level, never the list of all patterns; callers that need a sequence take
+    ``list(...)``.
     """
     require_positive(n, "row count")
     if n > MAX_LEVELS:
         raise ShapeError(f"row count must be at most {MAX_LEVELS}, got {n}")
-    stacks: Iterator[tuple[tuple[int, ...], ...]] = iter([(pad(lam, n),)])
+    top = pad(lam, n)
+    require_enumerable(top)
+    stacks: Iterator[tuple[tuple[int, ...], ...]] = iter([(top,)])
     for _ in range(n - 1):
         stacks = chain.from_iterable(map(_rows_below, stacks))
     return map(partial(GTPattern, n), stacks)

@@ -20,7 +20,7 @@ from operator import itemgetter, le, lt
 from typing import Any, Iterator, NamedTuple, Optional, Sequence
 
 from .core import MAX_LEVELS, Partition, ShapeError, Weight, as_partition, as_rows, quote
-from .core import require_label, require_positive
+from .core import require_enumerable, require_label, require_positive
 
 
 class TableauError(ValueError):
@@ -312,15 +312,15 @@ def enumerate_tableaux(n: int, lam: Partition) -> Iterator[Tableau]:
 
     Order: lexicographically increasing on the concatenation of rows read
     top-down, left-to-right.  The arguments are checked when the function is
-    called, so a bad ``n`` or shape, or a shape with more rows than
-    ``core.MAX_LEVELS``, raises before any tableau is taken.  The
-    returned iterator walks depth first, row by row (``_stack_row``): each
-    weakly increasing row of letters r..n that leaves room for the column
-    below each cell, n - (λ'_c - r) at most in column c, extends the partial
-    fillings whose last row it exceeds strictly in every column.  It holds
-    the candidate rows and, per row, the extensions of one partial filling,
-    never the list of all tableaux; callers that need a sequence take
-    ``list(...)``.
+    called, so a bad ``n`` or shape, a shape with more rows than
+    ``core.MAX_LEVELS``, or a part of at least ``sys.maxsize``, raises before
+    any tableau is taken.  The returned iterator walks depth first, row by
+    row (``_stack_row``): each weakly increasing row of letters r..n that
+    leaves room for the column below each cell, n - (λ'_c - r) at most in
+    column c, extends the partial fillings whose last row it exceeds
+    strictly in every column.  It holds the candidate rows and, per row, the
+    extensions of one partial filling, never the list of all tableaux;
+    callers that need a sequence take ``list(...)``.
     """
     require_positive(n, "alphabet bound")
     lam = as_partition(lam)
@@ -328,6 +328,7 @@ def enumerate_tableaux(n: int, lam: Partition) -> Iterator[Tableau]:
         raise ShapeError(f"shape {lam} has more than {n} rows")
     if len(lam) > MAX_LEVELS:
         raise ShapeError(f"shape has {len(lam)} rows, more than {MAX_LEVELS}")
+    require_enumerable(lam)
     heights = [sum(part > c for part in lam) for c in range(max(lam, default=0))]  # λ'_c at index c - 1
     fillings: Iterator[tuple[tuple[int, ...], ...]] = iter([()])
     for r, part in enumerate(lam, start=1):

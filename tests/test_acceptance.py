@@ -14,7 +14,6 @@ from gtcrystal import (
     GTPattern,
     along_word,
     connectivity,
-    coroot_pairing,
     diamond_a,
     diamond_b,
     enumerate_patterns,
@@ -42,7 +41,6 @@ from gtcrystal import (
     validate_tableau,
     verify_axioms,
     verify_isomorphism,
-    weight_expressions,
     weyl_dimension,
 )
 from gtcrystal.gtpattern import reduced_long_word
@@ -175,26 +173,6 @@ def test_counting_identities_sweep():
                             letter_count(t, i, r) for r in range(1, ell)
                         )
                         assert sum_b(p, i, ell) == head
-
-
-def test_algebraic_identities_sweep():
-    with criterion("diamond and weight identities over the sweep"):
-        for n, lam in shape_sweep():
-            for p in enumerate_patterns(n, lam):
-                for i in range(1, n):
-                    for j in range(1, i + 2):
-                        assert diamond_b(p, i, j) == -diamond_a(p, i, j - 1)
-                    assert diamond_a(p, i, 0) <= 0
-                    assert diamond_b(p, i, i + 1) <= 0
-                    base = sum_a(p, i, 0)
-                    for j in range(0, i + 2):
-                        assert sum_a(p, i, j) - sum_b(p, i, j) == base
-                    assert base == -sum_b(p, i, i + 1)
-                first, a_form, b_form = weight_expressions(p)
-                assert a_form == b_form
-                assert {a_form[k] - first[k] for k in range(n)} == {sum(first)}
-                for i in range(1, n):
-                    assert coroot_pairing(first, i) == coroot_pairing(a_form, i)
 
 
 def test_dimension_cross_check_sweep():

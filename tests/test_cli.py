@@ -500,6 +500,30 @@ def test_nonpositive_row_count_is_input_error(capsys, argv):
     assert err.startswith("error: row count must be a positive integer") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("part", [10**23, sys.maxsize])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "-n", "1"),
+        ("verify", "-n", "2"),
+        ("enumerate", "-n", "2", "--model", "gtp"),
+        ("enumerate", "-n", "1", "--model", "ssyt"),
+        ("graph", "-n", "2", "--model", "gtp"),
+        ("graph", "-n", "1", "--model", "ssyt"),
+    ],
+    ids=" ".join,
+)
+def test_part_too_large_to_enumerate_is_input_error(capsys, argv, part):
+    # A range or tuple holds fewer than sys.maxsize items: a larger part used
+    # to raise OverflowError (exit 3), or, at n = 1, loop part times.
+    code, out, err = run(capsys, *argv, "-l", str(part))
+    assert (code, out) == (2, "")
+    assert err == f"error: part {part} is too large to enumerate: parts must be below {sys.maxsize}\n"
+    # dim counts the same shape exactly: one pattern at n = 1, part + 1 at n = 2.
+    dimension = part + 1 if argv[2] == "2" else 1
+    assert run(capsys, "dim", *argv[1:3], "-l", str(part))[:2] == (0, f"{dimension}\n")
+
+
 def test_verify_failure_exits_one(monkeypatch, capsys):
     failing = {
         "n": 2,

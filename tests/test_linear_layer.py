@@ -10,7 +10,9 @@ the indices, which the proof runs through in full, and code that branches
 on an entry's value (``_a`` plus 1 where ``rows[0][0] == 7``) stops the
 proof with an error.  The identities are compared through ``(x - y).terms``.
 A mutant that is linear in the entries (a sign flip in ``_a``, an
-off-by-one range in ``sum_b``) breaks an identity.
+off-by-one range in ``sum_b``) breaks an identity.  a_0 and b_(i+1) are
+proved to be the negated interleaving gaps x_(i+1,1) - x_(i,1) and
+x_(i,i) - x_(i+1,i+1), so both are non-positive on every pattern.
 
 ``verify`` runs the same kind of proof, per rank, with ``core.Linear``.  This
 file keeps its own ``Linear`` and its own list of identities, written from
@@ -60,9 +62,14 @@ class Linear:
     __hash__ = None
 
 
+def x(i, j):
+    """The variable x_(i,j)."""
+    return Linear({(i, j): 1})
+
+
 def symbolic_pattern(n):
     """The pattern with n rows whose entry (i, j) is the variable x_(i,j)."""
-    return GTPattern(n, tuple(tuple(Linear({(i, j): 1}) for j in range(1, i + 1)) for i in range(n, 0, -1)))
+    return GTPattern(n, tuple(tuple(x(i, j) for j in range(1, i + 1)) for i in range(n, 0, -1)))
 
 
 def linear_violations(n):
@@ -76,6 +83,8 @@ def linear_violations(n):
             failed.append(witness)
 
     for i in range(1, n):
+        check(gtpattern.diamond_a(p, i, 0), -(x(i + 1, 1) - x(i, 1)), "a_0 = -gap", i, None)
+        check(gtpattern.diamond_b(p, i, i + 1), -(x(i, i) - x(i + 1, i + 1)), "b_(i+1) = -gap", i, None)
         a0 = gtpattern.sum_a(p, i, 0)
         for j in range(1, i + 2):
             check(gtpattern.diamond_b(p, i, j), -gtpattern.diamond_a(p, i, j - 1), "b_j = -a_(j-1)", i, j)

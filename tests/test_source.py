@@ -13,8 +13,11 @@ def package_trees():
 
 
 def definition(tree, name):
-    """The module-level function ``name`` of ``tree``."""
-    return next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name)
+    """The module-level function ``name`` of ``tree``, or its method ``Class.method`` of a module-level class."""
+    node = tree
+    for part in name.split("."):
+        node = next(sub for sub in node.body if isinstance(sub, (ast.FunctionDef, ast.ClassDef)) and sub.name == part)
+    return node
 
 
 def optimized_away(trees):
@@ -390,9 +393,20 @@ def test_the_literal_forms_and_the_kernel_share_no_code():
     assert crossings(tree) == {("sum_a", "_scan"), ("lower_gtp", "diamond_a")}
 
 
-# The literal forms that verify proves once per rank on formal entries, by module.
+# The literal forms that verify proves once per rank on formal entries, and
+# the entry accessor every literal read goes through, by module.
 PROVED_FORMS = {
-    "gtpattern.py": {"_a", "_b", "diamond_a", "diamond_b", "sum_a", "sum_b", "weight_gtp", "weight_expressions"},
+    "gtpattern.py": {
+        "GTPattern.entry",
+        "_a",
+        "_b",
+        "diamond_a",
+        "diamond_b",
+        "sum_a",
+        "sum_b",
+        "weight_gtp",
+        "weight_expressions",
+    },
     "bijection.py": {"letter_count_in_row"},
 }
 # The builtins they may name: each builds or walks values and none tells a formal entry from an int.
@@ -414,8 +428,11 @@ def hidden_reads(trees):
             for node in nodes:
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in local | allowed:
                     found.append(f"{name} reads {node.id}")
-                # An attribute of anything but an argument or a local, such as sum_a.calls, is state too.
-                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id not in local:
+                # An attribute of anything but an argument or a local, such as sum_a.calls, is state too,
+                # and so is a dunder attribute of anything, such as self.__class__.
+                if isinstance(node, ast.Attribute) and (
+                    isinstance(node.value, ast.Name) and node.value.id not in local or node.attr.startswith("__")
+                ):
                     found.append(f"{name} reads {ast.unparse(node)}")
                 if isinstance(node, (ast.Global, ast.Nonlocal)):
                     found.append(f"{name} declares {', '.join(node.names)}")
@@ -434,13 +451,18 @@ def test_the_proved_forms_read_only_their_arguments():
     trees = package_trees()
     assert hidden_reads(trees) == []
     # The rule sees a hidden call counter slipped into sum_a, through a module
-    # list, a global, a function attribute and a mutable default, and a type
-    # test slipped into _a.
+    # list, a global, a function attribute and a mutable default, a type
+    # test slipped into _a, and a read counter slipped into entry, through a
+    # global and a class attribute.
+    entry = definition(trees["gtpattern.py"], "GTPattern.entry")
+    entry.body[1:1] = ast.parse("global reads\nreads += 1\nself.__class__.reads += 1").body
     sum_a = definition(trees["gtpattern.py"], "sum_a")
     sum_a.body[1:1] = ast.parse("_CALLS.append(j)\nglobal calls\ncalls += 1\nsum_a.calls += 1").body
     sum_a.args.defaults.append(ast.parse("[]").body[0].value)
     definition(trees["gtpattern.py"], "_a").body.insert(0, ast.parse("if type(p.rows[0][0]) is int:\n    pass").body[0])
     assert hidden_reads(trees) == [
+        "GTPattern.entry declares reads",
+        "GTPattern.entry reads self.__class__",
         "_a reads int",
         "_a reads type",
         "sum_a reads _CALLS.append",
