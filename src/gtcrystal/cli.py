@@ -17,7 +17,8 @@ payload nested too deeply or a ``--report`` file that cannot be written
 (found before any shape is verified), 3 for any other exception: an
 internal error, such as a guard rejecting an operator image, a lowering
 image outside the crystal in ``graph``, or a repeated element in ``graph``
-or ``verify``.
+or ``verify``; an exception with an empty message, such as ``MemoryError``,
+is reported by its type name.
 NO_COLOR suppresses color.
 
 A process builds one parser: ``build_parser`` is cached, and every ``main``
@@ -349,7 +350,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+        print(f"internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
 
 

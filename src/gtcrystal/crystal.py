@@ -2,37 +2,42 @@
 
 A model bundles the crystal data callables for one element type at a fixed
 rank.  Elements are immutable, hashable values, named tuples with a type tag
-(``GTPattern``, ``Tableau``), and are compared, indexed and deduplicated by
-value, in C.  The canonical key (``render_key``: the JSON serialization with
-sorted fields) is only the output form, stable across models, runs and
-processes.  A violation keeps the elements and values it found and renders
-them once, when its report is rendered; the CLI renders the keys of the
-elements and graph vertices it prints.
+(``GTPattern``, ``Tableau``), and are compared and hashed by value, in C.
+The canonical key (``render_key``: the JSON serialization with sorted
+fields) is only the output form, stable across models, runs and processes.
+A violation keeps the elements and values it found and renders them once,
+when its report is rendered; the CLI renders the keys of the elements and
+graph vertices it prints.
 
 Every check is a ``verify_*`` function that takes what it reads and returns
 its ``Report``; ``verify_shape``, the one verification engine, evaluates
 each model once, calls every check of one shape and returns the record
 ``verify`` prints.  ``evaluate`` reads a model once per element and once per
-(element, label) and rejects repeated elements.  Every rule is checked
-against evaluations; a check reads a model only for an image outside the
-target of ``verify_isomorphism`` and, through ``highest_weight_elements``,
-for the sources of ``verify_sources``.  ``gtcrystal graph`` walks the
-lowering operator itself.
+(element, label), rejects repeated elements and numbers the elements
+0..N-1: every image is stored as the number of the member it equals, or
+marked ``Outside``.  ``verify_shape`` maps each element through the
+bijection once and looks each image up once, as a number on the other
+side.  So the checks index lists and compare ints, and hash no element.
+Every rule is checked against evaluations; a check reads a model only for
+an image outside the target of ``verify_isomorphism`` and, through
+``highest_weight_elements``, for the sources of ``verify_sources``.
+``gtcrystal graph`` walks the lowering operator itself.
 
 ``verify_identities`` checks the counting and algebraic identities of the
 literal diamond forms once per rank, on the pattern of formal entries
 x_(i,j) (``core.Linear``): once a tableau has the letter counts of
 ``bijection.letter_count_in_row``, every identity is linear in the entries.
-Per pattern it then reads only the letter counts and two interleaving gaps
-per level.  A rank with fewer than ``FORMAL_MIN_PATTERNS`` patterns, where
-the proof costs more than it saves, a rank where it fails, and a pattern
-whose letter counts differ take the literal walk instead, one call per
+The same check proves those counts equal to the row differences
+x_(i,k) - x_(i-1,k), so per pattern it then compares the tableau's letter
+counts with the row differences and reads two interleaving gaps per level.
+A rank with fewer than ``FORMAL_MIN_PATTERNS`` patterns, where the proof
+costs more than it saves, a rank where it fails, and a pattern whose letter
+counts differ take the literal table and walk instead, one call per
 (pattern, level, index), so every count is the one the walk gives.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, repeat
@@ -151,38 +156,61 @@ class Report:
         return record
 
 
+class Outside(NamedTuple):
+    """An operator or bijection image outside an evaluation's elements, kept
+    for its witness.  A tuple, not an int, so it can never be read as a
+    position, whatever value it holds."""
+
+    element: Any
+
+
+def _element(elements: Sequence[Any], slot: Any) -> Any:
+    """The image a slot names: a member by its number, an ``Outside`` image, or None."""
+    return elements[slot] if type(slot) is int else slot if slot is None else slot.element
+
+
 class Evaluation(NamedTuple):
     """One model's crystal data over distinct elements, each value evaluated once.
 
-    ``model`` is the model it was read from.  ``weights`` maps each element
-    to its weight, and ``rows`` maps each element to a tuple over the labels
-    1..n-1 of ``(phi, epsilon, lower, raise)``; both keep the elements in
-    input order.  An image inside the set is the member it equals, so the
-    rows hold no second copy of an element.
+    ``model`` is the model it was read from.  The elements are numbered
+    0..N-1 in input order: ``elements``, ``weights`` and ``rows`` are lists
+    by number, and ``index`` maps each element to its number.  The row of an
+    element is a tuple over the labels 1..n-1 of ``(phi, epsilon, lower,
+    raise)``, where each image is a slot (``slot``): the number of the
+    member it equals, ``Outside`` for an image outside the set, or None.  So
+    every check compares and indexes ints, and no element is hashed again.
     """
 
     model: CrystalModel
-    weights: dict[Any, Weight]
-    rows: dict[Any, tuple[tuple[int, int, Optional[Any], Optional[Any]], ...]]
+    elements: list[Any]
+    weights: list[Weight]
+    rows: list[tuple[tuple[int, int, Any, Any], ...]]
+    index: dict[Any, int]
+
+    def slot(self, image: Any) -> Any:
+        """The number of an image among the elements, ``Outside(image)`` if it is none of them, None for None."""
+        number = self.index.get(image)
+        return Outside(image) if number is None and image is not None else number
+
+    def element(self, slot: Any) -> Any:
+        """The image a slot names: the inverse of ``slot``."""
+        return _element(self.elements, slot)
 
 
 def evaluate(model: CrystalModel, elements: Sequence[Any]) -> Evaluation:
     """The model's data on each element, in element and then label order:
     every weight first, then phi, epsilon, lower and raise per label.  The
     elements must be distinct; a repeat raises before the model is read."""
-    # Maps each element to the one copy every image in the set is interned to.
-    members = {b: b for b in elements}
-    if len(members) != len(elements):
+    elements = list(elements)
+    index = {b: k for k, b in enumerate(elements)}
+    if len(index) != len(elements):
         raise RuntimeError("elements are not distinct")
-    weights = {b: model.weight(b) for b in members}
-    rows = {}
-    for b in members:
-        row = []
-        for i in model.labels:
-            phi, eps, down, up = model.phi(b, i), model.epsilon(b, i), model.lower(b, i), model.raise_(b, i)
-            row.append((phi, eps, members.get(down, down), members.get(up, up)))
-        rows[b] = tuple(row)
-    return Evaluation(model, weights, rows)
+    evaluation = Evaluation(model, elements, [model.weight(b) for b in elements], [], index)
+    slot, phi, epsilon, lower, raise_ = evaluation.slot, model.phi, model.epsilon, model.lower, model.raise_
+    for b in elements:
+        row = [(phi(b, i), epsilon(b, i), slot(lower(b, i)), slot(raise_(b, i))) for i in model.labels]
+        evaluation.rows.append(tuple(row))
+    return evaluation
 
 
 def verify_axioms(evaluation: Evaluation) -> Report:
@@ -196,79 +224,97 @@ def verify_axioms(evaluation: Evaluation) -> Report:
     of the axioms is vacuous.  An operator image that escapes the element
     set is reported as a ``closure`` violation rather than raised, so
     mutated models can be diagnosed in full.  Every rule reads the
-    evaluation; the model is not called.
+    evaluation by number; the model is not called.
     """
-    _model, weights, rows = evaluation
+    _model, elements, weights, rows, _index = evaluation
     report = Report()
-    for b, row in rows.items():
-        wt = weights[b]
+    for b, (element, wt, row) in enumerate(zip(elements, weights, rows)):
         for i, (phi, eps, down, up) in enumerate(row, 1):
             pairing = coroot_pairing(wt, i)
             if phi - eps != pairing:
-                report.add("pairing", (b,), i, f"phi - epsilon = {pairing}", f"{phi} - {eps}")
+                report.add("pairing", (element,), i, f"phi - epsilon = {pairing}", f"{phi} - {eps}")
             if (down is None) != (phi == 0):
-                report.add("lower-domain", (b,), i, f"image iff phi > 0 (phi = {phi})", down is not None)
+                report.add("lower-domain", (element,), i, f"image iff phi > 0 (phi = {phi})", down is not None)
             if down is not None:
-                if down not in rows:
-                    report.add("closure", (b, down), i, "lowering image inside the element set", "escaped")
+                if type(down) is not int:
+                    report.add(
+                        "closure", (element, down.element), i, "lowering image inside the element set", "escaped"
+                    )
                 else:
+                    edge = (element, elements[down])
                     down_phi, down_eps, _, back = rows[down][i - 1]
                     if back != b:
-                        report.add("inverse", (b, down), i, "raising inverts lowering", back)
+                        report.add("inverse", edge, i, "raising inverts lowering", evaluation.element(back))
                     expected_wt = [w - (k == i) + (k == i + 1) for k, w in enumerate(wt, 1)]
                     if list(weights[down]) != expected_wt:
-                        report.add("weight-step", (b, down), i, tuple(expected_wt), weights[down])
+                        report.add("weight-step", edge, i, tuple(expected_wt), weights[down])
                     if down_eps != eps + 1:
-                        report.add("epsilon-step", (b, down), i, eps + 1, down_eps)
+                        report.add("epsilon-step", edge, i, eps + 1, down_eps)
                     if down_phi != phi - 1:
-                        report.add("phi-step", (b, down), i, phi - 1, down_phi)
+                        report.add("phi-step", edge, i, phi - 1, down_phi)
             if (up is None) != (eps == 0):
-                report.add("raise-domain", (b,), i, f"image iff epsilon > 0 (epsilon = {eps})", up is not None)
+                report.add("raise-domain", (element,), i, f"image iff epsilon > 0 (epsilon = {eps})", up is not None)
             if up is not None:
-                if up not in rows:
-                    report.add("closure", (b, up), i, "raising image inside the element set", "escaped")
-                elif rows[up][i - 1][2] != b:
-                    report.add("inverse", (b, up), i, "lowering inverts raising", rows[up][i - 1][2])
+                if type(up) is not int:
+                    report.add(
+                        "closure", (element, up.element), i, "raising image inside the element set", "escaped"
+                    )
+                elif (back := rows[up][i - 1][2]) != b:
+                    actual = evaluation.element(back)
+                    report.add("inverse", (element, elements[up]), i, "lowering inverts raising", actual)
     return report
 
 
-def verify_isomorphism(side_a: Evaluation, mapping: Callable[[Any], Any], side_b: Evaluation) -> Report:
-    """Check that ``mapping`` is an isomorphism of crystals from the elements
+def verify_isomorphism(
+    side_a: Evaluation, into: Sequence[Any], side_b: Evaluation, mapping: Callable[[Any], Any]
+) -> Report:
+    """Check that a mapping is an isomorphism of crystals from the elements
     of ``side_a``, in input order, onto those of ``side_b``.
 
-    Verifies injectivity, surjectivity onto side b's elements and images
-    inside them, preservation of weight and both string lengths, and that
-    the mapping commutes with lowering and raising, with absent images
-    matching absent images.  Every rule reads the two evaluations; only an
-    image outside side b's elements is evaluated, with side b's model, where
-    it is met.
+    ``into[k]`` is the slot in ``side_b`` (``Evaluation.slot``) of the image
+    of element k of ``side_a``, and ``mapping`` maps an image that escapes
+    ``side_a``.  Verifies injectivity, surjectivity onto side b's elements
+    and images inside them, preservation of weight and both string lengths,
+    and that the mapping commutes with lowering and raising, with absent
+    images matching absent images.  Every rule reads the two evaluations by
+    number; only an image outside side b's elements is evaluated, with side
+    b's model, where it is met.
     """
     report = Report()
-    seen_images = set()
-    for a in side_a.rows:
-        b = mapping(a)
-        if b in seen_images:
-            report.add("injective", (a, b), None, "distinct images", "duplicate image")
-        seen_images.add(b)
-        side = side_b if b in side_b.rows else evaluate(side_b.model, [b])
-        weight_a, weight_b = side_a.weights[a], side.weights[b]
+    seen = set()
+
+    def arrow(image: Any) -> Any:
+        """The slot in side b of the image of a side-a slot."""
+        if type(image) is int:
+            return into[image]
+        return image if image is None else side_b.slot(mapping(image.element))
+
+    for a, (weight_a, row_a, b) in enumerate(zip(side_a.weights, side_a.rows, into)):
+        pair = (side_a.elements[a], side_b.element(b))
+        if b in seen:
+            report.add("injective", pair, None, "distinct images", "duplicate image")
+        seen.add(b)
+        if type(b) is int:
+            weight_b, row_b = side_b.weights[b], side_b.rows[b]
+        else:
+            # Evaluated alone, then its images renumbered as slots of side b.
+            one = evaluate(side_b.model, [pair[1]])
+            weight_b = one.weights[0]
+            row_b = [(phi, eps, *map(side_b.slot, map(one.element, images))) for phi, eps, *images in one.rows[0]]
         if weight_a != weight_b:
-            report.add("weight", (a, b), None, weight_a, weight_b)
-        for i, ((phi_a, eps_a, down, up), (phi_b, eps_b, down_b, up_b)) in enumerate(
-            zip(side_a.rows[a], side.rows[b]), 1
-        ):
-            for rule, expected, actual in (
-                ("phi", phi_a, phi_b),
-                ("epsilon", eps_a, eps_b),
-                ("lower-intertwine", None if down is None else mapping(down), down_b),
-                ("raise-intertwine", None if up is None else mapping(up), up_b),
-            ):
-                if expected != actual:
-                    report.add(rule, (a, b), i, expected, actual)
-    target = side_b.rows.keys()
-    for b in sorted(target - seen_images, key=_render):
+            report.add("weight", pair, None, weight_a, weight_b)
+        for i, ((phi_a, eps_a, down, up), (phi_b, eps_b, down_b, up_b)) in enumerate(zip(row_a, row_b), 1):
+            if phi_a != phi_b:
+                report.add("phi", pair, i, phi_a, phi_b)
+            if eps_a != eps_b:
+                report.add("epsilon", pair, i, eps_a, eps_b)
+            for rule, mine, theirs in (("lower-intertwine", down, down_b), ("raise-intertwine", up, up_b)):
+                if (expected := arrow(mine)) != theirs:
+                    report.add(rule, pair, i, side_b.element(expected), side_b.element(theirs))
+    missed = [b for k, b in enumerate(side_b.elements) if k not in seen]
+    for b in sorted(missed, key=_render):
         report.add("surjective", (b,), None, "covered by the mapping", "not hit")
-    for b in sorted(seen_images - target, key=_render):
+    for b in sorted((b.element for b in seen if type(b) is not int), key=_render):
         report.add("into-target", (b,), None, "image inside the target set", "outside")
     return report
 
@@ -283,21 +329,21 @@ def highest_weight_elements(model: CrystalModel, elements: Iterable[Any]) -> lis
 
 def connectivity(evaluation: Evaluation) -> int:
     """Number of weakly connected components of the lowering edges inside the
-    elements of ``evaluation``, merged with a union-find over the lower
-    image in each row; the model is not called.  An image outside the set
-    is ignored; the ``closure`` rule of ``verify_axioms`` reports it."""
-    parent = {b: b for b in evaluation.rows}
+    elements of ``evaluation``, merged with a union-find over the numbered
+    lower image in each row; the model is not called.  An image outside the
+    set is ignored; the ``closure`` rule of ``verify_axioms`` reports it."""
+    parent = list(range(len(evaluation.rows)))
 
-    def find(b: Any) -> Any:
-        while parent[b] is not b:
+    def find(b: int) -> int:
+        while parent[b] != b:
             parent[b] = b = parent[parent[b]]
         return b
 
     components = len(parent)
-    for b, row in evaluation.rows.items():
+    for b, row in enumerate(evaluation.rows):
         top = find(b)  # stays a root: each merge hangs the other root below it
         for _phi, _eps, down, _up in row:
-            if down in parent and (root := find(down)) is not top:
+            if type(down) is int and (root := find(down)) != top:
                 parent[root] = top
                 components -= 1
     return components
@@ -306,7 +352,7 @@ def connectivity(evaluation: Evaluation) -> int:
 def verify_sources(evaluation: Evaluation) -> Report:
     """Check that the lowering edges join the elements into one component with one source."""
     components = connectivity(evaluation)
-    sources = highest_weight_elements(evaluation.model, evaluation.rows)
+    sources = highest_weight_elements(evaluation.model, evaluation.elements)
     report = Report()
     if components != 1 or len(sources) != 1:
         actual = f"{components} component(s) with {len(sources)} source(s)"
@@ -324,16 +370,28 @@ def verify_dimension(n: int, lam: Partition, patterns: Sequence[gtp.GTPattern]) 
 
 
 def verify_round_trip(
-    patterns: Sequence[gtp.GTPattern], tableaux: Sequence[ssyt.Tableau], image: Callable, preimage: Callable
+    patterns: Sequence[gtp.GTPattern], tableaux: Sequence[ssyt.Tableau], into: Sequence[Any], back: Sequence[Any]
 ) -> Report:
-    """Check that ``image`` and ``preimage`` undo each other; a miss names the image and what came back."""
+    """Check that the bijection and its inverse undo each other; a miss names the image and what came back.
+
+    ``into[k]`` is the slot among the tableaux (``Evaluation.slot``) of the
+    image of pattern k, and ``back[j]`` that among the patterns of the
+    preimage of tableau j, so a round trip inside the two sets compares two
+    numbers.  Only an image outside them is mapped back here.
+    """
     report = Report()
-    for p in patterns:
-        if (back := preimage(image(p))) != p:
-            report.add("round-trip", (p, image(p)), None, p, back)
-    for t in tableaux:
-        if (back := image(preimage(t))) != t:
-            report.add("round-trip", (t, preimage(t)), None, t, back)
+    for k, (p, j) in enumerate(zip(patterns, into)):
+        if type(j) is int:
+            if back[j] != k:
+                report.add("round-trip", (p, tableaux[j]), None, p, _element(patterns, back[j]))
+        elif (came := bijection.tableau_to_pattern(t := _element(tableaux, j))) != p:
+            report.add("round-trip", (p, t), None, p, came)
+    for j, (t, k) in enumerate(zip(tableaux, back)):
+        if type(k) is int:
+            if into[k] != j:
+                report.add("round-trip", (t, patterns[k]), None, t, _element(tableaux, into[k]))
+        elif (came := bijection.pattern_to_tableau(p := _element(patterns, k))) != t:
+            report.add("round-trip", (t, p), None, t, came)
     return report
 
 
@@ -353,6 +411,15 @@ def _letter_count_table(p: gtp.GTPattern) -> list[list[Any]]:
     return [[0] * (n + 1)] + [
         [0] + [bijection.letter_count_in_row(p, i, k) for k in range(1, n + 1)] for i in range(1, n + 1)
     ]
+
+
+def _row_differences(p: gtp.GTPattern) -> list[list[Any]]:
+    """x_(i,k) - x_(i-1,k) for each letter i and row k = 1..n, read off the
+    rows at once, in the layout of ``_letter_counts``: on a proved rank, the
+    letter-count table of ``_letter_count_table``."""
+    n = p.n
+    padded = [(0,) * n] + [row + (0,) * (n - len(row)) for row in reversed(p.rows)]
+    return [[0] * (n + 1)] + [[0, *map(sub, high, low)] for low, high in zip(padded, padded[1:])]
 
 
 def _gaps(p: gtp.GTPattern) -> list[tuple[Any, Any]]:
@@ -415,21 +482,28 @@ def _formally_differ(x: Any, y: Any) -> bool:
 def _holds_formally(n: int) -> bool:
     """Whether the identity walk counts only the levels with a negative
     interleaving gap on every pattern of rank n whose tableau has the letter
-    counts of ``letter_count_in_row``.
+    counts of ``letter_count_in_row``, and that table is ``_row_differences``.
 
     The walk runs once on the pattern whose entry (i, j) is the formal
     variable x_(i,j), against the formal letter counts; every identity must
-    hold formally, and a_0 and b_(i+1) must be the negated gaps of
-    ``_gaps``.  The literal forms read only their arguments (a source rule
-    in the tests), so on any pattern of rank n each value is the formal one
-    evaluated there.  A form that branches on an entry's value raises
-    ``TypeError`` from a formal entry, and nothing is proved.
+    hold formally, a_0 and b_(i+1) must be the negated gaps of ``_gaps``,
+    and the letter-count table must equal the row differences formally.
+    The literal forms and ``_row_differences`` read only their arguments (a
+    source rule in the tests), so on any pattern of rank n each value is the
+    formal one evaluated there.  A form that branches on an entry's value
+    raises ``TypeError`` from a formal entry, and nothing is proved.
     """
     x = gtp.GTPattern(n, tuple(tuple(Linear({(i, j): 1}) for j in range(1, i + 1)) for i in range(n, 0, -1)))
     try:
-        counting, algebraic, tops = _walk(x, _letter_count_table(x), _formally_differ)
+        table = _letter_count_table(x)
+        counting, algebraic, tops = _walk(x, table, _formally_differ)
         signs = [-gap for pair in _gaps(x) for gap in pair]
-        return not counting and not algebraic and not any(map(_formally_differ, chain(*tops), signs))
+        return (
+            not counting
+            and not algebraic
+            and not any(map(_formally_differ, chain(*tops), signs))
+            and not any(map(_formally_differ, chain(*table), chain(*_row_differences(x))))
+        )
     except TypeError:
         return False
 
@@ -442,38 +516,39 @@ def _holds_formally(n: int) -> bool:
 FORMAL_MIN_PATTERNS = 12
 
 
-def verify_identities(
-    patterns: Sequence[gtp.GTPattern], image: Callable[[gtp.GTPattern], ssyt.Tableau]
-) -> tuple[Report, Report]:
+def verify_identities(patterns: Sequence[gtp.GTPattern], images: Sequence[ssyt.Tableau]) -> tuple[Report, Report]:
     """(counting, algebraic) reports on the diamond data of each pattern, as bare counts.
 
-    The counting identities compare the literal diamond values and partial
-    sums of each (pattern, level, index) with the letter counts of the
-    pattern's tableau; the algebraic identities compare the literal values
-    with each other and with the weight, and count the levels where a_0 > 0
-    or b_(i+1) > 0.  Once the tableau's letter counts c equal those of
+    ``images[k]`` is the tableau of pattern k.  The counting identities
+    compare the literal diamond values and partial sums of each (pattern,
+    level, index) with the letter counts of the pattern's tableau; the
+    algebraic identities compare the literal values with each other and
+    with the weight, and count the levels where a_0 > 0 or b_(i+1) > 0.
+    Once the tableau's letter counts c equal those of
     ``bijection.letter_count_in_row``, every one of these is linear in the
     pattern entries.  So each rank with at least ``FORMAL_MIN_PATTERNS``
-    patterns is checked once, on formal entries (``_holds_formally``); where
-    that holds, a pattern reads only its letter-count table, compared with c
-    in one list comparison, and its two interleaving gaps per level, since
-    a_0 and b_(i+1) are proved to be the negated gaps.  The literal walk
-    (``_walk``) runs on every pattern of a rank that is not proved, or too
-    small to prove, and on each pattern whose letter counts differ, so every
-    count is the one the walk gives.
+    patterns is checked once, on formal entries (``_holds_formally``), which
+    also proves the letter-count table equal to the row differences
+    x_(i,k) - x_(i-1,k).  Where that holds, a pattern reads only its row
+    differences, compared with c in one list comparison, and its two
+    interleaving gaps per level, since a_0 and b_(i+1) are proved to be the
+    negated gaps.  The literal table and walk (``_walk``) run on every
+    pattern of a rank that is not proved, or too small to prove, and on each
+    pattern whose letter counts differ, so every count is the one the walk
+    gives.
     """
     counting = algebraic = 0
-    ranks: dict[int, list[gtp.GTPattern]] = {}
-    for p in patterns:
-        ranks.setdefault(p.n, []).append(p)
+    ranks: dict[int, list[tuple[gtp.GTPattern, ssyt.Tableau]]] = {}
+    for p, t in zip(patterns, images):
+        ranks.setdefault(p.n, []).append((p, t))
     for n, group in ranks.items():
         proved = len(group) >= FORMAL_MIN_PATTERNS and _holds_formally(n)
-        for p in group:
-            c = _letter_counts(image(p))
-            table = _letter_count_table(p)
-            if proved and table == c:
+        for p, t in group:
+            c = _letter_counts(t)
+            if proved and _row_differences(p) == c:
                 algebraic += sum(low < 0 or high < 0 for low, high in _gaps(p))
                 continue
+            table = _letter_count_table(p)
             counting += sum(sum(map(ne, table[i], c[i])) for i in range(1, n + 1))
             found_counting, found_algebraic, tops = _walk(p, c, ne)
             counting += found_counting
@@ -484,26 +559,29 @@ def verify_identities(
 def verify_shape(n: int, lam: Partition) -> dict[str, Any]:
     """Run every check for one shape; returns the machine-readable record.
 
-    Evaluates each model once and keeps each ``verify_*`` check's ``Report`` under its name.
+    Evaluates each model once and keeps each ``verify_*`` check's ``Report``
+    under its name.  Each pattern is mapped to its tableau once, and each
+    tableau back once; each image is looked up once, as its slot among the
+    other side's elements, and every check reads it by position.
     """
     patterns = list(gtp.enumerate_patterns(n, lam))
     tableaux = list(ssyt.enumerate_tableaux(n, lam))
-    # Each element is mapped through the bijection once, on first use.
-    image = functools.cache(bijection.pattern_to_tableau)
-    preimage = functools.cache(bijection.tableau_to_pattern)
     # Each model is evaluated once for the checks that read it, and dropped
     # before the other checks run, so that it does not add to their peak memory.
     on_patterns, on_tableaux = evaluate(pattern_model(n), patterns), evaluate(tableau_model(n), tableaux)
+    images = [bijection.pattern_to_tableau(p) for p in patterns]
+    into = list(map(on_tableaux.slot, images))
     checks = {
         "dimension": verify_dimension(n, lam, patterns),
         "axioms-patterns": verify_axioms(on_patterns),
         "axioms-tableaux": verify_axioms(on_tableaux),
-        "isomorphism": verify_isomorphism(on_patterns, image, on_tableaux),
+        "isomorphism": verify_isomorphism(on_patterns, into, on_tableaux, bijection.pattern_to_tableau),
         "connected-unique-source": verify_sources(on_patterns),
     }
+    back = [on_patterns.slot(bijection.tableau_to_pattern(t)) for t in tableaux]
     del on_patterns, on_tableaux
-    checks["counting-identities"], checks["algebraic-identities"] = verify_identities(patterns, image)
-    checks["round-trip"] = verify_round_trip(patterns, tableaux, image, preimage)
+    checks["counting-identities"], checks["algebraic-identities"] = verify_identities(patterns, images)
+    checks["round-trip"] = verify_round_trip(patterns, tableaux, into, back)
     return {
         "n": n,
         "lambda": list(lam),

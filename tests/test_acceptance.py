@@ -143,11 +143,10 @@ def test_pattern_crystal_axioms_sweep():
 def test_bijection_is_isomorphism_sweep():
     with criterion("bijection intertwines the crystals over the sweep"):
         for n, lam in full_sweep():
-            report = verify_isomorphism(
-                evaluate(pattern_model(n), list(enumerate_patterns(n, lam))),
-                pattern_to_tableau,
-                evaluate(tableau_model(n), list(enumerate_tableaux(n, lam))),
-            )
+            side_a = evaluate(pattern_model(n), list(enumerate_patterns(n, lam)))
+            side_b = evaluate(tableau_model(n), list(enumerate_tableaux(n, lam)))
+            into = [side_b.slot(pattern_to_tableau(p)) for p in side_a.elements]
+            report = verify_isomorphism(side_a, into, side_b, pattern_to_tableau)
             assert report.passed, f"violations at n={n}, shape={lam}: {report.violations[:3]}"
 
 

@@ -608,6 +608,18 @@ def test_verify_with_invalid_tableau_is_internal_error(monkeypatch, capsys):
     assert (code, out, err) == (3, "", f"internal error: {message}\n")
 
 
+def test_internal_error_without_a_message_names_its_type(monkeypatch, capsys):
+    # A MemoryError has an empty message: the line names the exception type
+    # instead of ending after the colon.  The command is patched to raise it,
+    # so no large shape is built.
+    def out_of_memory(args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "cmd_verify", out_of_memory)
+    code, out, err = run(capsys, "verify", "-n", "2", "-l", "1")
+    assert (code, out, err) == (3, "", "internal error: MemoryError\n")
+
+
 @pytest.mark.parametrize(
     "model, module, name, element",
     [("gtp", gtpattern, "lower_gtp", gtpattern.GTPattern), ("ssyt", ssyt, "lower_ssyt", ssyt.Tableau)],

@@ -7,6 +7,8 @@ from dataclasses import replace
 import pytest
 
 from gtcrystal import (
+    GTPattern,
+    Tableau,
     bijection,
     connectivity,
     crystal,
@@ -110,7 +112,8 @@ def test_graphs_by_value_over_the_sweep():
         graphs = {}
         for model, elements in ((pm, patterns), (tm, tableaux)):
             evaluation = evaluate(model, elements)
-            lower_column = [(b, i, row[i - 1][2]) for b, row in evaluation.rows.items() for i in model.labels]
+            rows = zip(evaluation.elements, evaluation.rows)
+            lower_column = [(b, i, evaluation.element(row[i - 1][2])) for b, row in rows for i in model.labels]
             edges = [edge for edge in lower_column if edge[2] is not None]
             assert len(set(edges)) == len(edges)
             assert edges == lowering_edges(model, elements)
@@ -173,17 +176,24 @@ def test_violation_cap_limits_report(monkeypatch):
     assert len(rendered) == sum(len(v.elements) for v in report.violations) == 132
 
 
+def check_isomorphism(side_a, mapping, side_b):
+    """``verify_isomorphism`` of ``mapping``, given as verify_shape gives it:
+    the slot on side b of each element's image, and the mapping itself for
+    images that escape side a."""
+    return verify_isomorphism(side_a, [side_b.slot(mapping(a)) for a in side_a.elements], side_b, mapping)
+
+
 def test_isomorphism_passes(shape310):
     model, elements = shape310
     side_b = evaluate(tableau_model(3), list(enumerate_tableaux(3, (3, 1))))
-    report = verify_isomorphism(evaluate(model, elements), pattern_to_tableau, side_b)
+    report = check_isomorphism(evaluate(model, elements), pattern_to_tableau, side_b)
     assert report.passed
 
 
 def test_identity_map_is_isomorphism(shape310):
     model, elements = shape310
     side = evaluate(model, elements)
-    assert verify_isomorphism(side, lambda p: p, side).passed
+    assert check_isomorphism(side, lambda p: p, side).passed
 
 
 def test_isomorphism_detects_swapped_images(shape310):
@@ -201,7 +211,7 @@ def test_isomorphism_detects_swapped_images(shape310):
         image = pattern_to_tableau(p)
         return swap.get(image, image)
 
-    report = verify_isomorphism(evaluate(model, elements), tweaked, evaluate(tmodel, tabs))
+    report = check_isomorphism(evaluate(model, elements), tweaked, evaluate(tmodel, tabs))
     assert not report.passed
     assert any(v.rule.endswith("intertwine") or v.rule in ("phi", "epsilon") for v in report.violations)
 
@@ -244,7 +254,8 @@ def forget(*logs):
 def test_evaluate_reads_the_model_once_per_element_and_label():
     # The weight once per element, then phi, epsilon, lower and raise once
     # per (element, label) in element and then label order; the evaluation
-    # keeps its model.  A repeated element raises before any model read.
+    # keeps its model and numbers the elements in input order, one weight
+    # and one row per number.  A repeated element raises before any model read.
     n, lam = 4, (2, 1)
     patterns, tableaux = list(enumerate_patterns(n, lam)), list(enumerate_tableaux(n, lam))
     for model, elements in ((pattern_model(n), patterns), (tableau_model(n), tableaux)):
@@ -253,7 +264,8 @@ def test_evaluate_reads_the_model_once_per_element_and_label():
         assert counts(calls) == once(n, elements)
         assert calls["weight"] == elements and calls["phi"] == [b for b in elements for _i in model.labels]
         assert evaluation.model is counted
-        assert list(evaluation.weights) == list(evaluation.rows) == elements
+        assert evaluation.elements == elements and evaluation.index == {b: k for k, b in enumerate(elements)}
+        assert len(evaluation.weights) == len(evaluation.rows) == len(elements)
         forget(calls)
         with pytest.raises(RuntimeError, match="not distinct"):
             evaluate(counted, elements + elements[:1])
@@ -268,7 +280,7 @@ def test_checks_make_no_model_call_on_a_passing_shape():
     side_a, side_b = evaluate(pm, list(enumerate_patterns(n, lam))), evaluate(tm, list(enumerate_tableaux(n, lam)))
     forget(pattern_calls, tableau_calls)
     assert verify_axioms(side_a).passed and verify_axioms(side_b).passed
-    assert verify_isomorphism(side_a, pattern_to_tableau, side_b).passed
+    assert check_isomorphism(side_a, pattern_to_tableau, side_b).passed
     assert connectivity(side_a) == connectivity(side_b) == 1
     assert counts(pattern_calls) == counts(tableau_calls) == dict.fromkeys(pattern_calls, 0)
 
@@ -281,7 +293,7 @@ def test_checks_call_the_model_only_on_an_image_outside_the_target(shape2):
     side_a, side_b = evaluate(pm, patterns), evaluate(tm, tableaux[:2])
     forget(pattern_calls, tableau_calls)
     assert verify_axioms(side_a).passed and not verify_axioms(side_b).passed
-    assert not verify_isomorphism(side_a, pattern_to_tableau, side_b).passed
+    assert not check_isomorphism(side_a, pattern_to_tableau, side_b).passed
     outside = tableaux[2]
     assert counts(pattern_calls) == dict.fromkeys(pattern_calls, 0)
     assert tableau_calls == {name: [outside] * (1 if name == "weight" else tm.n - 1) for name in tableau_calls}
@@ -551,7 +563,7 @@ def test_epsilon_step_witnesses():
 def test_injective_and_surjective_witnesses(shape2):
     pm, patterns, tm, tableaux = shape2
     image = pattern_to_tableau(patterns[0])
-    report = verify_isomorphism(evaluate(pm, patterns), lambda p: image, evaluate(tm, tableaux))
+    report = check_isomorphism(evaluate(pm, patterns), lambda p: image, evaluate(tm, tableaux))
     assert json.dumps(report.to_dict()) == rendered_report(
         [
             ("raise-intertwine", (P0, T22), 1, T22, T12),
@@ -575,7 +587,7 @@ def test_injective_and_surjective_witnesses(shape2):
 
 def test_into_target_witness(shape2):
     pm, patterns, tm, tableaux = shape2
-    report = verify_isomorphism(evaluate(pm, patterns), pattern_to_tableau, evaluate(tm, tableaux[:2]))
+    report = check_isomorphism(evaluate(pm, patterns), pattern_to_tableau, evaluate(tm, tableaux[:2]))
     assert json.dumps(report.to_dict()) == rendered_report(
         [("into-target", (T22,), None, "image inside the target set", "outside")]
     )
@@ -623,9 +635,60 @@ def test_connected_unique_source_witness(monkeypatch, name, mutant, limit, witne
     )
 
 
+def test_images_outside_the_set_are_never_read_as_numbers():
+    # Operators of the n = 3, shape (2, 1) crystal that answer 0, or an
+    # element outside the crystal, wherever the true operator has an image.
+    # evaluate numbers each image, so 0 must stay an image outside the set,
+    # never the element numbered 0: each report keeps the found count and
+    # rule list it had when the checks keyed by value (c closure, i inverse).
+    n, lam = 3, (2, 1)
+    pm, tm = pattern_model(n), tableau_model(n)
+    patterns, tableaux = list(enumerate_patterns(n, lam)), list(enumerate_tableaux(n, lam))
+    outside = validate_pattern(n, [[99, 1, 0], [1, 0], [1]])
+
+    def where(operator, value):
+        return lambda b, i: None if operator(b, i) is None else value
+
+    for model, elements, letters in (
+        (replace(pm, lower=where(pm.lower, 0)), patterns, "iiciciicciciiccc"),
+        (replace(pm, raise_=where(pm.raise_, 0)), patterns, "ccicicciicicciii"),
+        (replace(tm, lower=where(tm.lower, pattern_to_tableau(outside))), tableaux, "ccciicciciciicii"),
+    ):
+        report = verify_axioms(evaluate(model, elements))
+        rules = [{"c": "closure", "i": "inverse"}[c] for c in letters]
+        assert (report.found, [v.rule for v in report.violations]) == (len(rules), rules)
+    side_a, side_b = evaluate(pm, patterns), evaluate(tm, tableaux)
+    onto = evaluate(replace(pm, raise_=where(pm.raise_, 0)), patterns)
+    for sides, found in (
+        ((side_a, pattern_to_tableau, evaluate(replace(tm, lower=where(tm.lower, 0)), tableaux)), 8),
+        ((evaluate(replace(pm, lower=where(pm.lower, outside)), patterns), pattern_to_tableau, side_b), 8),
+        ((onto, lambda b: b, onto), 0),
+    ):
+        report = check_isomorphism(*sides)
+        assert (report.found, [v.rule for v in report.violations]) == (found, ["lower-intertwine"] * found)
+
+
+@pytest.mark.parametrize("n, lam", [(3, (5, 2)), (4, (2, 1)), (5, (4, 3, 2, 1))])
+def test_verify_hashes_each_element_a_bounded_number_of_times(monkeypatch, n, lam):
+    # evaluate numbers each element once and looks each operator image up
+    # once, as its number; each bijection image is looked up once, and every
+    # check compares numbers.  So a verify hashes each element at most
+    # 4(n-1) + 8 times, counted through a Python __hash__ on both types.
+    hashes = []
+
+    def counting(self):
+        hashes.append(1)
+        return tuple.__hash__(self)
+
+    monkeypatch.setattr(GTPattern, "__hash__", counting)
+    monkeypatch.setattr(Tableau, "__hash__", counting)
+    record = crystal.verify_shape(n, lam)
+    assert record["pass"] and 0 < len(hashes) <= (4 * (n - 1) + 8) * record["elements"]
+
+
 def test_verify_runs_no_python_hash_or_equality():
-    # Elements are tuples: interning, the rows and weights maps, every check
-    # and the cached bijection maps hash and compare them in C, so a profile
+    # Elements are tuples: numbering them, looking each image up and the
+    # round trip's comparisons hash and compare them in C, so a profile
     # of one verify shows no Python-level __hash__, __eq__ or __ne__ frame.
     profile = cProfile.Profile()
     assert profile.runcall(crystal.verify_shape, 3, (2, 1))["pass"]

@@ -381,7 +381,7 @@ def test_identity_counts_match_an_index_by_index_oracle(monkeypatch):
 
     monkeypatch.setattr(crystal, "_holds_formally", recording)
     image = functools.cache(bijection.pattern_to_tableau)
-    assert [report.found for report in crystal.verify_identities(patterns, image)] == [0, 0]
+    assert [report.found for report in crystal.verify_identities(patterns, list(map(image, patterns)))] == [0, 0]
     assert reference_identity_counts(patterns, image) == (0, 0)
     assert sorted(proofs) == [(2, True), (3, True), (4, True)]
     bumps = [
@@ -407,10 +407,42 @@ def test_identity_counts_match_an_index_by_index_oracle(monkeypatch):
         proofs.clear()
         with monkeypatch.context() as bump:
             bump.setattr(module, name, bumped)
-            package = tuple(report.found for report in crystal.verify_identities(patterns, image))
+            package = tuple(report.found for report in crystal.verify_identities(patterns, list(map(image, patterns))))
             assert package == reference_identity_counts(patterns, image), (name, where)
         assert any(package), (name, where)
         assert sorted(n for n, _ in proofs) == [2, 3, 4] and not all(held for _, held in proofs), (name, where)
+
+
+def test_a_linear_letter_count_mutant_leaves_the_rank_unproved(monkeypatch):
+    # A proved rank compares each tableau's letter counts with the row
+    # differences x_(i,k) - x_(i-1,k), not with letter_count_in_row, so the
+    # formal check must also prove the two tables equal.  Under a linear
+    # letter_count_in_row that reads another entry, the rank stays unproved
+    # and every pattern takes the literal table and walk: both counts are the
+    # index-by-index oracle's.
+    patterns = list(enumerate_patterns(4, (3, 2, 1)))
+    image = bijection.pattern_to_tableau
+    images = list(map(image, patterns))
+    assert len(patterns) >= crystal.FORMAL_MIN_PATTERNS and crystal._holds_formally(4)
+    proofs = []
+    holds = crystal._holds_formally
+    monkeypatch.setattr(crystal, "_holds_formally", lambda n: proofs.append(holds(n)) or proofs[-1])
+    with monkeypatch.context() as mutant:
+        mutant.setattr(bijection, "letter_count_in_row", lambda p, i, k: p.entry(i, k) - p.entry(i - 1, k - 1))
+        counts = tuple(report.found for report in crystal.verify_identities(patterns, images))
+        assert counts == reference_identity_counts(patterns, image) and counts[0] > 0
+    assert proofs == [False]
+    # Row differences one off at letter 2 in row 2 are refused by that
+    # comparison alone, though every identity still holds: no rank is
+    # proved, and the walk counts nothing.
+    row_differences = crystal._row_differences
+
+    def one_off(p):
+        return [[x - (i == k == 2) for k, x in enumerate(row)] for i, row in enumerate(row_differences(p))]
+
+    monkeypatch.setattr(crystal, "_row_differences", one_off)
+    assert not any(holds(n) for n in range(2, 6))
+    assert [report.found for report in crystal.verify_identities(patterns, images)] == [0, 0]
 
 
 def test_identity_counts_stay_exact_off_interleaving():
@@ -432,4 +464,4 @@ def test_identity_counts_stay_exact_off_interleaving():
     ]
     counts = reference_identity_counts(patterns, filling)
     assert len(patterns) >= crystal.FORMAL_MIN_PATTERNS and counts[0] == 0 < counts[1]
-    assert tuple(report.found for report in crystal.verify_identities(patterns, filling)) == counts
+    assert tuple(report.found for report in crystal.verify_identities(patterns, list(map(filling, patterns)))) == counts

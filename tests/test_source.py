@@ -258,7 +258,7 @@ def test_only_the_evaluation_reads_model_data_in_the_checks():
     assert model_data_readers(tree) - MODEL_READERS == {"verify_axioms"}
     # And a second lowering walk slipped into connectivity.
     count = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "connectivity")
-    walk = "[evaluation.model.lower(b, i) for b in evaluation.rows for i in evaluation.model.labels]"
+    walk = "[evaluation.model.lower(b, i) for b in evaluation.elements for i in evaluation.model.labels]"
     count.body.insert(0, ast.parse(walk).body[0])
     assert model_data_readers(tree) - MODEL_READERS == {"verify_axioms", "connectivity"}
 
@@ -393,8 +393,9 @@ def test_the_literal_forms_and_the_kernel_share_no_code():
     assert crossings(tree) == {("sum_a", "_scan"), ("lower_gtp", "diamond_a")}
 
 
-# The literal forms that verify proves once per rank on formal entries, and
-# the entry accessor every literal read goes through, by module.
+# The literal forms that verify proves once per rank on formal entries, the
+# entry accessor every literal read goes through, and the row differences a
+# proved rank reads in place of the letter counts, by module.
 PROVED_FORMS = {
     "gtpattern.py": {
         "GTPattern.entry",
@@ -408,9 +409,11 @@ PROVED_FORMS = {
         "weight_expressions",
     },
     "bijection.py": {"letter_count_in_row"},
+    "crystal.py": {"_row_differences"},
 }
-# The builtins they may name: each builds or walks values and none tells a formal entry from an int.
-PURE_BUILTINS = {"range", "reversed", "sum", "tuple", "len", "zip", "enumerate", "IndexError"}
+# The builtins and operator functions they may name: each builds or walks
+# values and none tells a formal entry from an int.
+PURE_BUILTINS = {"range", "reversed", "sum", "tuple", "len", "zip", "enumerate", "map", "sub", "IndexError"}
 
 
 def hidden_reads(trees):
@@ -452,14 +455,16 @@ def test_the_proved_forms_read_only_their_arguments():
     assert hidden_reads(trees) == []
     # The rule sees a hidden call counter slipped into sum_a, through a module
     # list, a global, a function attribute and a mutable default, a type
-    # test slipped into _a, and a read counter slipped into entry, through a
-    # global and a class attribute.
+    # test slipped into _a, a read counter slipped into entry, through a
+    # global and a class attribute, and a module constant slipped into the
+    # row differences.
     entry = definition(trees["gtpattern.py"], "GTPattern.entry")
     entry.body[1:1] = ast.parse("global reads\nreads += 1\nself.__class__.reads += 1").body
     sum_a = definition(trees["gtpattern.py"], "sum_a")
     sum_a.body[1:1] = ast.parse("_CALLS.append(j)\nglobal calls\ncalls += 1\nsum_a.calls += 1").body
     sum_a.args.defaults.append(ast.parse("[]").body[0].value)
     definition(trees["gtpattern.py"], "_a").body.insert(0, ast.parse("if type(p.rows[0][0]) is int:\n    pass").body[0])
+    definition(trees["crystal.py"], "_row_differences").body.insert(0, ast.parse("n = FORMAL_MIN_PATTERNS").body[0])
     assert hidden_reads(trees) == [
         "GTPattern.entry declares reads",
         "GTPattern.entry reads self.__class__",
@@ -470,4 +475,5 @@ def test_the_proved_forms_read_only_their_arguments():
         "sum_a declares calls",
         "sum_a reads sum_a.calls",
         "sum_a has a default",
+        "_row_differences reads FORMAL_MIN_PATTERNS",
     ]
