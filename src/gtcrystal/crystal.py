@@ -200,15 +200,28 @@ class Evaluation(NamedTuple):
 def evaluate(model: CrystalModel, elements: Sequence[Any]) -> Evaluation:
     """The model's data on each element, in element and then label order:
     every weight first, then phi, epsilon, lower and raise per label.  The
-    elements must be distinct; a repeat raises before the model is read."""
+    elements must be distinct; a repeat raises before the model is read.
+
+    Each image is stored as its slot (``Evaluation.slot``), worked out in
+    place: one ``index.get``, and ``Outside(image)`` only when that misses
+    and the image is not None, so an operator value such as 0 is never read
+    as a position."""
     elements = list(elements)
     index = {b: k for k, b in enumerate(elements)}
     if len(index) != len(elements):
         raise RuntimeError("elements are not distinct")
     evaluation = Evaluation(model, elements, [model.weight(b) for b in elements], [], index)
-    slot, phi, epsilon, lower, raise_ = evaluation.slot, model.phi, model.epsilon, model.lower, model.raise_
+    get, phi, epsilon, lower, raise_ = index.get, model.phi, model.epsilon, model.lower, model.raise_
     for b in elements:
-        row = [(phi(b, i), epsilon(b, i), slot(lower(b, i)), slot(raise_(b, i))) for i in model.labels]
+        row = []
+        for i in model.labels:
+            phi_i, eps_i, down, up = phi(b, i), epsilon(b, i), lower(b, i), raise_(b, i)
+            slot_down, slot_up = get(down), get(up)
+            if slot_down is None and down is not None:
+                slot_down = Outside(down)
+            if slot_up is None and up is not None:
+                slot_up = Outside(up)
+            row.append((phi_i, eps_i, slot_down, slot_up))
         evaluation.rows.append(tuple(row))
     return evaluation
 
@@ -224,7 +237,8 @@ def verify_axioms(evaluation: Evaluation) -> Report:
     of the axioms is vacuous.  An operator image that escapes the element
     set is reported as a ``closure`` violation rather than raised, so
     mutated models can be diagnosed in full.  Every rule reads the
-    evaluation by number; the model is not called.
+    evaluation by number; the model is not called.  A rule that holds
+    compares only ints and tuples: its witness is built only when it fails.
     """
     _model, elements, weights, rows, _index = evaluation
     report = Report()
@@ -241,17 +255,17 @@ def verify_axioms(evaluation: Evaluation) -> Report:
                         "closure", (element, down.element), i, "lowering image inside the element set", "escaped"
                     )
                 else:
-                    edge = (element, elements[down])
                     down_phi, down_eps, _, back = rows[down][i - 1]
                     if back != b:
-                        report.add("inverse", edge, i, "raising inverts lowering", evaluation.element(back))
-                    expected_wt = [w - (k == i) + (k == i + 1) for k, w in enumerate(wt, 1)]
-                    if list(weights[down]) != expected_wt:
-                        report.add("weight-step", edge, i, tuple(expected_wt), weights[down])
+                        actual = evaluation.element(back)
+                        report.add("inverse", (element, elements[down]), i, "raising inverts lowering", actual)
+                    # The weight drops by the simple root: one less i, one more i + 1.
+                    if weights[down] != (expected := (*wt[: i - 1], wt[i - 1] - 1, wt[i] + 1, *wt[i + 1 :])):
+                        report.add("weight-step", (element, elements[down]), i, expected, weights[down])
                     if down_eps != eps + 1:
-                        report.add("epsilon-step", edge, i, eps + 1, down_eps)
+                        report.add("epsilon-step", (element, elements[down]), i, eps + 1, down_eps)
                     if down_phi != phi - 1:
-                        report.add("phi-step", edge, i, phi - 1, down_phi)
+                        report.add("phi-step", (element, elements[down]), i, phi - 1, down_phi)
             if (up is None) != (eps == 0):
                 report.add("raise-domain", (element,), i, f"image iff epsilon > 0 (epsilon = {eps})", up is not None)
             if up is not None:
@@ -278,39 +292,43 @@ def verify_isomorphism(
     and that the mapping commutes with lowering and raising, with absent
     images matching absent images.  Every rule reads the two evaluations by
     number; only an image outside side b's elements is evaluated, with side
-    b's model, where it is met.
+    b's model, where it is met.  A rule that holds compares only ints and
+    tuples: its witness pair and the elements it names are read back from
+    their slots only when it fails.
     """
     report = Report()
     seen = set()
 
     def arrow(image: Any) -> Any:
-        """The slot in side b of the image of a side-a slot."""
-        if type(image) is int:
-            return into[image]
+        """The slot in side b of the image of a side-a slot that is not a number."""
         return image if image is None else side_b.slot(mapping(image.element))
 
+    def pair(a: int, b: Any) -> tuple[Any, Any]:
+        """The witness of a rule broken at element a: it and its image."""
+        return side_a.elements[a], side_b.element(b)
+
     for a, (weight_a, row_a, b) in enumerate(zip(side_a.weights, side_a.rows, into)):
-        pair = (side_a.elements[a], side_b.element(b))
         if b in seen:
-            report.add("injective", pair, None, "distinct images", "duplicate image")
+            report.add("injective", pair(a, b), None, "distinct images", "duplicate image")
         seen.add(b)
         if type(b) is int:
             weight_b, row_b = side_b.weights[b], side_b.rows[b]
         else:
             # Evaluated alone, then its images renumbered as slots of side b.
-            one = evaluate(side_b.model, [pair[1]])
+            one = evaluate(side_b.model, [side_b.element(b)])
             weight_b = one.weights[0]
             row_b = [(phi, eps, *map(side_b.slot, map(one.element, images))) for phi, eps, *images in one.rows[0]]
         if weight_a != weight_b:
-            report.add("weight", pair, None, weight_a, weight_b)
+            report.add("weight", pair(a, b), None, weight_a, weight_b)
         for i, ((phi_a, eps_a, down, up), (phi_b, eps_b, down_b, up_b)) in enumerate(zip(row_a, row_b), 1):
             if phi_a != phi_b:
-                report.add("phi", pair, i, phi_a, phi_b)
+                report.add("phi", pair(a, b), i, phi_a, phi_b)
             if eps_a != eps_b:
-                report.add("epsilon", pair, i, eps_a, eps_b)
-            for rule, mine, theirs in (("lower-intertwine", down, down_b), ("raise-intertwine", up, up_b)):
-                if (expected := arrow(mine)) != theirs:
-                    report.add(rule, pair, i, side_b.element(expected), side_b.element(theirs))
+                report.add("epsilon", pair(a, b), i, eps_a, eps_b)
+            if (expected := into[down] if type(down) is int else arrow(down)) != down_b:
+                report.add("lower-intertwine", pair(a, b), i, side_b.element(expected), side_b.element(down_b))
+            if (expected := into[up] if type(up) is int else arrow(up)) != up_b:
+                report.add("raise-intertwine", pair(a, b), i, side_b.element(expected), side_b.element(up_b))
     missed = [b for k, b in enumerate(side_b.elements) if k not in seen]
     for b in sorted(missed, key=_render):
         report.add("surjective", (b,), None, "covered by the mapping", "not hit")

@@ -60,9 +60,11 @@ class InterleaveError(ValueError):
 class GTPattern(NamedTuple):
     """Immutable Gelfand-Tsetlin pattern; construct via ``validate_pattern``.
 
-    A named tuple, not a frozen dataclass: ``verify`` keys almost every step
-    by element value, and a tuple hashes, compares and reads its fields in
-    C, where the dataclass runs a Python ``__hash__`` or ``__eq__`` that
+    A named tuple, not a frozen dataclass: ``crystal.evaluate`` numbers the
+    elements and looks up every operator image by value, ``verify`` looks
+    up each bijection image the same way, and ``gtcrystal graph`` keys its
+    vertices by value.  A tuple hashes, compares and reads its fields in C,
+    where the dataclass runs a Python ``__hash__`` or ``__eq__`` that
     re-hashes or re-compares every row.  The trailing tag ``kind`` keeps a
     pattern unequal to the ``Tableau`` with the same n and rows, and to a
     bare tuple of them; ``to_dict`` leaves it out.

@@ -4,10 +4,12 @@ The crystal data come from the far-eastern reading (columns right to left,
 each column top to bottom) followed by pair cancellation between the letters
 i and i+1.  The reading walk depends only on the row lengths, so it is made
 once per length tuple (``_reading_plan``), and each reading is one pick from
-the concatenated rows.  The operators match the letters in a single stack
-pass over the reading word.  ``validate_tableau`` accepts a plain-typed
-filling of its shape in one walk over its rows and cells (``_semistandard``)
-and words the first fault of any other input with ordered scans.
+the rows laid end to end in one list.  The operators match the letters in a
+single pass over the reading word that counts the unmatched letters i and
+keeps the index of the first (``_cancel``).  ``validate_tableau`` accepts a
+plain-typed filling of its shape in one walk over its rows and cells
+(``_semistandard``) and words the first fault of any other input with
+ordered scans.
 
 Cells are addressed by 1-based (row, column) pairs throughout.
 """
@@ -175,11 +177,12 @@ def _reading_plan(lengths: tuple[int, ...]) -> tuple[itemgetter, tuple[tuple[int
     """The far-eastern walk over rows of these lengths: (pick, origin).
 
     Columns right to left, each top to bottom, up to the first row too short.
-    ``pick`` takes the letters in that order from ``[0, 0, *row 1, *row 2,
-    ...]``; its two leading picks of the padding keep the result a tuple for
-    every shape, since ``itemgetter`` returns a bare item for one index and
-    takes no empty index list.  ``origin`` holds the cell of each letter.
-    The cache keeps one small entry per length tuple read.
+    ``pick`` takes the letters in that order from the list ``[0, 0]``
+    extended by row 1, row 2, ...; its two leading picks of the padding keep
+    the result a tuple for every shape, since ``itemgetter`` returns a bare
+    item for one index and takes no empty index list.  ``origin`` holds the
+    cell of each letter.  The cache keeps one small entry per length tuple
+    read.
     """
     starts = list(accumulate(lengths, initial=2))
     picks = [0, 0]
@@ -198,41 +201,50 @@ def far_east_reading(tableau: Tableau) -> ReadingWord:
     """Read columns right to left, each top to bottom, up to the first row too short (lengths weakly decrease).
 
     The walk is the same for every tableau with these row lengths, so
-    ``_reading_plan`` makes it once per length tuple; a reading concatenates
-    the rows and picks its letters in one ``itemgetter`` call.  The key and
-    the concatenation are list displays: a tuple grown from an iterator is
-    resized, and the freed tuples would pile up on the per-size free lists.
-    The word is made by ``tuple.__new__`` in C, with no Python frame.
+    ``_reading_plan`` makes it once per length tuple; a reading extends the
+    list ``[0, 0]`` by each row in place and picks its letters in one
+    ``itemgetter`` call.  The key is a list display: a tuple grown from an
+    iterator is resized, and the freed tuples would pile up on the per-size
+    free lists.  The word is made by ``tuple.__new__`` in C, with no Python
+    frame.
     """
     rows = tableau.rows
     pick, origin = _reading_plan(tuple([len(row) for row in rows]))
-    return tuple.__new__(ReadingWord, (pick([0, 0, *chain.from_iterable(rows)])[2:], origin))
+    flat = [0, 0]
+    for row in rows:
+        flat += row
+    return tuple.__new__(ReadingWord, (pick(flat)[2:], origin))
 
 
 def _cancel(word: ReadingWord, i: int) -> tuple[int, int, Optional[tuple[int, int]], Optional[tuple[int, int]]]:
-    """(phi, epsilon, lowering cell, raising cell) from one stack pass of the i-cancellation.
+    """(phi, epsilon, lowering cell, raising cell) from one counting pass of the i-cancellation.
 
     The cells hold the leftmost uncrossed i and the rightmost uncrossed i+1
-    (None when there is none).  A letter i+1 stays uncrossed exactly when no
-    unmatched i precedes it; the openers left on the stack are the uncrossed i.
-    The pass keeps word indices, and only the two chosen ones are mapped to
-    their cells through ``word.origin``.
+    (None when there is none).  Each i+1 crosses out the nearest unmatched i
+    before it, so the unmatched i form a stack, and only its depth and the
+    index of its bottom opener are kept: a letter i+1 stays uncrossed
+    exactly when the depth is 0, and the bottom opener is popped exactly
+    when the depth returns to 0, so the openers left at the end are the
+    uncrossed i and the bottom one is the leftmost.  The pass keeps word
+    indices, and only the two chosen ones are mapped to their cells through
+    ``word.origin``.
     """
-    opened: list[int] = []
-    closers = 0
-    last = None
+    depth = closers = 0
+    bottom = last = None
     upper = i + 1
     for k, letter in enumerate(word.letters):
         if letter == i:
-            opened.append(k)
+            if not depth:
+                bottom = k
+            depth += 1
         elif letter == upper:
-            if opened:
-                opened.pop()
+            if depth:
+                depth -= 1
             else:
                 closers += 1
                 last = k
     origin = word.origin
-    return len(opened), closers, origin[opened[0]] if opened else None, None if last is None else origin[last]
+    return depth, closers, origin[bottom] if depth else None, None if last is None else origin[last]
 
 
 def phi_ssyt(tableau: Tableau, i: int) -> int:

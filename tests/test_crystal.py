@@ -694,3 +694,17 @@ def test_verify_runs_no_python_hash_or_equality():
     assert profile.runcall(crystal.verify_shape, 3, (2, 1))["pass"]
     frames = [key for key in pstats.Stats(profile).stats if key[2] in {"__hash__", "__eq__", "__ne__"}]
     assert frames == []
+
+
+def test_a_passing_verify_builds_no_witness():
+    # While every rule holds, the checks compare numbers and tuples: no slot
+    # is read back as an element, and the only slots looked up by value are
+    # those of the 8 bijection images each way of (3, (2, 1)).
+    profile = cProfile.Profile()
+    record = profile.runcall(crystal.verify_shape, 3, (2, 1))
+    assert record["pass"] and record["elements"] == 8
+    calls = {}
+    for (filename, _line, name), (_primitive, count, *_times) in pstats.Stats(profile).stats.items():
+        if filename == crystal.__file__:
+            calls[name] = calls.get(name, 0) + count
+    assert (calls.get("element", 0), calls.get("_element", 0), calls.get("slot", 0)) == (0, 0, 2 * 8)

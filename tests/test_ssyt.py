@@ -2,7 +2,7 @@ import tracemalloc
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import tableau_st, word_st
@@ -355,6 +355,25 @@ def test_single_pass_matches_recursive_oracle_exhaustively():
     for letters in words:
         for i in (1, 2):
             assert match_positions(letters, i) == recursive_crossing(letters, i)
+
+
+@settings(max_examples=200)
+@given(letters=st.lists(st.integers(min_value=1, max_value=8), max_size=60).map(tuple))
+@example(letters=(1, 2, 1))
+@example(letters=(1, 1, 2, 2, 1))
+@example(letters=(3, 4, 3, 3, 4, 4, 4, 3, 4))
+@example(letters=(2, 3, 2, 3, 2, 2, 3, 2))
+def test_cancel_matches_recursive_crossing_on_arbitrary_words(letters):
+    # Any word, not only a tableau reading: the counts, the leftmost
+    # uncrossed i and the rightmost uncrossed i+1, with letter k read from
+    # cell (1, k).  The examples empty the unmatched i and open them again.
+    word = ReadingWord(letters, tuple((1, k) for k in range(1, len(letters) + 1)))
+    for i in range(1, 8):
+        crossed = recursive_crossing(letters, i)
+        lows = [(1, k) for k, x in enumerate(letters, 1) if x == i and k not in crossed]
+        highs = [(1, k) for k, x in enumerate(letters, 1) if x == i + 1 and k not in crossed]
+        expected = (len(lows), len(highs), lows[0] if lows else None, highs[-1] if highs else None)
+        assert ssyt._cancel(word, i) == expected
 
 
 def test_crossed_letters_balanced_and_residue_sorted(reference):
