@@ -17,10 +17,12 @@ each model once, calls every check of one shape and returns the record
 0..N-1: every image is stored as the number of the member it equals, or
 marked ``Outside``.  ``verify_shape`` maps each element through the
 bijection once and looks each image up once, as a number on the other
-side.  So the checks index lists and compare ints, and hash no element.
-Every rule is checked against evaluations; a check reads a model only for
-an image outside the target of ``verify_isomorphism`` and, through
-``highest_weight_elements``, for the sources of ``verify_sources``.
+side; it is the one caller of the bijection here.  So the checks index
+lists and compare ints, and hash no element.  Every rule is checked
+against evaluations, by slot: a value outside the two element sets is
+kept only as an ``Outside`` witness, rendered and compared but never
+passed to a model, to the bijection or to a letter count.  Only
+``verify_sources``, through ``highest_weight_elements``, reads a model.
 ``gtcrystal graph`` walks the lowering operator itself.
 
 ``verify_identities`` checks the counting and algebraic identities of the
@@ -119,7 +121,7 @@ class Violation:
     def to_dict(self) -> dict[str, Any]:
         return {
             "rule": self.rule,
-            "keys": [render_key(e.to_dict()) for e in self.elements],
+            "keys": [_render(e) for e in self.elements],
             "label": self.label,
             "expected": _render(self.expected),
             "actual": _render(self.actual),
@@ -158,8 +160,9 @@ class Report:
 
 class Outside(NamedTuple):
     """An operator or bijection image outside an evaluation's elements, kept
-    for its witness.  A tuple, not an int, so it can never be read as a
-    position, whatever value it holds."""
+    only for its witness: rendered and compared, never evaluated, mapped or
+    counted.  A tuple, not an int, so it can never be read as a position,
+    whatever value it holds."""
 
     element: Any
 
@@ -279,29 +282,24 @@ def verify_axioms(evaluation: Evaluation) -> Report:
     return report
 
 
-def verify_isomorphism(
-    side_a: Evaluation, into: Sequence[Any], side_b: Evaluation, mapping: Callable[[Any], Any]
-) -> Report:
+def verify_isomorphism(side_a: Evaluation, into: Sequence[Any], side_b: Evaluation) -> Report:
     """Check that a mapping is an isomorphism of crystals from the elements
     of ``side_a``, in input order, onto those of ``side_b``.
 
     ``into[k]`` is the slot in ``side_b`` (``Evaluation.slot``) of the image
-    of element k of ``side_a``, and ``mapping`` maps an image that escapes
-    ``side_a``.  Verifies injectivity, surjectivity onto side b's elements
-    and images inside them, preservation of weight and both string lengths,
-    and that the mapping commutes with lowering and raising, with absent
-    images matching absent images.  Every rule reads the two evaluations by
-    number; only an image outside side b's elements is evaluated, with side
-    b's model, where it is met.  A rule that holds compares only ints and
-    tuples: its witness pair and the elements it names are read back from
-    their slots only when it fails.
+    of element k of ``side_a``.  Verifies injectivity, surjectivity onto
+    side b's elements and images inside them, preservation of weight and
+    both string lengths, and that the mapping commutes with lowering and
+    raising, with absent images matching absent images.  Every rule reads
+    the two evaluations by number; neither model is called.  An image
+    outside side b's elements is checked only for ``injective`` and
+    ``into-target``, and an operator image that escapes side a is compared
+    as its own ``Outside`` slot, so it matches no slot of side b.  A rule
+    that holds compares only ints and tuples: its witness pair and the
+    elements it names are read back from their slots only when it fails.
     """
     report = Report()
     seen = set()
-
-    def arrow(image: Any) -> Any:
-        """The slot in side b of the image of a side-a slot that is not a number."""
-        return image if image is None else side_b.slot(mapping(image.element))
 
     def pair(a: int, b: Any) -> tuple[Any, Any]:
         """The witness of a rule broken at element a: it and its image."""
@@ -311,28 +309,23 @@ def verify_isomorphism(
         if b in seen:
             report.add("injective", pair(a, b), None, "distinct images", "duplicate image")
         seen.add(b)
-        if type(b) is int:
-            weight_b, row_b = side_b.weights[b], side_b.rows[b]
-        else:
-            # Evaluated alone, then its images renumbered as slots of side b.
-            one = evaluate(side_b.model, [side_b.element(b)])
-            weight_b = one.weights[0]
-            row_b = [(phi, eps, *map(side_b.slot, map(one.element, images))) for phi, eps, *images in one.rows[0]]
-        if weight_a != weight_b:
+        if type(b) is not int:
+            continue
+        if weight_a != (weight_b := side_b.weights[b]):
             report.add("weight", pair(a, b), None, weight_a, weight_b)
-        for i, ((phi_a, eps_a, down, up), (phi_b, eps_b, down_b, up_b)) in enumerate(zip(row_a, row_b), 1):
+        for i, ((phi_a, eps_a, down, up), (phi_b, eps_b, down_b, up_b)) in enumerate(zip(row_a, side_b.rows[b]), 1):
             if phi_a != phi_b:
                 report.add("phi", pair(a, b), i, phi_a, phi_b)
             if eps_a != eps_b:
                 report.add("epsilon", pair(a, b), i, eps_a, eps_b)
-            if (expected := into[down] if type(down) is int else arrow(down)) != down_b:
+            if (expected := into[down] if type(down) is int else down) != down_b:
                 report.add("lower-intertwine", pair(a, b), i, side_b.element(expected), side_b.element(down_b))
-            if (expected := into[up] if type(up) is int else arrow(up)) != up_b:
+            if (expected := into[up] if type(up) is int else up) != up_b:
                 report.add("raise-intertwine", pair(a, b), i, side_b.element(expected), side_b.element(up_b))
     missed = [b for k, b in enumerate(side_b.elements) if k not in seen]
     for b in sorted(missed, key=_render):
         report.add("surjective", (b,), None, "covered by the mapping", "not hit")
-    for b in sorted((b.element for b in seen if type(b) is not int), key=_render):
+    for b in sorted((side_b.element(b) for b in seen if type(b) is not int), key=_render):
         report.add("into-target", (b,), None, "image inside the target set", "outside")
     return report
 
@@ -394,22 +387,19 @@ def verify_round_trip(
 
     ``into[k]`` is the slot among the tableaux (``Evaluation.slot``) of the
     image of pattern k, and ``back[j]`` that among the patterns of the
-    preimage of tableau j, so a round trip inside the two sets compares two
-    numbers.  Only an image outside them is mapped back here.
+    preimage of tableau j, so each round trip compares two slots.  One that
+    leaves the two sets is not followed: a pattern whose image is outside
+    the tableaux fails ``into-target`` of ``verify_isomorphism``, and a
+    tableau whose preimage is outside the patterns fails here when some
+    pattern maps to it, and ``surjective`` there when none does.
     """
     report = Report()
     for k, (p, j) in enumerate(zip(patterns, into)):
-        if type(j) is int:
-            if back[j] != k:
-                report.add("round-trip", (p, tableaux[j]), None, p, _element(patterns, back[j]))
-        elif (came := bijection.tableau_to_pattern(t := _element(tableaux, j))) != p:
-            report.add("round-trip", (p, t), None, p, came)
+        if type(j) is int and back[j] != k:
+            report.add("round-trip", (p, tableaux[j]), None, p, _element(patterns, back[j]))
     for j, (t, k) in enumerate(zip(tableaux, back)):
-        if type(k) is int:
-            if into[k] != j:
-                report.add("round-trip", (t, patterns[k]), None, t, _element(tableaux, into[k]))
-        elif (came := bijection.pattern_to_tableau(p := _element(patterns, k))) != t:
-            report.add("round-trip", (t, p), None, t, came)
+        if type(k) is int and into[k] != j:
+            report.add("round-trip", (t, patterns[k]), None, t, _element(tableaux, into[k]))
     return report
 
 
@@ -534,10 +524,15 @@ def _holds_formally(n: int) -> bool:
 FORMAL_MIN_PATTERNS = 12
 
 
-def verify_identities(patterns: Sequence[gtp.GTPattern], images: Sequence[ssyt.Tableau]) -> tuple[Report, Report]:
+def verify_identities(
+    patterns: Sequence[gtp.GTPattern], tableaux: Sequence[ssyt.Tableau], into: Sequence[Any]
+) -> tuple[Report, Report]:
     """(counting, algebraic) reports on the diamond data of each pattern, as bare counts.
 
-    ``images[k]`` is the tableau of pattern k.  The counting identities
+    ``into[k]`` is the slot among ``tableaux`` (``Evaluation.slot``) of the
+    tableau of pattern k, so that tableau is ``tableaux[into[k]]``; a
+    pattern whose slot is not a number is skipped, as its image fails
+    ``into-target`` of ``verify_isomorphism``.  The counting identities
     compare the literal diamond values and partial sums of each (pattern,
     level, index) with the letter counts of the pattern's tableau; the
     algebraic identities compare the literal values with each other and
@@ -557,8 +552,9 @@ def verify_identities(patterns: Sequence[gtp.GTPattern], images: Sequence[ssyt.T
     """
     counting = algebraic = 0
     ranks: dict[int, list[tuple[gtp.GTPattern, ssyt.Tableau]]] = {}
-    for p, t in zip(patterns, images):
-        ranks.setdefault(p.n, []).append((p, t))
+    for p, j in zip(patterns, into):
+        if type(j) is int:
+            ranks.setdefault(p.n, []).append((p, tableaux[j]))
     for n, group in ranks.items():
         proved = len(group) >= FORMAL_MIN_PATTERNS and _holds_formally(n)
         for p, t in group:
@@ -579,26 +575,26 @@ def verify_shape(n: int, lam: Partition) -> dict[str, Any]:
 
     Evaluates each model once and keeps each ``verify_*`` check's ``Report``
     under its name.  Each pattern is mapped to its tableau once, and each
-    tableau back once; each image is looked up once, as its slot among the
-    other side's elements, and every check reads it by position.
+    tableau back once, here and nowhere else; each image is looked up once,
+    as its slot among the other side's elements, and every check reads it
+    by position.
     """
     patterns = list(gtp.enumerate_patterns(n, lam))
     tableaux = list(ssyt.enumerate_tableaux(n, lam))
     # Each model is evaluated once for the checks that read it, and dropped
     # before the other checks run, so that it does not add to their peak memory.
     on_patterns, on_tableaux = evaluate(pattern_model(n), patterns), evaluate(tableau_model(n), tableaux)
-    images = [bijection.pattern_to_tableau(p) for p in patterns]
-    into = list(map(on_tableaux.slot, images))
+    into = [on_tableaux.slot(bijection.pattern_to_tableau(p)) for p in patterns]
     checks = {
         "dimension": verify_dimension(n, lam, patterns),
         "axioms-patterns": verify_axioms(on_patterns),
         "axioms-tableaux": verify_axioms(on_tableaux),
-        "isomorphism": verify_isomorphism(on_patterns, into, on_tableaux, bijection.pattern_to_tableau),
+        "isomorphism": verify_isomorphism(on_patterns, into, on_tableaux),
         "connected-unique-source": verify_sources(on_patterns),
     }
     back = [on_patterns.slot(bijection.tableau_to_pattern(t)) for t in tableaux]
     del on_patterns, on_tableaux
-    checks["counting-identities"], checks["algebraic-identities"] = verify_identities(patterns, images)
+    checks["counting-identities"], checks["algebraic-identities"] = verify_identities(patterns, tableaux, into)
     checks["round-trip"] = verify_round_trip(patterns, tableaux, into, back)
     return {
         "n": n,

@@ -146,7 +146,7 @@ def test_bijection_is_isomorphism_sweep():
             side_a = evaluate(pattern_model(n), list(enumerate_patterns(n, lam)))
             side_b = evaluate(tableau_model(n), list(enumerate_tableaux(n, lam)))
             into = [side_b.slot(pattern_to_tableau(p)) for p in side_a.elements]
-            report = verify_isomorphism(side_a, into, side_b, pattern_to_tableau)
+            report = verify_isomorphism(side_a, into, side_b)
             assert report.passed, f"violations at n={n}, shape={lam}: {report.violations[:3]}"
 
 

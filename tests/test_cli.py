@@ -541,23 +541,29 @@ def test_verify_failure_exits_one(monkeypatch, capsys):
 ESCAPED = '{"n":3,"rows":[[99,1,0],[1,0],[1]]}'
 
 
-@pytest.fixture
-def escaping_lower(monkeypatch):
-    # A lowering operator whose images leave the crystal.
+def escape_lowering(monkeypatch, escaped):
+    # A lowering operator whose images leave the crystal, as the value escaped.
     lower = gtpattern.lower_gtp
-    escaped = gtpattern.GTPattern.from_dict(json.loads(ESCAPED))
     monkeypatch.setattr(gtpattern, "lower_gtp", lambda p, i: None if lower(p, i) is None else escaped)
 
 
-def test_verify_reports_escaping_lowering_as_failure(escaping_lower, capsys):
-    # An escaping lowering image is a failed check with closure witnesses,
-    # not an input error.
-    code, out, err = run(capsys, "verify", "-n", "3", "-l", "2,1", "--json")
-    assert code == 1
-    assert err == ""
-    axioms = json.loads(out)["shapes"][0]["checks"]["axioms-patterns"]
-    assert not axioms["pass"]
-    assert any(detail["rule"] == "closure" for detail in axioms["details"])
+@pytest.fixture
+def escaping_lower(monkeypatch):
+    escape_lowering(monkeypatch, gtpattern.GTPattern.from_dict(json.loads(ESCAPED)))
+
+
+def test_verify_reports_escaping_lowering_as_failure(monkeypatch, capsys):
+    # An escaping lowering image, a pattern outside the crystal or a value
+    # that is no element at all, is a failed check with closure witnesses
+    # naming it, not an input error.
+    for escaped, key in ((gtpattern.GTPattern.from_dict(json.loads(ESCAPED)), ESCAPED), (0, "0")):
+        with monkeypatch.context() as patch:
+            escape_lowering(patch, escaped)
+            code, out, err = run(capsys, "verify", "-n", "3", "-l", "2,1", "--json")
+        assert (code, err) == (1, "")
+        axioms = json.loads(out)["shapes"][0]["checks"]["axioms-patterns"]
+        assert not axioms["pass"]
+        assert any(detail["rule"] == "closure" and key in detail["keys"] for detail in axioms["details"])
 
 
 @pytest.mark.parametrize("fmt", ["json", "dot"])

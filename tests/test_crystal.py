@@ -22,6 +22,7 @@ from gtcrystal import (
     pattern_to_tableau,
     raise_gtp,
     render_key,
+    ssyt,
     tableau_model,
     tableau_to_pattern,
     validate_pattern,
@@ -178,9 +179,8 @@ def test_violation_cap_limits_report(monkeypatch):
 
 def check_isomorphism(side_a, mapping, side_b):
     """``verify_isomorphism`` of ``mapping``, given as verify_shape gives it:
-    the slot on side b of each element's image, and the mapping itself for
-    images that escape side a."""
-    return verify_isomorphism(side_a, [side_b.slot(mapping(a)) for a in side_a.elements], side_b, mapping)
+    the slot on side b of each element's image."""
+    return verify_isomorphism(side_a, [side_b.slot(mapping(a)) for a in side_a.elements], side_b)
 
 
 def test_isomorphism_passes(shape310):
@@ -272,9 +272,11 @@ def test_evaluate_reads_the_model_once_per_element_and_label():
         assert counts(calls) == dict.fromkeys(calls, 0)
 
 
-def test_checks_make_no_model_call_on_a_passing_shape():
+def test_checks_make_no_model_call_on_a_passing_shape(shape2):
     # Given the evaluations, both axiom checks, the isomorphism check and
-    # connectivity read every value from them and call neither model.
+    # connectivity read every value from them and call neither model.  On
+    # the input of test_into_target_witness, too, the image outside the
+    # target, T22, is not evaluated: the isomorphism fails only into-target.
     n, lam = 4, (2, 1)
     (pm, pattern_calls), (tm, tableau_calls) = counting_model(pattern_model(n)), counting_model(tableau_model(n))
     side_a, side_b = evaluate(pm, list(enumerate_patterns(n, lam))), evaluate(tm, list(enumerate_tableaux(n, lam)))
@@ -283,20 +285,14 @@ def test_checks_make_no_model_call_on_a_passing_shape():
     assert check_isomorphism(side_a, pattern_to_tableau, side_b).passed
     assert connectivity(side_a) == connectivity(side_b) == 1
     assert counts(pattern_calls) == counts(tableau_calls) == dict.fromkeys(pattern_calls, 0)
-
-
-def test_checks_call_the_model_only_on_an_image_outside_the_target(shape2):
-    # On the input of test_into_target_witness the one model read left is of
-    # T22, the image outside the target: one weight, one of each operator per label.
     pm, patterns, tm, tableaux = shape2
     (pm, pattern_calls), (tm, tableau_calls) = counting_model(pm), counting_model(tm)
     side_a, side_b = evaluate(pm, patterns), evaluate(tm, tableaux[:2])
     forget(pattern_calls, tableau_calls)
     assert verify_axioms(side_a).passed and not verify_axioms(side_b).passed
-    assert not check_isomorphism(side_a, pattern_to_tableau, side_b).passed
-    outside = tableaux[2]
-    assert counts(pattern_calls) == dict.fromkeys(pattern_calls, 0)
-    assert tableau_calls == {name: [outside] * (1 if name == "weight" else tm.n - 1) for name in tableau_calls}
+    report = check_isomorphism(side_a, pattern_to_tableau, side_b)
+    assert not report.passed and {v.rule for v in report.violations} == {"into-target"}
+    assert counts(pattern_calls) == counts(tableau_calls) == dict.fromkeys(pattern_calls, 0)
 
 
 def test_verify_shape_evaluates_each_model_once(monkeypatch):
@@ -666,6 +662,49 @@ def test_images_outside_the_set_are_never_read_as_numbers():
     ):
         report = check_isomorphism(*sides)
         assert (report.found, [v.rule for v in report.violations]) == (found, ["lower-intertwine"] * found)
+
+
+OUTSIDE_PATTERN = validate_pattern(3, [[99, 1, 0], [1, 0], [1]])
+OUTSIDE_TABLEAU = pattern_to_tableau(OUTSIDE_PATTERN)
+ARGUMENT = object()  # stands for the value a broken map was given
+BROKEN_VALUES = {
+    "0": 0,
+    "1": 1,
+    "False": False,
+    "outside pattern": OUTSIDE_PATTERN,
+    "outside tableau": OUTSIDE_TABLEAU,
+    "argument": ARGUMENT,
+}
+BROKEN_MAPS = [
+    pytest.param(module, name, value, id=f"{name}-{label}")
+    for module, names, values in (
+        (gtpattern, ("lower_gtp", "raise_gtp"), BROKEN_VALUES),
+        (ssyt, ("lower_ssyt", "raise_ssyt"), BROKEN_VALUES),
+        (bijection, ("pattern_to_tableau", "tableau_to_pattern"), {**BROKEN_VALUES, "None": None}),
+    )
+    for name in names
+    for label, value in values.items()
+]
+
+
+@pytest.mark.parametrize("module, name, value", BROKEN_MAPS)
+def test_a_broken_operator_or_bijection_fails_with_a_record(monkeypatch, module, name, value):
+    # An operator answering the value wherever the true image exists, or a
+    # bijection direction answering it always, breaks the (3, (2, 1)) crystal
+    # of verify_shape: the record fails and renders, and nothing raises,
+    # since no check passes a value outside the two crystals on.
+    true = getattr(module, name)
+
+    def answer(b):
+        return b if value is ARGUMENT else value
+
+    if module is bijection:
+        monkeypatch.setattr(module, name, answer)
+    else:
+        monkeypatch.setattr(module, name, lambda b, i: None if true(b, i) is None else answer(b))
+    record = crystal.verify_shape(3, (2, 1))
+    assert not record["pass"]
+    assert json.loads(json.dumps(record)) == record
 
 
 @pytest.mark.parametrize("n, lam", [(3, (5, 2)), (4, (2, 1)), (5, (4, 3, 2, 1))])

@@ -343,6 +343,13 @@ def reference_identity_counts(patterns, image):
     return counting, algebraic
 
 
+def identity_counts(patterns, image):
+    """(counting, algebraic) of ``crystal.verify_identities``, the tableau of
+    pattern k being image(p), numbered k among the tableaux."""
+    tableaux = list(map(image, patterns))
+    return tuple(report.found for report in crystal.verify_identities(patterns, tableaux, range(len(tableaux))))
+
+
 def _bumped(orig, level, index):
     # One more at (level, index): the label and diamond index, or the letter and tableau row.
     return lambda p, i, j: orig(p, i, j) + (i == level and j == index)
@@ -381,7 +388,7 @@ def test_identity_counts_match_an_index_by_index_oracle(monkeypatch):
 
     monkeypatch.setattr(crystal, "_holds_formally", recording)
     image = functools.cache(bijection.pattern_to_tableau)
-    assert [report.found for report in crystal.verify_identities(patterns, list(map(image, patterns)))] == [0, 0]
+    assert identity_counts(patterns, image) == (0, 0)
     assert reference_identity_counts(patterns, image) == (0, 0)
     assert sorted(proofs) == [(2, True), (3, True), (4, True)]
     bumps = [
@@ -407,7 +414,7 @@ def test_identity_counts_match_an_index_by_index_oracle(monkeypatch):
         proofs.clear()
         with monkeypatch.context() as bump:
             bump.setattr(module, name, bumped)
-            package = tuple(report.found for report in crystal.verify_identities(patterns, list(map(image, patterns))))
+            package = identity_counts(patterns, image)
             assert package == reference_identity_counts(patterns, image), (name, where)
         assert any(package), (name, where)
         assert sorted(n for n, _ in proofs) == [2, 3, 4] and not all(held for _, held in proofs), (name, where)
@@ -422,14 +429,13 @@ def test_a_linear_letter_count_mutant_leaves_the_rank_unproved(monkeypatch):
     # index-by-index oracle's.
     patterns = list(enumerate_patterns(4, (3, 2, 1)))
     image = bijection.pattern_to_tableau
-    images = list(map(image, patterns))
     assert len(patterns) >= crystal.FORMAL_MIN_PATTERNS and crystal._holds_formally(4)
     proofs = []
     holds = crystal._holds_formally
     monkeypatch.setattr(crystal, "_holds_formally", lambda n: proofs.append(holds(n)) or proofs[-1])
     with monkeypatch.context() as mutant:
         mutant.setattr(bijection, "letter_count_in_row", lambda p, i, k: p.entry(i, k) - p.entry(i - 1, k - 1))
-        counts = tuple(report.found for report in crystal.verify_identities(patterns, images))
+        counts = identity_counts(patterns, image)
         assert counts == reference_identity_counts(patterns, image) and counts[0] > 0
     assert proofs == [False]
     # Row differences one off at letter 2 in row 2 are refused by that
@@ -442,7 +448,7 @@ def test_a_linear_letter_count_mutant_leaves_the_rank_unproved(monkeypatch):
 
     monkeypatch.setattr(crystal, "_row_differences", one_off)
     assert not any(holds(n) for n in range(2, 6))
-    assert [report.found for report in crystal.verify_identities(patterns, images)] == [0, 0]
+    assert identity_counts(patterns, image) == (0, 0)
 
 
 def test_identity_counts_stay_exact_off_interleaving():
@@ -464,4 +470,4 @@ def test_identity_counts_stay_exact_off_interleaving():
     ]
     counts = reference_identity_counts(patterns, filling)
     assert len(patterns) >= crystal.FORMAL_MIN_PATTERNS and counts[0] == 0 < counts[1]
-    assert tuple(report.found for report in crystal.verify_identities(patterns, list(map(filling, patterns)))) == counts
+    assert identity_counts(patterns, filling) == counts

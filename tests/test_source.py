@@ -285,6 +285,31 @@ def test_distinctness_is_checked_where_the_elements_come_in():
     assert distinctness_checkers(tree) == {"evaluate", "verify_axioms"}
 
 
+def callers(tree, names):
+    """The module-level definitions of ``tree`` that call a function named in ``names``, bare or as an attribute."""
+    return {
+        getattr(node, "name", None)
+        for node in tree.body
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Call) and (getattr(sub.func, "id", None) or getattr(sub.func, "attr", None)) in names
+    }
+
+
+def test_no_check_maps_or_evaluates_a_value():
+    # In crystal.py only verify_shape runs the bijection, and no check
+    # evaluates a model: every check reads the two crystals by slot, and a
+    # value outside them stays a witness, passed to neither.
+    tree = ast.parse((PACKAGE / "crystal.py").read_text(encoding="utf-8"))
+    maps = {"pattern_to_tableau", "tableau_to_pattern"}
+    checks = check_functions(tree).keys()
+    assert callers(tree, maps) == {"verify_shape"} and callers(tree, {"evaluate"}) & checks == set()
+    # The rule sees both calls slipped into verify_round_trip.
+    slipped = "evaluate(tableau_model(1), [bijection.pattern_to_tableau(patterns[0])])"
+    definition(tree, "verify_round_trip").body.insert(0, ast.parse(slipped).body[0])
+    assert callers(tree, maps) == {"verify_shape", "verify_round_trip"}
+    assert callers(tree, {"evaluate"}) & checks == {"verify_round_trip"}
+
+
 # The crystal operators of both models, which the oracles check.
 OPERATORS = {f"{datum}_{model}" for datum in ("phi", "epsilon", "lower", "raise") for model in ("gtp", "ssyt")}
 
