@@ -30,12 +30,14 @@ literal diamond forms once per rank, on the pattern of formal entries
 x_(i,j) (``core.Linear``): once a tableau has the letter counts of
 ``bijection.letter_count_in_row``, every identity is linear in the entries.
 The same check proves those counts equal to the row differences
-x_(i,k) - x_(i-1,k), so per pattern it then compares the tableau's letter
-counts with the row differences and reads two interleaving gaps per level.
-A rank with fewer than ``FORMAL_MIN_PATTERNS`` patterns, where the proof
-costs more than it saves, a rank where it fails, and a pattern whose letter
-counts differ take the literal table and walk instead, one call per
-(pattern, level, index), so every count is the one the walk gives.
+x_(i,k) - x_(i-1,k), so per pattern it then walks each tableau row against
+the runs of letters those differences give, read straight off the
+pattern's rows (``_fills_rows``), and reads two interleaving gaps per
+level, building no table.  A rank with fewer than ``FORMAL_MIN_PATTERNS``
+patterns, where the proof costs more than it saves, a rank where it fails,
+and a pattern whose tableau rows do not match take the literal table and
+walk instead, one call per (pattern, level, index), so every count is the
+one the walk gives.
 """
 
 from __future__ import annotations
@@ -430,6 +432,38 @@ def _row_differences(p: gtp.GTPattern) -> list[list[Any]]:
     return [[0] * (n + 1)] + [[0, *map(sub, high, low)] for low, high in zip(padded, padded[1:])]
 
 
+def _fills_rows(p: gtp.GTPattern, t: ssyt.Tableau) -> bool:
+    """Whether row k of t is, left to right, x_(i,k) - x_(i-1,k) letters i
+    for i = k..n, the entries x read straight off the pattern's rows.
+
+    Level i's entry in column k ends the run of letter i, so the runs tile
+    the row from 0 to x_(n,k), and one pass over the cells compares each
+    with the letter of its run; a column of the pattern past t's last row
+    must be all 0.  So a match implies
+    ``_letter_counts(t) == _row_differences(p)``, with neither table built.
+    An unsorted, short or overlong row, a negative layer (a run that would
+    end before it starts), or more than n rows is no match.
+    """
+    n, levels, rows = p.n, p.rows, t.rows
+    m = len(rows)
+    if m > n or m < n and any([any(level[m:]) for level in levels[: n - m]]):
+        return False
+    for k, row in enumerate(rows, 1):
+        cells = iter(row)
+        start = 0
+        for i, level in enumerate(levels[n - k :: -1], k):
+            end = level[k - 1]
+            if end < start:
+                return False
+            while start < end:
+                if next(cells, None) != i:
+                    return False
+                start += 1
+        if start != len(row):
+            return False
+    return True
+
+
 def _gaps(p: gtp.GTPattern) -> list[tuple[Any, Any]]:
     """The interleaving gaps (x_(i+1,1) - x_(i,1), x_(i,i) - x_(i+1,i+1)) of
     levels i = 1..n-1, read off the rows: a_0 and b_(i+1) at level i are
@@ -542,13 +576,16 @@ def verify_identities(
     pattern entries.  So each rank with at least ``FORMAL_MIN_PATTERNS``
     patterns is checked once, on formal entries (``_holds_formally``), which
     also proves the letter-count table equal to the row differences
-    x_(i,k) - x_(i-1,k).  Where that holds, a pattern reads only its row
-    differences, compared with c in one list comparison, and its two
-    interleaving gaps per level, since a_0 and b_(i+1) are proved to be the
-    negated gaps.  The literal table and walk (``_walk``) run on every
-    pattern of a rank that is not proved, or too small to prove, and on each
-    pattern whose letter counts differ, so every count is the one the walk
-    gives.
+    x_(i,k) - x_(i-1,k).  Where that holds, each tableau row is walked
+    once against the runs of letters the row differences give, read off the
+    pattern's rows (``_fills_rows``): a match implies ``_letter_counts(t)
+    == _row_differences(p)``, with neither table built.  The pattern then reads
+    only its two interleaving gaps per level, since a_0 and b_(i+1) are
+    proved to be the negated gaps of ``_gaps``.  The literal table and walk
+    (``_walk``) run on every pattern of a rank that is not proved, or too
+    small to prove, and on each pattern whose tableau rows do not match (an
+    unsorted, short or overlong row, a negative layer), so every count is
+    the one the walk gives.
     """
     counting = algebraic = 0
     ranks: dict[int, list[tuple[gtp.GTPattern, ssyt.Tableau]]] = {}
@@ -558,10 +595,13 @@ def verify_identities(
     for n, group in ranks.items():
         proved = len(group) >= FORMAL_MIN_PATTERNS and _holds_formally(n)
         for p, t in group:
-            c = _letter_counts(t)
-            if proved and _row_differences(p) == c:
-                algebraic += sum(low < 0 or high < 0 for low, high in _gaps(p))
+            if proved and _fills_rows(p, t):
+                # The two end gaps of _gaps, level i + 1 above level i: a level counts where one is negative.
+                for up, mid in zip(p.rows, p.rows[1:]):
+                    if up[0] < mid[0] or mid[-1] < up[-1]:
+                        algebraic += 1
                 continue
+            c = _letter_counts(t)
             table = _letter_count_table(p)
             counting += sum(sum(map(ne, table[i], c[i])) for i in range(1, n + 1))
             found_counting, found_algebraic, tops = _walk(p, c, ne)

@@ -14,7 +14,11 @@ is its four ``entry`` reads, so the one bound of ``entry`` (0 outside the
 triangle) covers every literal read.  The literal forms and the kernel never
 call each other.  ``validate_pattern`` accepts a plain-typed
 pattern in one walk and words any other input's first fault with ordered
-scans.
+scans.  It and the operators' one entry write (``_with_entry_changed``)
+build their pattern with ``tuple.__new__``, in C, skipping the Python-level
+``__new__`` that ``NamedTuple`` generates; ``enumerate_patterns`` builds
+through the class name, so a patch of ``GTPattern`` sees each pattern it
+makes.
 
 Indexing convention used everywhere in this package: ``entry(i, j)`` is the
 j-th entry of the row with i entries, both 1-based, and reads 0 whenever
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import chain, product
+from operator import sub
 from typing import Any, Iterator, NamedTuple, Optional
 
 from .core import (
@@ -176,7 +181,7 @@ def validate_pattern(n: int, rows: Any) -> GTPattern:
                     raise InterleaveError(i, j, f"entry ({i},{j}) = {mid} exceeds entry ({i+1},{j}) = {upper}")
                 if mid < lower:
                     raise InterleaveError(i, j, f"entry ({i},{j}) = {mid} is below entry ({i+1},{j+1}) = {lower}")
-    return GTPattern(n, rows)
+    return tuple.__new__(GTPattern, (n, rows, "pattern"))
 
 
 def _a(p: GTPattern, i: int, j: int) -> int:
@@ -237,8 +242,8 @@ def weight_gtp(pattern: GTPattern) -> Weight:
     Coordinate j counts the letter j in the corresponding tableau, so the
     tuple is the canonical representative of the weight.
     """
-    sums = [0] + [sum(row) for row in reversed(pattern.rows)]  # sums[j]: row j, bottom-up
-    return tuple(sums[j] - sums[j - 1] for j in range(1, pattern.n + 1))
+    sums = [0, *map(sum, reversed(pattern.rows))]  # sums[j]: row j, bottom-up
+    return tuple(map(sub, sums[1:], sums))
 
 
 def weight_expressions(pattern: GTPattern) -> tuple[Weight, Weight, Weight]:
@@ -330,8 +335,8 @@ def _with_entry_changed(pattern: GTPattern, i: int, j: int, delta: int) -> GTPat
     if problem is not None:
         operator = f"{'f' if delta < 0 else 'e'}_{i} on {pattern.compact()}"
         raise RuntimeError(f"crystal operator {operator} produced an invalid pattern at ({i},{j}): {problem}")
-    rows = pattern.rows
-    return GTPattern(pattern.n, rows[:k] + (row[: j - 1] + (value,) + row[j:],) + rows[k + 1 :])
+    rows = pattern.rows[:k] + (row[: j - 1] + (value,) + row[j:],) + pattern.rows[k + 1 :]
+    return tuple.__new__(GTPattern, (pattern.n, rows, "pattern"))
 
 
 def lower_gtp(pattern: GTPattern, i: int) -> Optional[GTPattern]:

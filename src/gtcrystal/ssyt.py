@@ -9,7 +9,10 @@ single pass over the reading word that counts the unmatched letters i and
 keeps the index of the first (``_cancel``).  ``validate_tableau`` accepts a
 plain-typed filling of its shape in one walk over its rows and cells
 (``_semistandard``) and words the first fault of any other input with
-ordered scans.
+ordered scans.  It and the operators' one cell write (``_with_cell_changed``)
+build their tableau with ``tuple.__new__``, in C, as ``far_east_reading``
+builds its word; ``enumerate_tableaux`` builds through the class name, as
+``enumerate_patterns`` does.
 
 Cells are addressed by 1-based (row, column) pairs throughout.
 """
@@ -130,7 +133,7 @@ def validate_tableau(n: int, shape: Sequence[int], rows: Any) -> Tableau:
     faults reports the first in that order.
     """
     if type(n) is int and n > 0 and _semistandard(n, shape, rows):
-        return Tableau(n, tuple([tuple(row) for row in rows]))
+        return tuple.__new__(Tableau, (n, tuple([tuple(row) for row in rows]), "tableau"))
     require_positive(n, "alphabet bound")
     if not isinstance(shape, (list, tuple)):
         raise ShapeError(f"shape must be an array, got {quote(shape)}")
@@ -154,7 +157,7 @@ def validate_tableau(n: int, shape: Sequence[int], rows: Any) -> Tableau:
                 raise ColumnOrderError(
                     f"column {c} does not increase at ({r + 1},{c}): {rows[r - 1][c - 1]} >= {rows[r][c - 1]}"
                 )
-    return Tableau(n, rows)
+    return tuple.__new__(Tableau, (n, rows, "tableau"))
 
 
 class ReadingWord(NamedTuple):
@@ -282,7 +285,8 @@ def _with_cell_changed(tableau: Tableau, r: int, c: int, letter: int) -> Tableau
     if problem is not None:
         operator = (f"f_{row[c - 1]}" if letter > row[c - 1] else f"e_{letter}") + f" on {tableau.compact()}"
         raise RuntimeError(f"crystal operator {operator} produced an invalid tableau at ({r},{c}): {problem}")
-    return Tableau(tableau.n, rows[: r - 1] + (row[: c - 1] + (letter,) + row[c:],) + rows[r:])
+    rows = rows[: r - 1] + (row[: c - 1] + (letter,) + row[c:],) + rows[r:]
+    return tuple.__new__(Tableau, (tableau.n, rows, "tableau"))
 
 
 def lower_ssyt(tableau: Tableau, i: int) -> Optional[Tableau]:

@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +21,7 @@ from sweeps import lowering_edges
 WORKED = '{"n":3,"rows":[[3,1,0],[3,1],[2]]}'
 WORKED_TAB = '{"n":3,"shape":[3,1],"rows":[[1,1,2],[2]]}'
 SRC = Path(__file__).resolve().parents[1] / "src"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -990,3 +992,19 @@ def test_fuzzed_payloads_exit_with_a_documented_code(argv):
     if code == 2 and not (argv[-1].startswith("-") and err.getvalue().startswith("usage:")):
         line = err.getvalue()
         assert line.endswith("\n") and line.count("\n") == 1 and len(line[:-1].encode()) <= 120, line
+
+
+def test_every_readme_command_runs(capsys, monkeypatch, tmp_path):
+    # Each line of the README's block of gtcrystal commands runs as written,
+    # in an empty directory so that no line can lean on a file there, and
+    # exits 0; a line whose comment says it prints `none` prints exactly that.
+    blocks = README.read_text().split("```")[1::2]
+    (block,) = [b for b in blocks if b.strip() and all(line.startswith("gtcrystal ") for line in b.strip().splitlines())]
+    lines = block.strip().splitlines()
+    assert len(lines) >= 10
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        code, out, err = run(capsys, *shlex.split(line, comments=True)[1:])
+        assert code == 0 and err == "", line
+        if "prints `none`" in line:
+            assert out == "none\n", line

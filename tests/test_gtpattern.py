@@ -506,17 +506,26 @@ def test_pattern_fields_cannot_be_assigned(worked):
 
 def test_operator_images_are_the_validated_and_enumerated_patterns():
     # An operator image equals, and hashes as, the pattern validate_pattern
-    # builds from its rows and the pattern the enumerator yields.
+    # builds from its rows, on its one walk and on its ordered scans (taken
+    # for an int subclass as n), and the pattern the enumerator yields.  All
+    # but the last skip the named tuple's __new__, so each must also have its
+    # type and its kind.
+    class Int(int):
+        pass
+
     n = 4
     patterns = list(enumerate_patterns(n, (3, 1)))
     number = {p: k for k, p in enumerate(patterns)}
-    images = [q for p in patterns for i in range(1, n) for q in (lower_gtp(p, i), raise_gtp(p, i)) if q is not None]
-    assert len(images) > len(patterns)
-    for q in images:
-        built = validate_pattern(n, [list(row) for row in q.rows])
+    lowered = [q for p in patterns for i in range(1, n) if (q := lower_gtp(p, i)) is not None]
+    raised = [q for p in patterns for i in range(1, n) if (q := raise_gtp(p, i)) is not None]
+    assert lowered and raised
+    for q in lowered + raised:
+        walked = validate_pattern(n, [list(row) for row in q.rows])
+        scanned = validate_pattern(Int(n), q.rows)
         enumerated = patterns[number[q]]
-        assert q == built == enumerated
-        assert hash(q) == hash(built) == hash(enumerated)
+        assert q == walked == scanned == enumerated
+        assert hash(q) == hash(walked) == hash(scanned) == hash(enumerated)
+        assert all(type(x) is GTPattern and x.kind == "pattern" for x in (q, walked, scanned))
 
 
 def test_pretty_renders_triangle(worked):

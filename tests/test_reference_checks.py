@@ -19,7 +19,10 @@ import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import pattern_st
 from gtcrystal import (
     GTPattern,
     Tableau,
@@ -471,3 +474,83 @@ def test_identity_counts_stay_exact_off_interleaving():
     counts = reference_identity_counts(patterns, filling)
     assert len(patterns) >= crystal.FORMAL_MIN_PATTERNS and counts[0] == 0 < counts[1]
     assert identity_counts(patterns, filling) == counts
+
+
+def fits_rows_exactly(p, t, own):
+    """Whether ``crystal._fills_rows`` matches (p, t) exactly when t is p's own
+    tableau, and each match has the letter counts of the proved table."""
+    match = crystal._fills_rows(p, t)
+    return match == (t == own) and (not match or crystal._letter_counts(t) == crystal._row_differences(p))
+
+
+def swapped(t, r, c, d):
+    """t with cells c and d of row r exchanged."""
+    row = list(t.rows[r])
+    row[c], row[d] = row[d], row[c]
+    return Tableau(t.n, t.rows[:r] + (tuple(row),) + t.rows[r + 1 :])
+
+
+def test_the_row_wise_check_matches_each_pattern_to_its_own_tableau():
+    # A proved rank compares each tableau with its pattern row by row, without
+    # the letter-count table.  Over every (pattern, tableau) pair of these
+    # shapes it must match exactly the pattern's own tableau; and it must
+    # refuse each own tableau with two unequal cells of a row swapped, which
+    # keeps the letter counts but breaks the row order.  Shape (6) at n = 2
+    # has runs of three, so a check that compares only the first and last
+    # cell of each run would match 1,2,1,2,1,2.  A negative layer is no match.
+    for n, lam in ((2, (6,)), (3, (2, 1)), (3, (3, 1)), (4, (2, 1, 1)), (4, (3, 2, 1))):
+        patterns = list(enumerate_patterns(n, lam))
+        tableaux = list(enumerate_tableaux(n, lam))
+        for p in patterns:
+            own = bijection.pattern_to_tableau(p)
+            assert crystal._fills_rows(p, own)
+            assert all(fits_rows_exactly(p, t, own) for t in tableaux), (n, lam, p)
+            for r, row in enumerate(own.rows):
+                for c, d in itertools.combinations(range(len(row)), 2):
+                    if row[c] != row[d]:
+                        assert not crystal._fills_rows(p, swapped(own, r, c, d)), (p, r, c, d)
+    # Column 1 of this triangle reads 2, 1, 3 up from level 1: letter 2 has a
+    # negative layer.  1,1,3 fills the runs that remain to the row's length,
+    # but its letter counts are not the row differences.
+    p, t = GTPattern(3, ((3, 0, 0), (1, 0), (2,))), Tableau(3, ((1, 1, 3),))
+    assert crystal._letter_counts(t) != crystal._row_differences(p)
+    assert not crystal._fills_rows(p, t)
+
+
+@st.composite
+def near_misses(draw):
+    """A pattern, its own tableau, and that tableau with one edit: two cells of
+    a row swapped, a letter moved to another row, or a cell added or dropped,
+    as a filling that need not be semistandard."""
+    p = draw(pattern_st(max_n=5, max_part=8))
+    own = bijection.pattern_to_tableau(p)
+    rows = [list(row) for row in own.rows] + [[]] * (len(own.rows) < p.n)
+    cells = [(r, c) for r, row in enumerate(rows) for c in range(len(row))]
+    edit = draw(st.sampled_from(["swap", "move", "add", "drop"] if cells else ["add"]))
+    if edit == "swap":
+        r = draw(st.sampled_from([r for r, row in enumerate(rows) if row]))
+        c, d = draw(st.integers(0, len(rows[r]) - 1)), draw(st.integers(0, len(rows[r]) - 1))
+        rows[r][c], rows[r][d] = rows[r][d], rows[r][c]
+    elif edit == "add":
+        r, letter = None, draw(st.integers(1, p.n))
+    else:
+        r, c = draw(st.sampled_from(cells))
+        letter = rows[r].pop(c)
+    targets = [k for k in range(len(rows)) if k != r]
+    if edit in ("move", "add") and targets:
+        target = draw(st.sampled_from(targets))
+        rows[target].insert(draw(st.integers(0, len(rows[target]))), letter)
+    while rows and not rows[-1]:
+        rows.pop()
+    return p, own, Tableau(p.n, tuple(map(tuple, rows)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_misses())
+def test_a_row_wise_match_has_the_proved_letter_counts(case):
+    # A near miss of a pattern's own tableau matches exactly when the edit
+    # left it unchanged, and every match has the letter counts of
+    # _row_differences, the table _holds_formally proves on the rank.
+    p, own, t = case
+    assert crystal._fills_rows(p, own)
+    assert fits_rows_exactly(p, t, own)

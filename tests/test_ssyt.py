@@ -267,7 +267,10 @@ def test_reading_word_is_an_immutable_value():
 
 def test_each_tableau_query_reads_once(monkeypatch):
     # Every phi, epsilon, lowering and raising call on a tableau makes exactly
-    # one reading: a cache of words across calls would show up here.
+    # one reading, and two readings of one tableau are two words: a cache of
+    # words across calls, inside far_east_reading or around it, shows up here.
+    t = validate_tableau(3, (2, 1), [[1, 2], [3]])
+    assert far_east_reading(t) == far_east_reading(t) and far_east_reading(t) is not far_east_reading(t)
     calls = {"readings": 0, "queries": 0}
 
     def counting(key, fn):
@@ -536,17 +539,26 @@ def test_tableau_fields_cannot_be_assigned(reference):
 
 def test_operator_images_are_the_validated_and_enumerated_tableaux():
     # An operator image equals, and hashes as, the tableau validate_tableau
-    # builds from its rows and the tableau the enumerator yields.
+    # builds from its rows, on its one walk and on its ordered scans (taken
+    # for an int subclass as n), and the tableau the enumerator yields.  All
+    # but the last skip the named tuple's __new__, so each must also have its
+    # type and its kind.
+    class Int(int):
+        pass
+
     n, shape = 4, (3, 1)
     tableaux = list(enumerate_tableaux(n, shape))
     number = {t: k for k, t in enumerate(tableaux)}
-    images = [u for t in tableaux for i in range(1, n) for u in (lower_ssyt(t, i), raise_ssyt(t, i)) if u is not None]
-    assert len(images) > len(tableaux)
-    for u in images:
-        built = validate_tableau(n, shape, [list(row) for row in u.rows])
+    lowered = [u for t in tableaux for i in range(1, n) if (u := lower_ssyt(t, i)) is not None]
+    raised = [u for t in tableaux for i in range(1, n) if (u := raise_ssyt(t, i)) is not None]
+    assert lowered and raised
+    for u in lowered + raised:
+        walked = validate_tableau(n, shape, [list(row) for row in u.rows])
+        scanned = validate_tableau(Int(n), shape, u.rows)
         enumerated = tableaux[number[u]]
-        assert u == built == enumerated
-        assert hash(u) == hash(built) == hash(enumerated)
+        assert u == walked == scanned == enumerated
+        assert hash(u) == hash(walked) == hash(scanned) == hash(enumerated)
+        assert all(type(x) is Tableau and x.kind == "tableau" for x in (u, walked, scanned))
 
 
 def test_verify_rejects_a_bijection_that_returns_its_argument(monkeypatch):
