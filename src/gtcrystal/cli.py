@@ -135,13 +135,20 @@ def _write_array(template: str, fills: Iterable[tuple]) -> None:
 
 
 def _elements(args: argparse.Namespace) -> Iterator[Any]:
-    """The crystal of ``-n`` and ``-l``, lazily: its patterns, or with ``--model ssyt`` their tableaux."""
-    patterns = gtpattern.enumerate_patterns(args.n, _parse_partition(args.shape))
-    return map(bijection.pattern_to_tableau, patterns) if args.model == "ssyt" else patterns
+    """The crystal of ``-n`` and ``-l``, lazily, in pattern order: its patterns, or with ``--model ssyt`` their tableaux.
+
+    The tableaux come from ``bijection.enumerate_pattern_tableaux``, which
+    fills them letter by letter down the pattern walk and calls no map of
+    the bijection.
+    """
+    lam = _parse_partition(args.shape)
+    if args.model == "ssyt":
+        return bijection.enumerate_pattern_tableaux(args.n, lam)
+    return gtpattern.enumerate_patterns(args.n, lam)
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    # Each element is made as its line is due, so the first line waits for one pattern (and its tableau).
+    # Each element is made as its line is due, so the first line waits for one pattern or tableau.
     elements = _elements(args)
     if args.format == "text":
         for element in elements:

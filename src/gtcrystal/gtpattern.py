@@ -362,15 +362,37 @@ def raise_gtp(pattern: GTPattern, i: int) -> Optional[GTPattern]:
     return _with_entry_changed(pattern, i, ell, +1)
 
 
+def interleaving_rows(upper: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Each row that interleaves with the row ``upper`` and has one entry fewer, lazily, in lexicographic order.
+
+    Entry j ranges over the closed interval [upper[j+1], upper[j]], so no
+    candidate is filtered out.
+    """
+    return product(*(range(low, high + 1) for low, high in zip(upper[1:], upper)))
+
+
 def _rows_below(stack: tuple[tuple[int, ...], ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
     """``stack`` extended by each row that interleaves with its last row, in lexicographic order.
 
-    Entry j of the new row ranges over the closed interval [upper[j+1],
-    upper[j]] of the last row ``upper``, so no candidate is filtered out;
     ``zip`` wraps each row in the 1-tuple that ``stack.__add__`` appends.
     """
-    upper = stack[-1]
-    return map(stack.__add__, zip(product(*(range(low, high + 1) for low, high in zip(upper[1:], upper)))))
+    return map(stack.__add__, zip(interleaving_rows(stack[-1])))
+
+
+def top_row(n: int, lam: Partition) -> tuple[int, ...]:
+    """The top row of the patterns with n rows and shape ``lam``: ``lam`` padded to n entries.
+
+    Raises ShapeError unless ``n`` is a positive int of at most
+    ``core.MAX_LEVELS`` and ``lam`` a partition with parts below
+    ``sys.maxsize``, and LengthError if ``lam`` has more than n parts: the
+    checks of every walk that starts from this row.
+    """
+    require_positive(n, "row count")
+    if n > MAX_LEVELS:
+        raise ShapeError(f"row count must be at most {MAX_LEVELS}, got {n}")
+    top = pad(lam, n)
+    require_enumerable(top)
+    return top
 
 
 def enumerate_patterns(n: int, lam: Partition) -> Iterator[GTPattern]:
@@ -378,19 +400,14 @@ def enumerate_patterns(n: int, lam: Partition) -> Iterator[GTPattern]:
 
     Order: lexicographically increasing on the concatenation of rows read
     top-down, left-to-right.  The arguments are checked when the function is
-    called, so a bad ``n`` or ``lam``, ``n`` above ``core.MAX_LEVELS``, or a
-    part of at least ``sys.maxsize``, raises before any pattern is taken.
-    The returned iterator walks depth first, level by level down from the
-    fixed top row (``_rows_below``), so it holds one partial pattern per
-    level, never the list of all patterns; callers that need a sequence take
-    ``list(...)``.
+    called (``top_row``), so a bad ``n`` or ``lam``, ``n`` above
+    ``core.MAX_LEVELS``, or a part of at least ``sys.maxsize``, raises before
+    any pattern is taken.  The returned iterator walks depth first, level by
+    level down from the fixed top row (``_rows_below``), so it holds one
+    partial pattern per level, never the list of all patterns; callers that
+    need a sequence take ``list(...)``.
     """
-    require_positive(n, "row count")
-    if n > MAX_LEVELS:
-        raise ShapeError(f"row count must be at most {MAX_LEVELS}, got {n}")
-    top = pad(lam, n)
-    require_enumerable(top)
-    stacks: Iterator[tuple[tuple[int, ...], ...]] = iter([(top,)])
+    stacks: Iterator[tuple[tuple[int, ...], ...]] = iter([(top_row(n, lam),)])
     for _ in range(n - 1):
         stacks = chain.from_iterable(map(_rows_below, stacks))
     return map(partial(GTPattern, n), stacks)

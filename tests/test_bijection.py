@@ -9,6 +9,7 @@ from gtcrystal import (
     GTPattern,
     Tableau,
     along_word,
+    enumerate_pattern_tableaux,
     enumerate_patterns,
     enumerate_tableaux,
     epsilon_gtp,
@@ -16,6 +17,7 @@ from gtcrystal import (
     letter_count_in_row,
     lower_gtp,
     lower_ssyt,
+    partitions_up_to,
     pattern_to_tableau,
     phi_gtp,
     phi_ssyt,
@@ -208,6 +210,19 @@ def test_patterns_never_reach_the_validator(monkeypatch):
     assert len(mapped) > 1000
     with pytest.raises(ReachedTheWordingPath):
         pattern_to_tableau(GTPattern(2, ((2, 2), (1,))))
+
+
+def test_the_letter_walk_makes_the_image_of_every_pattern_in_order():
+    # Reference: the bijection, which validates every image it makes, so an
+    # equal walk makes tableaux although it validates none.
+    shapes = [(n, lam) for n in range(1, 5) for lam in partitions_up_to(4, n)]
+    assert len(shapes) == 37
+    shapes += [(n, lam) for n in range(1, 6) for lam in partitions_up_to(6, n)]
+    shapes.append((6, (4, 3, 2, 1)))
+    for n, lam in shapes:
+        walked = list(enumerate_pattern_tableaux(n, lam))
+        assert walked == [pattern_to_tableau(p) for p in enumerate_patterns(n, lam)], (n, lam)
+        assert {type(t) for t in walked} == {Tableau}, (n, lam)
 
 
 def test_pattern_to_tableau_second_vertex():

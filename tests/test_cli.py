@@ -22,6 +22,7 @@ WORKED = '{"n":3,"rows":[[3,1,0],[3,1],[2]]}'
 WORKED_TAB = '{"n":3,"shape":[3,1],"rows":[[1,1,2],[2]]}'
 SRC = Path(__file__).resolve().parents[1] / "src"
 README = Path(__file__).resolve().parents[1] / "README.md"
+EXPECTED_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 
 
 def run(capsys, *argv):
@@ -225,17 +226,26 @@ class FirstWriteRecorder(io.StringIO):
         return super().write(text)
 
 
-def test_enumerate_writes_first_tableau_after_one_bijection(monkeypatch):
-    # Tableaux stream: the first line goes out after one bijection, not
-    # after the whole list is built.
+def test_ssyt_streams_make_no_bijection_call(monkeypatch):
+    # The tableaux of --model ssyt come from the letter-by-letter walk, which
+    # calls neither map of the bijection.  enumerate's first line goes out
+    # after one tableau is made; graph writes after every check.
     calls = []
-    biject = bijection.pattern_to_tableau
-    monkeypatch.setattr(bijection, "pattern_to_tableau", lambda p: calls.append(p) or biject(p))
-    out = FirstWriteRecorder(lambda: len(calls))
-    monkeypatch.setattr(sys, "stdout", out)
-    assert cli.main(["enumerate", "-n", "4", "-l", "2,1", "--model", "ssyt"]) == 0
-    assert out.at_first_write == 1
-    assert len(out.getvalue().splitlines()) == len(calls) == 20
+    for name in ("pattern_to_tableau", "tableau_to_pattern"):
+        biject = getattr(bijection, name)
+        monkeypatch.setattr(bijection, name, lambda e, biject=biject: calls.append(e) or biject(e))
+    made = []
+    tableau = bijection.Tableau
+    monkeypatch.setattr(bijection, "Tableau", lambda *args: made.append(args) or tableau(*args))
+    first_write = {}
+    for command in (["enumerate"], ["graph", "--format", "json"]):
+        made.clear()
+        out = FirstWriteRecorder(lambda: len(made))
+        monkeypatch.setattr(sys, "stdout", out)
+        assert cli.main([*command, "-n", "4", "-l", "2,1", "--model", "ssyt"]) == 0
+        assert (calls, len(made)) == ([], 20)
+        first_write[command[0]] = out.at_first_write
+    assert first_write == {"enumerate": 1, "graph": 20}
 
 
 @pytest.mark.parametrize(
@@ -247,11 +257,13 @@ def test_enumerate_writes_first_tableau_after_one_bijection(monkeypatch):
     ],
 )
 def test_enumerate_writes_first_line_after_one_pattern(monkeypatch, argv, elements):
-    # Patterns stream too, in both formats and under both models: the first
-    # write comes after one pattern is built, not after the whole crystal.
+    # Elements stream in both formats and under both models: the first write
+    # comes after one pattern, or with --model ssyt one tableau of the
+    # letter-by-letter walk, is built, not after the whole crystal.
+    module, name = (bijection, "Tableau") if "ssyt" in argv else (gtpattern, "GTPattern")
     made = []
-    pattern = gtpattern.GTPattern
-    monkeypatch.setattr(gtpattern, "GTPattern", lambda *args: made.append(args) or pattern(*args))
+    element = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: made.append(args) or element(*args))
     out = FirstWriteRecorder(lambda: len(made))
     monkeypatch.setattr(sys, "stdout", out)
     assert cli.main(["enumerate", *argv]) == 0
@@ -580,15 +592,18 @@ def test_graph_with_escaping_lowering_is_internal_error(escaping_lower, capsys, 
 
 @pytest.fixture
 def repeated_element(monkeypatch):
-    # A pattern enumerator that yields its first pattern twice.
-    enumerate_patterns = gtpattern.enumerate_patterns
+    # A pattern enumerator and a letter-by-letter tableau walk that each
+    # yield their first element twice.
+    def repeating(enumerator):
+        def repeat_first(n, lam):
+            elements = enumerator(n, lam)
+            first = next(elements)
+            return itertools.chain((first, first), elements)
 
-    def repeating(n, lam):
-        patterns = enumerate_patterns(n, lam)
-        first = next(patterns)
-        return itertools.chain((first, first), patterns)
+        return repeat_first
 
-    monkeypatch.setattr(gtpattern, "enumerate_patterns", repeating)
+    monkeypatch.setattr(gtpattern, "enumerate_patterns", repeating(gtpattern.enumerate_patterns))
+    monkeypatch.setattr(bijection, "enumerate_pattern_tableaux", repeating(bijection.enumerate_pattern_tableaux))
 
 
 @pytest.mark.parametrize("model", ["gtp", "ssyt"])
@@ -933,6 +948,11 @@ GOLDEN = {
     ("enumerate", "-n", "2", "-l", "", "--model", "ssyt", "--format", "text"): "2da555d1d9c2dcf25d9be37ea00e3885170d431434c0a9b5b497beca1dd54f51",
     ("apply", "f", "1", "--ssyt", WORKED_TAB, "--format", "text"): "b52838ffef9dec6f7aae7ce9059380352173af8e8e439bfe96942c141abc50ae",
     ("graph", "-n", "2", "-l", "", "--model", "ssyt", "--format", "dot"): "2924cda667190db6b89a0284ce4b79cdb36bef1b7a0fd4eb5fd2e7f521c85f8b",
+    # Edge cases of the letter-by-letter tableau walk: a shape with n parts,
+    # one letter, and repeated parts.
+    ("graph", "-n", "3", "-l", "2,1,1", "--model", "ssyt", "--format", "json"): "58859c5ddeadda2e90d0f06a7ef92f7c831647cf40d3b32517da2f17ea059f56",
+    ("enumerate", "-n", "1", "-l", "3", "--model", "ssyt"): "c4a0ebd8c88ea285c723a1d41547feb88eaff78310bdf17e9a73890b9a07ca57",
+    ("enumerate", "-n", "5", "-l", "3,3", "--model", "ssyt"): "f2f3dd12e0dcdc109705531006ff5d09fefa6399784387e3a23f3912d1e5e3c8",
 }
 
 
@@ -941,6 +961,21 @@ def test_golden_stdout_digest(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]
+
+
+def test_every_benchmark_op_writes_its_recorded_digest(capsys):
+    # The benchmark's own ops, run in process: each key of
+    # perfbench/expected.json is an op's argv joined by single spaces (an
+    # empty shape leaves an empty argument), and its value the SHA-256 of
+    # the op's stdout.  The file is only read here.
+    expected = json.loads(EXPECTED_DIGESTS.read_text())
+    assert len(expected) == 107
+    mismatched = []
+    for key, digest in expected.items():
+        code, out, _ = run(capsys, *key.split(" "))
+        if (code, hashlib.sha256(out.encode()).hexdigest()) != (0, digest):
+            mismatched.append(key)
+    assert mismatched == []
 
 
 # Payloads for the fuzz property: junk JSON, and the JSON of a valid pattern

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from itertools import islice, product
 
@@ -17,6 +18,7 @@ from gtcrystal import (
     coroot_pairing,
     diamond_a,
     diamond_b,
+    enumerate_pattern_tableaux,
     enumerate_patterns,
     enumerate_tableaux,
     epsilon_gtp,
@@ -364,12 +366,26 @@ def test_enumerators_check_their_arguments_when_called():
         enumerate_patterns(MAX_LEVELS + 1, ())
     with pytest.raises(ShapeError, match=f"shape has {MAX_LEVELS + 1} rows, more than {MAX_LEVELS}"):
         enumerate_tableaux(MAX_LEVELS + 1, (1,) * (MAX_LEVELS + 1))
+    # The letter-by-letter tableau walk starts from the patterns' top row,
+    # so it raises what enumerate_patterns raises, also when it is called.
+    bad = [(2, (1, 1, 1)), (0, ()), (True, (1,)), (2, (1, 2)), (2, (sys.maxsize,)), (MAX_LEVELS + 1, ())]
+    for n, lam in bad:
+        errors = []
+        for enumerator in (enumerate_patterns, enumerate_pattern_tableaux):
+            with pytest.raises(ValueError) as caught:
+                enumerator(n, lam)
+            errors.append((type(caught.value), str(caught.value)))
+        assert errors[0] == errors[1], (n, lam)
 
 
 def test_the_deepest_walk_makes_its_element():
     # MAX_LEVELS rows nest MAX_LEVELS - 1 stages, and taking the first
     # element recurses through all of them.
     assert [len(row) for row in next(enumerate_patterns(MAX_LEVELS, (1,))).rows] == list(range(MAX_LEVELS, 0, -1))
+    # The tableau walk nests one stage per letter above 2.  The first
+    # pattern adds its one box at the top level, so the box holds the
+    # letter MAX_LEVELS.
+    assert next(enumerate_pattern_tableaux(MAX_LEVELS, (1,))) == Tableau(MAX_LEVELS, ((MAX_LEVELS,),))
 
 
 @pytest.mark.parametrize(
