@@ -10,8 +10,10 @@ check, and never hold a whole document.  Both read one element stream,
 ``_elements``: ``enumerate`` reads it lazily, so its first line goes out
 after one element is made.  ``graph`` holds each vertex once and no
 operator image: it lowers each element along each label itself, looks the
-image up once and keeps only the label and vertex numbers.  Exit codes: 0
-for success (including an absent operator image, printed as the literal
+image up once and keeps only its number, in one flat int array of n-1
+slots per vertex; beside that it keeps one escaped key per vertex and
+nothing per edge.  Exit codes: 0 for success (including an absent
+operator image, printed as the literal
 ``none``), 1 for a verification failure, 2 for an input error, such as a
 payload nested too deeply or a ``--report`` file that cannot be written
 (found before any shape is verified), 3 for any other exception: an
@@ -35,6 +37,7 @@ import argparse
 import json
 import os
 import sys
+from array import array
 from contextlib import nullcontext
 from functools import cache
 from itertools import chain
@@ -184,34 +187,54 @@ def cmd_biject(args: argparse.Namespace) -> int:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
+    """Write one crystal graph as JSON or DOT, holding per vertex its element, one key and n-1 image numbers.
+
+    Vertex a is the a-th element of ``_elements``.  The lowering walk applies
+    f_i to each vertex along each label and looks the image up once, by value,
+    in a table from element to number; it keeps no image, only the number, in
+    slot a*(n-1)+i-1 of one flat int array (-1 where f_i gives none).  The
+    table goes when the walk ends.  Each vertex key is then rendered once,
+    already escaped as a JSON string, and the vertices are sorted by it: two
+    keys of one crystal first differ inside their rows text, where escaping
+    changes nothing, so this is the order of the raw keys.  Edges are written
+    source by source in that order, labels ascending, which sorts them by
+    (source key, label), a pair no two edges share; nothing is held per edge.
+    """
     elements = list(_elements(args))
     model = crystal.tableau_model(args.n) if args.model == "ssyt" else crystal.pattern_model(args.n)
     placeholder = _placeholder(elements[0])
     key = _unmark(render_key(placeholder))
-    keys = [key % _entries(e) for e in elements]
     number = {e: k for k, e in enumerate(elements)}
     if len(number) != len(elements):
         raise RuntimeError("elements are not distinct")
-    # Each lowering image is looked up once, as the walk makes it, and then
-    # dropped: only vertex numbers are kept.  Vertices keep element order;
-    # edges are sorted by (source key, label), a pair that no two edges share.
-    numbered = []
-    for a, u in enumerate(elements):
-        for i in model.labels:
-            v = model.lower(u, i)
+    labels = model.labels
+    lower = model.lower
+    images = array("i")
+    for u in elements:
+        for i in labels:
+            v = lower(u, i)
             if v is None:
+                images.append(-1)
                 continue
             b = number.get(v)
             if b is None:
-                raise RuntimeError(f"lowering {keys[a]} along {i} escapes the crystal: {render_key(v.to_dict())}")
-            numbered.append((keys[a], i, a, b))
-    numbered.sort()
+                raise RuntimeError(f"lowering {key % _entries(u)} along {i} escapes the crystal: {render_key(v.to_dict())}")
+            images.append(b)
+    del number
+    names = [encode_basestring_ascii(key % _entries(e)) for e in elements]
+    width = len(labels)
+
+    def edges() -> Iterator[tuple[int, int, int]]:
+        for a in sorted(range(len(names)), key=names.__getitem__):
+            for i, b in zip(labels, images[a * width : (a + 1) * width]):
+                if b >= 0:
+                    yield a, i, b
+
     write = sys.stdout.write
     if args.format == "json":
-        names = [encode_basestring_ascii(k) for k in keys]
         write('{\n  "edges": ')
         edge = _item({"from": "%s", "i": "%d", "to": "%s"})
-        _write_array(edge, ((names[a], i, names[b]) for _, i, a, b in numbered))
+        _write_array(edge, ((names[a], i, names[b]) for a, i, b in edges()))
         write(f',\n  "n": {args.n},\n  "vertices": ')
         vertex = _item({"element": placeholder, "key": "%s"})
         _write_array(vertex, ((*_entries(e), name) for e, name in zip(elements, names)))
@@ -220,7 +243,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
     write('digraph crystal {\n  rankdir=TB;\n  node [shape=box, fontname="monospace"];\n')
     for k, e in enumerate(elements):
         write(f'  v{k} [label="{e.compact()}"];\n')
-    for _, i, a, b in numbered:
+    for a, i, b in edges():
         write(f'  v{a} -> v{b} [label="{i}", color="{_PALETTE[(i - 1) % len(_PALETTE)]}"];\n')
     write("}\n")
     return 0

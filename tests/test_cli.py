@@ -8,6 +8,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -181,9 +182,18 @@ def test_graph_serializes_each_vertex_once(monkeypatch, capsys, model, element_t
 
 
 # (n, shape): one vertex and no edge, the empty tableau, a one-row shape,
-# shapes at n = 3..5 with edges, and two-digit entries, whose keys differ in
-# length.
-ORACLE_SHAPES = [("1", "4"), ("2", ""), ("3", "3"), ("3", "3,1,0"), ("4", "2,2,1"), ("5", "2,1"), ("3", "10,2")]
+# shapes at n = 3..5 with edges, two-digit entries, and two-digit tableau
+# letters; in the last two, keys differ in length.
+ORACLE_SHAPES = [
+    ("1", "4"),
+    ("2", ""),
+    ("3", "3"),
+    ("3", "3,1,0"),
+    ("4", "2,2,1"),
+    ("5", "2,1"),
+    ("3", "10,2"),
+    ("10", "2,1"),
+]
 
 
 @pytest.mark.parametrize("model", ["gtp", "ssyt"])
@@ -684,6 +694,26 @@ def test_graph_keeps_no_lowering_image(monkeypatch, capsys, model, module, name,
     assert max(alive) <= 2
 
 
+def test_graph_memory_grows_with_vertices_not_edges():
+    # 1,024 vertices and 2,304 edges.  graph keeps one escaped key per vertex
+    # and one image number per vertex and label: about 330 KB above what was
+    # live before.  A (source key, label, source, target) tuple kept per edge,
+    # with a raw key per vertex beside the escaped one, peaks near 650 KB.
+    # The output goes to a sink that keeps nothing, and a first run fills the
+    # module caches, so only the op's own memory is traced.
+    argv = ["graph", "-n", "5", "-l", "4,3,2,1", "--model", "ssyt", "--format", "json"]
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        assert cli.main(argv) == 0
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+    assert peak < 480 * 1024
+
+
 @pytest.mark.parametrize("fmt", ["json", "dot"])
 def test_graph_with_rejected_tableau_image_is_internal_error(monkeypatch, capsys, fmt):
     # A tableau operator whose guard rejects its image stops graph before
@@ -953,6 +983,9 @@ GOLDEN = {
     ("graph", "-n", "3", "-l", "2,1,1", "--model", "ssyt", "--format", "json"): "58859c5ddeadda2e90d0f06a7ef92f7c831647cf40d3b32517da2f17ea059f56",
     ("enumerate", "-n", "1", "-l", "3", "--model", "ssyt"): "c4a0ebd8c88ea285c723a1d41547feb88eaff78310bdf17e9a73890b9a07ca57",
     ("enumerate", "-n", "5", "-l", "3,3", "--model", "ssyt"): "f2f3dd12e0dcdc109705531006ff5d09fefa6399784387e3a23f3912d1e5e3c8",
+    # Tableau letters 1..10: keys differ in length, and the DOT edge order
+    # follows them.
+    ("graph", "-n", "10", "-l", "2,1", "--model", "ssyt", "--format", "dot"): "92e99b2be20c123d9cbb1e43eb14521b66e17415e0f72966da0deac3dc1a54f4",
 }
 
 
