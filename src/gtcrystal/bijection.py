@@ -12,13 +12,9 @@ produced an invalid pattern: ...")`` with the message ``validate_pattern``
 gives for its rows.
 
 ``enumerate_pattern_tableaux`` makes the images of all patterns of one shape
-without the maps: it reads each pattern as the chain of shapes its rows
-give, each a horizontal strip over the next, and fills strip i with the
-letter i as it walks down the rows, so sibling tableaux share the rows a
-letter above theirs completed.  It builds through the class name
-``Tableau``, as ``enumerate_tableaux`` does, and validates nothing: its
-reference test compares it with ``pattern_to_tableau``, which validates every
-image.
+without the maps.  It builds through the class name ``Tableau``, as
+``enumerate_tableaux`` does, and validates nothing: its reference test
+compares it with ``pattern_to_tableau``, which validates every image.
 """
 
 from __future__ import annotations

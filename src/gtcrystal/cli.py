@@ -2,26 +2,19 @@
 
 Subcommands: enumerate, apply, biject, graph, verify, dim, string-datum.
 Streams are line-delimited JSON; graphs and reports are single JSON or DOT
-documents.  ``enumerate`` and ``graph`` render their JSON from one
-%-template per crystal, made from its first element by ``render_key`` (the
-key) and ``json.dumps`` (a graph's vertex and edge), and filled from each
-element's rows.  They write their output as they make it, after every
-check, and never hold a whole document.  Both read one element stream,
-``_elements``: ``enumerate`` reads it lazily, so its first line goes out
-after one element is made.  ``graph`` holds each vertex once and no
-operator image: it lowers each element along each label itself, looks the
-image up once and keeps only its number, in one flat int array of n-1
-slots per vertex; beside that it keeps one escaped key per vertex and
-nothing per edge.  Exit codes: 0 for success (including an absent
-operator image, printed as the literal
-``none``), 1 for a verification failure, 2 for an input error, such as a
-payload nested too deeply or a ``--report`` file that cannot be written
-(found before any shape is verified), 3 for any other exception: an
+documents.  ``enumerate`` and ``graph`` read one element stream,
+``_elements``, and write their output as they make it, after every check,
+and never hold a whole document: ``enumerate``'s first line goes out after
+one element is made.
+
+Exit codes: 0 for success (including an absent operator image, printed as
+the literal ``none``), 1 for a verification failure, 2 for an input error,
+such as a payload nested too deeply or a ``--report`` file that cannot be
+written (found before any shape is verified), 3 for any other exception: an
 internal error, such as a guard rejecting an operator image, a lowering
 image outside the crystal in ``graph``, or a repeated element in ``graph``
 or ``verify``; an exception with an empty message, such as ``MemoryError``,
-is reported by its type name.
-NO_COLOR suppresses color.
+is reported by its type name.  NO_COLOR suppresses color.
 
 A process builds one parser: ``build_parser`` is cached, and every ``main``
 call parses with it, so an op pays only for its own work.  The parser holds
@@ -287,7 +280,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         shapes = [(args.n, _parse_partition(args.shape))]
 
     # The report file is opened before the first shape, so a bad path fails at once.
-    with _open_report(args.report) if args.report else nullcontext() as handle:
+    with _open_report(args.report) if args.report is not None else nullcontext() as handle:
         records = [crystal.verify_shape(n, lam) for n, lam in shapes]
         all_pass = all(record["pass"] for record in records)
         report = {"shapes": records, "pass": all_pass}

@@ -108,11 +108,14 @@ def weyl_dimension(n: int, lam: Partition) -> int:
     an exact integer quotient.  Only the pairs of the l nonzero parts are
     multiplied one by one; for each part, the pairs with the n - l zero parts
     after it telescope to the binomial ratio C(lam_i + n - i, lam_i) /
-    C(lam_i + l - i, lam_i), and pairs of two zero parts give 1.  Used only
-    as an independent counting oracle for pattern enumeration.
+    C(lam_i + l - i, lam_i), and pairs of two zero parts give 1, so the work
+    grows with l, not with n.  Used only as an independent counting oracle
+    for pattern enumeration.
     """
     require_positive(n, "row count")
-    parts = as_partition(pad(lam, n))
+    parts = as_partition(lam)
+    if len(parts) > n:
+        raise LengthError(f"partition has {len(parts)} parts, more than n={n}")
     num = den = 1
     for i, part in enumerate(parts):
         for j in range(i + 1, len(parts)):

@@ -3,41 +3,17 @@
 A model bundles the crystal data callables for one element type at a fixed
 rank.  Elements are immutable, hashable values, named tuples with a type tag
 (``GTPattern``, ``Tableau``), and are compared and hashed by value, in C.
-The canonical key (``render_key``: the JSON serialization with sorted
-fields) is only the output form, stable across models, runs and processes.
-A violation keeps the elements and values it found and renders them once,
-when its report is rendered; the CLI renders the keys of the elements and
-graph vertices it prints.
+The canonical key (``render_key``) is only the output form, stable across
+models, runs and processes.
 
 Every check is a ``verify_*`` function that takes what it reads and returns
-its ``Report``; ``verify_shape``, the one verification engine, evaluates
-each model once, calls every check of one shape and returns the record
-``verify`` prints.  ``evaluate`` reads a model once per element and once per
-(element, label), rejects repeated elements and numbers the elements
-0..N-1: every image is stored as the number of the member it equals, or
-marked ``Outside``.  ``verify_shape`` maps each element through the
-bijection once and looks each image up once, as a number on the other
-side; it is the one caller of the bijection here.  So the checks index
-lists and compare ints, and hash no element.  Every rule is checked
-against evaluations, by slot: a value outside the two element sets is
-kept only as an ``Outside`` witness, rendered and compared but never
-passed to a model, to the bijection or to a letter count.  Only
-``verify_sources``, through ``highest_weight_elements``, reads a model.
-``gtcrystal graph`` walks the lowering operator itself.
-
-``verify_identities`` checks the counting and algebraic identities of the
-literal diamond forms once per rank, on the pattern of formal entries
-x_(i,j) (``core.Linear``): once a tableau has the letter counts of
-``bijection.letter_count_in_row``, every identity is linear in the entries.
-The same check proves those counts equal to the row differences
-x_(i,k) - x_(i-1,k), so per pattern it then walks each tableau row against
-the runs of letters those differences give, read straight off the
-pattern's rows (``_fills_rows``), and reads two interleaving gaps per
-level, building no table.  A rank with fewer than ``FORMAL_MIN_PATTERNS``
-patterns, where the proof costs more than it saves, a rank where it fails,
-and a pattern whose tableau rows do not match take the literal table and
-walk instead, one call per (pattern, level, index), so every count is the
-one the walk gives.
+its ``Report``; ``verify_shape``, the one verification engine, calls every
+check of one shape.  The checks read evaluations (``evaluate``) by slot, so
+they index lists and compare ints, and hash no element.  A value outside
+the two element sets is kept only as an ``Outside`` witness, rendered and
+compared but never passed to a model, to the bijection or to a letter
+count.  Only ``verify_sources``, through ``highest_weight_elements``, reads
+a model.
 """
 
 from __future__ import annotations
@@ -375,7 +351,7 @@ def verify_sources(evaluation: Evaluation) -> Report:
 
 
 def verify_dimension(n: int, lam: Partition, patterns: Sequence[gtp.GTPattern]) -> Report:
-    """Check that the patterns number the Weyl dimension of ``lam`` at rank n."""
+    """Check that the patterns number the Weyl dimension of ``lam`` at rank n; a miss names both counts."""
     report = Report()
     if len(patterns) != (expected := weyl_dimension(n, lam)):
         report.add("dimension", (), None, expected, len(patterns))

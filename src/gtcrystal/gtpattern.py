@@ -5,20 +5,17 @@ row i has i entries and consecutive rows interleave.  The crystal data
 (weight, string lengths, raising and lowering operators) are computed from
 max-plus expressions in the pattern entries: signed sums around diamonds of
 four adjacent entries, partial sums of those, and maxima of the partial sums.
-One scan over three adjacent rows gives phi (the maximum of the partial sums
-A_j), epsilon = phi - A_0 (as B_j = A_j - A_0) and both tie-broken indices;
-``diamond_a``, ``diamond_b``, ``sum_a``, ``sum_b`` and ``weight_expressions``
-keep the literal entry-by-entry forms as the reference, written as the
-paper writes them: each literal call sums its own diamonds, and each diamond
-is its four ``entry`` reads, so the one bound of ``entry`` (0 outside the
-triangle) covers every literal read.  The literal forms and the kernel never
-call each other.  ``validate_pattern`` accepts a plain-typed
-pattern in one walk and words any other input's first fault with ordered
-scans.  It and the operators' one entry write (``_with_entry_changed``)
-build their pattern with ``tuple.__new__``, in C, skipping the Python-level
-``__new__`` that ``NamedTuple`` generates; ``enumerate_patterns`` builds
-through the class name, so a patch of ``GTPattern`` sees each pattern it
-makes.
+The operators read one kernel, ``_scan``; ``diamond_a``, ``diamond_b``,
+``sum_a``, ``sum_b`` and ``weight_expressions`` keep the literal
+entry-by-entry forms as the reference, written as the paper writes them:
+each literal call sums its own diamonds, and each diamond is its four
+``entry`` reads, so the one bound of ``entry`` (0 outside the triangle)
+covers every literal read.  The literal forms and the kernel never call
+each other.  ``validate_pattern`` and the operators' one entry write
+(``_with_entry_changed``) build their pattern with ``tuple.__new__``, in C,
+skipping the Python-level ``__new__`` that ``NamedTuple`` generates;
+``enumerate_patterns`` builds through the class name, so a patch of
+``GTPattern`` sees each pattern it makes.
 
 Indexing convention used everywhere in this package: ``entry(i, j)`` is the
 j-th entry of the row with i entries, both 1-based, and reads 0 whenever
@@ -72,7 +69,8 @@ class GTPattern(NamedTuple):
     where the dataclass runs a Python ``__hash__`` or ``__eq__`` that
     re-hashes or re-compares every row.  The trailing tag ``kind`` keeps a
     pattern unequal to the ``Tableau`` with the same n and rows, and to a
-    bare tuple of them; ``to_dict`` leaves it out.
+    bare tuple of them, so a bijection that returned its argument fails
+    ``verify -n 1 -l 1``; ``to_dict`` leaves it out.
     """
 
     n: int
@@ -405,7 +403,8 @@ def enumerate_patterns(n: int, lam: Partition) -> Iterator[GTPattern]:
     any pattern is taken.  The returned iterator walks depth first, level by
     level down from the fixed top row (``_rows_below``), so it holds one
     partial pattern per level, never the list of all patterns; callers that
-    need a sequence take ``list(...)``.
+    need a sequence take ``list(...)``.  It is made of ``itertools`` stages,
+    not a generator, each of whose resumes a profiler counts as a call.
     """
     stacks: Iterator[tuple[tuple[int, ...], ...]] = iter([(top_row(n, lam),)])
     for _ in range(n - 1):

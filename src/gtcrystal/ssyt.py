@@ -1,18 +1,12 @@
 """Semistandard Young tableaux and their crystal structure.
 
 The crystal data come from the far-eastern reading (columns right to left,
-each column top to bottom) followed by pair cancellation between the letters
-i and i+1.  The reading walk depends only on the row lengths, so it is made
-once per length tuple (``_reading_plan``), and each reading is one pick from
-the rows laid end to end in one list.  The operators match the letters in a
-single pass over the reading word that counts the unmatched letters i and
-keeps the index of the first (``_cancel``).  ``validate_tableau`` accepts a
-plain-typed filling of its shape in one walk over its rows and cells
-(``_semistandard``) and words the first fault of any other input with
-ordered scans.  It and the operators' one cell write (``_with_cell_changed``)
-build their tableau with ``tuple.__new__``, in C, as ``far_east_reading``
-builds its word; ``enumerate_tableaux`` builds through the class name, as
-``enumerate_patterns`` does.
+each column top to bottom, ``far_east_reading``) followed by pair
+cancellation between the letters i and i+1 (``_cancel``).
+``validate_tableau`` and the operators' one cell write
+(``_with_cell_changed``) build their tableau with ``tuple.__new__``, in C,
+as ``far_east_reading`` builds its word; ``enumerate_tableaux`` builds
+through the class name, as ``enumerate_patterns`` does.
 
 Cells are addressed by 1-based (row, column) pairs throughout.
 """

@@ -1,10 +1,12 @@
 import argparse
 import contextlib
 import hashlib
+import importlib
 import io
 import itertools
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -391,6 +393,8 @@ def test_verify_report_path_is_checked_before_any_shape(monkeypatch, tmp_path, c
     (tmp_path / "out").mkdir()
     code, _, err = run(capsys, "verify", "-n", "2", "-l", "1", "--report", "out")
     assert (code, err, shapes) == (2, "error: cannot write report file 'out': Is a directory\n", [])
+    code, out, err = run(capsys, "verify", "-n", "3", "-l", "1", "--report", "")
+    assert (code, out, err, shapes) == (2, "", "error: cannot write report file '': No such file or directory\n", [])
 
 
 def test_verify_shape_from_element_payload(capsys):
@@ -1076,3 +1080,48 @@ def test_every_readme_command_runs(capsys, monkeypatch, tmp_path):
         assert code == 0 and err == "", line
         if "prints `none`" in line:
             assert out == "none\n", line
+
+
+def test_readme_names_resolve_and_its_layout_gives_each_module_one_line():
+    # A dotted name that opens a backticked span and starts with a package
+    # module, other than a file name such as `cli.py`, is an attribute of it,
+    # and the Layout block gives each module of the package exactly one line,
+    # between its header and the tests/ line.
+    text = README.read_text()
+    package = SRC / "gtcrystal"
+    modules = {path.stem for path in package.glob("*.py")}
+    dotted = [span.group(1) for span in re.finditer(r"`([A-Za-z_]\w*(?:\.\w+)+)[^`]*`", text)]
+    names = [name for name in dotted if name.split(".")[0] in modules and not name.endswith(".py")]
+    assert names
+    for name in names:
+        head, *path = name.split(".")
+        value = importlib.import_module(f"gtcrystal.{head}")
+        for attr in path:
+            assert hasattr(value, attr), name
+            value = getattr(value, attr)
+    (layout,) = [b for b in text.split("```")[1::2] if b.lstrip().startswith("src/gtcrystal/")]
+    lines = layout.strip().splitlines()
+    assert lines[0] == "src/gtcrystal/" and lines[-1].startswith("tests/")
+    named = [re.findall(r"\w+\.py\b", line) for line in lines]
+    assert named[0] == named[-1] == [] and [len(found) for found in named[1:-1]] == [1] * (len(lines) - 2)
+    assert sorted(found for (found,) in named[1:-1]) == sorted(path.name for path in package.glob("*.py"))
+
+
+def test_readme_json_forms_are_what_the_package_reads_and_prints(capsys):
+    # The pattern and tableau forms read and print back unchanged, and the
+    # graph form has the keys and the order that `graph --format json` prints.
+    section = README.read_text().split("JSON forms:")[1].split("\n\n")[1]
+    forms = dict(re.findall(r"^\* (\w+) `([^`]+)`", section, re.M))
+    assert set(forms) == {"pattern", "tableau", "graph"}
+    for cls, form in ((gtpattern.GTPattern, forms["pattern"]), (ssyt.Tableau, forms["tableau"])):
+        doc = json.loads(form)
+        assert cls.from_dict(doc).to_dict() == doc
+    graph = json.loads(forms["graph"].replace("...", "null"))
+    code, out, _ = run(capsys, "graph", "-n", "3", "-l", "2,1", "--format", "json")
+    printed = json.loads(out)
+    assert code == 0
+    assert set(graph) == set(printed)
+    assert {tuple(sorted(v)) for v in printed["vertices"]} == {tuple(sorted(graph["vertices"][0]))}
+    assert {tuple(sorted(e)) for e in printed["edges"]} == {tuple(sorted(graph["edges"][0]))}
+    assert [v["element"] for v in printed["vertices"]] == [p.to_dict() for p in gtpattern.enumerate_patterns(3, (2, 1))]
+    assert [(e["from"], e["i"]) for e in printed["edges"]] == sorted((e["from"], e["i"]) for e in printed["edges"])

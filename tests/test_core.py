@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations_with_replacement
 
 import pytest
@@ -77,6 +78,18 @@ def test_weyl_dimension_matches_the_pairwise_product():
 def test_weyl_dimension_rejects_long_partition():
     with pytest.raises(LengthError):
         weyl_dimension(2, (1, 1, 1))
+
+
+def test_weyl_dimension_memory_grows_with_the_parts_not_with_n():
+    # The zero parts telescope into binomials, so no n-tuple is ever made.
+    weyl_dimension(10**6, (3, 1))
+    tracemalloc.start()
+    try:
+        assert weyl_dimension(10**6, (3, 1)) == 125000249999874999750000
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_row_count_and_alphabet_bound_must_be_positive_integers():
